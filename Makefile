@@ -1,12 +1,13 @@
 # Developer / CI entry points. `make ci` is the gate: formatting, vet,
-# build, the full test suite under the race detector, and a one-shot
-# run of the detection benchmarks so they cannot rot.
+# build, the full test suite twice under the race detector (`make test`
+# is the single-pass form for local use), and a one-shot run of the
+# detection benchmarks so they cannot rot.
 
 GO ?= go
 
-.PHONY: ci fmt vet vet-metrics build test test-faults test-churn test-telemetry test-kernels test-stream test-sparse test-cluster test-probe test-alloc bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke bench pprof-stream
+.PHONY: ci fmt vet vet-metrics build test test-stress test-alloc bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke bench pprof-stream
 
-ci: fmt vet vet-metrics build test test-faults test-churn test-telemetry test-kernels test-stream test-sparse test-cluster test-probe test-alloc bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke
+ci: fmt vet vet-metrics build test-stress test-alloc bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke
 
 fmt:
 	@files="$$(gofmt -l .)"; \
@@ -23,71 +24,23 @@ build:
 test:
 	$(GO) test -race ./...
 
-# The collection-plane fault machinery (deadlines, retries, quarantine,
-# counter-reset detection) is concurrency-heavy and timing-sensitive:
-# run its packages twice under the race detector to shake out
-# scheduling-dependent bugs a single pass can miss.
-test-faults:
-	$(GO) test -race -count=2 -timeout 120s ./internal/collector/ ./internal/openflow/
-
-# The rule-churn subsystem mutates the baseline (epoch log, incremental
-# FCM, rank-one factor updates) while detection may be running: run its
-# package and the matrix factor-update machinery twice under the race
-# detector.
-test-churn:
-	$(GO) test -race -count=2 -timeout 120s ./internal/churn/ ./internal/matrix/
-
-# The telemetry core is lock-free on the hot path and scraped
-# concurrently with detection: run it and the packages that record into
-# it twice under the race detector.
-test-telemetry:
-	$(GO) test -race -count=2 -timeout 120s ./internal/telemetry/ ./cmd/focesd/
-
-# The parallel kernel layer (blocked Cholesky, parallel Gram, the
-# persistent sliced-detect worker pool, batched solves) is exercised by
-# determinism-sensitive tests: run them twice under the race detector.
-test-kernels:
-	$(GO) test -race -count=2 -timeout 180s -run 'Kernel' ./internal/matrix/ ./internal/core/
-
-# The streaming ingestion pipeline (window assembler, adaptive sampler,
-# System.Serve, the focesd pump) is push-driven and channel-heavy: run
-# its tests twice under the race detector, including the
-# polled-vs-streamed equivalence gates.
-test-stream:
-	$(GO) test -race -count=2 -timeout 180s -run 'Assembler|Sampler|Serve|Stream|PollSnapshots|PollCancelled' ./internal/collector/ ./cmd/focesd/ .
-
-# The sparse direct solver (AMD ordering, symbolic analysis, supernodal
-# factorization, sparse rank-one update/downdate) and the hardened
-# dense factor-maintenance path share poison/fallback semantics with
-# the churn manager: run their regression, property and fuzz-seed tests
-# twice under the race detector.
-test-sparse:
-	$(GO) test -race -count=2 -timeout 180s -run 'Sparse|Update|Downdate|Column|AMD|SymGram|Symbolic|PreparedLS|RankOneRepair' ./internal/matrix/ ./internal/churn/ ./internal/experiment/
-
-# The sharded multi-node detection cluster is membership-churn-heavy
-# (node join mid-epoch, node death mid-window with shard requeue,
-# coordinator restart, total-capacity fallback): run its package, the
-# shared framing layer and the replica-replay machinery twice under the
-# race detector.
-test-cluster:
-	$(GO) test -race -count=2 -timeout 180s ./internal/cluster/ ./internal/wire/ ./internal/churn/
-
-# The active-probe localization subsystem shares the baseline read lock
-# with concurrent detection and the wrapper surface must stay
-# byte-equivalent to Run: run the probe package, the localization glue,
-# the report serialization golden tests and the wrapper equivalence
-# suite twice under the race detector.
-test-probe:
-	$(GO) test -race -count=2 -timeout 180s ./internal/probe/
-	$(GO) test -race -count=2 -timeout 180s -run 'Localiz|ReportMarshal|RunEvent|StreamReportShares|ByteEqual|DrawAttack' . ./internal/experiment/
+# Much of the tree is concurrency-heavy and timing-sensitive (collection
+# deadlines and quarantine, churn mutating the baseline under running
+# detections, lock-free telemetry, the sliced worker pool, push-driven
+# streaming, cluster membership churn, probes sharing the baseline
+# lock): run everything twice under the race detector to shake out
+# scheduling-dependent bugs a single pass can miss. Whole packages, no
+# -run filters — a regex subset silently matches nothing after a rename.
+test-stress:
+	$(GO) test -race -count=2 -timeout 900s ./...
 
 # Allocation regression tests: AllocsPerRun budgets on the streaming
 # hot path (Serve allocs/window, wire frame round trip) plus the pooled
 # window release contract. Run WITHOUT -race — the race detector's
 # instrumentation inflates MemStats allocation counts, so the budget
 # tests carry a !race build tag and would silently vanish under it. The
-# release-contract tests additionally ride along under `make
-# test-faults` with -race.
+# release-contract tests additionally ride along under `make test` and
+# `make test-stress` with -race.
 test-alloc:
 	$(GO) test -timeout 180s -run 'Alloc|WindowRelease|DoubleRelease|FrameRoundTrip' . ./internal/wire/ ./internal/collector/
 

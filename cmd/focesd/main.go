@@ -408,13 +408,10 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, ">> period %d: quarantined switches: %v\n", p, robust.Quarantined())
 			quarantines = met.Quarantines
 		}
-		// One Observation describes the whole window: Run picks the
-		// clean, missing or reconciled path. The window's baseline epoch
-		// is the oldest epoch any switch window straddles (the current
-		// epoch when none do).
-		if len(missing) == 0 {
-			missing = nil // nil means "every switch reported" to Run
-		}
+		// One Observation describes the whole window: Run masks the rows
+		// of missing switches and the rows changed since the window's
+		// baseline epoch — the oldest epoch any switch window straddles
+		// (the current epoch when none do).
 		winEpoch := sys.Epoch()
 		for _, e := range poll.Straddled {
 			if e < winEpoch {
@@ -434,9 +431,13 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		switch {
-		case rep.Partial != nil:
+		case len(rep.Missing) > 0:
+			hidden := 0
+			for _, sw := range rep.Missing {
+				hidden += len(f.RulesAt(sw))
+			}
 			fmt.Fprintf(out, ">> period %d: %d switches missing, detecting on %d of %d rules\n",
-				p, len(missing), len(rep.Partial.PresentRows), f.NumRules())
+				p, len(rep.Missing), f.NumRules()-hidden, f.NumRules())
 		case len(poll.Straddled) > 0:
 			// One or more switch windows span a rule update: their
 			// counters mix two rule generations. Run masked the rows
@@ -445,12 +446,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, ">> period %d: %d switch windows straddle rule updates since epoch %d; masking %d rule rows\n",
 				p, len(poll.Straddled), winEpoch, len(rep.MaskedRows))
 		}
-		var res core.Result
-		if rep.Partial != nil {
-			res = rep.Partial.Result
-		} else {
-			res = *rep.Full
-		}
+		res := *rep.Full
 		sliced := *rep.Sliced
 		verdict := "ok"
 		if res.Anomalous {

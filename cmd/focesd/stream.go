@@ -332,12 +332,9 @@ func pumpRound(ctx context.Context, rc *collector.RobustCollector, asm *collecto
 	return nil
 }
 
-// repResult picks the full-FCM result out of a report, whichever path
-// it took.
+// repResult picks the full-FCM result out of a report (zero when the
+// full engine did not run).
 func repResult(rep foces.Report) core.Result {
-	if rep.Partial != nil {
-		return rep.Partial.Result
-	}
 	if rep.Full != nil {
 		return *rep.Full
 	}

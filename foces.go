@@ -45,14 +45,15 @@
 // An Observation carries either a prepared counter vector (Vector) or
 // raw per-rule counters (Counters), plus optionally the switches that
 // failed to report (Missing) and the baseline epoch the window was
-// collected under (Epoch). Run validates the observation and picks the
-// dispatch path itself: degraded windows take the partial-detection
-// path, windows collected under an older epoch take the reconciled
-// (masked-row) path, everything else the clean path. The Report records
-// which path ran, both engines' verdicts, localization suspects, and
-// per-stage timings. The older methods Detect, DetectSliced,
-// DetectWithMissing, DetectSlicedWithMissing and DetectReconciled are
-// deprecated wrappers over Run and will keep working.
+// collected under (Epoch). Run validates the observation and turns both
+// degraded conditions into one row mask — the rule rows of missing
+// switches plus the rows changed since the window's epoch — then asks
+// the prepared engines about the rows that are left; a clean window is
+// the empty mask. The Report labels where the mask came from
+// (Report.Path), and records both engines' verdicts, localization
+// suspects, and per-stage timings. The older methods Detect,
+// DetectSliced and DetectReconciled are deprecated wrappers over Run
+// and will keep working.
 //
 // # Steady-state monitoring
 //
@@ -170,9 +171,6 @@ type (
 	Slice = core.Slice
 	// SlicedOutcome is a sliced detection outcome with localization.
 	SlicedOutcome = core.SlicedOutcome
-	// PartialResult is a detection outcome restricted to reachable
-	// switches (missing-switch degraded mode).
-	PartialResult = core.PartialResult
 	// Detectability is a Theorem 1/2 detectability verdict.
 	Detectability = core.Detectability
 	// Solver selects the least-squares backend.

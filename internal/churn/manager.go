@@ -829,7 +829,7 @@ func (m *Manager) DetectReconciled(y []float64, from uint64) (core.SlicedOutcome
 		copy(padded, y)
 		y = padded
 	}
-	return sliced.DetectMasked(y, masked)
+	return sliced.DetectMasked(y, masked, m.opts)
 }
 
 // DetectFull runs the (lazily rebuilt) Algorithm 1 engine.

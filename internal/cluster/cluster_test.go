@@ -223,7 +223,7 @@ func checkWindow(t *testing.T, label string, h *harness, c *Coordinator) {
 		{"clean", h.cleanVector()},
 		{"anomalous", h.anomalousVector()},
 	} {
-		got, err := c.DetectWithOptions(w.y, core.Options{})
+		got, err := c.DetectMasked(w.y, nil, core.Options{})
 		if err != nil {
 			t.Fatalf("%s/%s: cluster detect: %v", label, w.name, err)
 		}
@@ -233,24 +233,32 @@ func checkWindow(t *testing.T, label string, h *harness, c *Coordinator) {
 		}
 		assertOutcomeIdentical(t, label+"/"+w.name, got, want)
 	}
-	// Masked (reconciled) window: mask a couple of global rule rows and
-	// compare against the local masked path, which always detects under
-	// construction options.
+	// Masked windows: a couple of stray global rule rows (churn), then
+	// every own row of one switch plus a stray (a missing switch in a
+	// lagged window — its shard must not be dispatched), under per-call
+	// options the nodes can only have learned from the window itself.
 	slices := h.mgr.Slices()
-	masked := []int{slices[0].RuleRows[0]}
+	churn := []int{slices[0].RuleRows[0]}
 	if len(slices) > 1 {
-		masked = append(masked, slices[len(slices)-1].RuleRows[0])
+		churn = append(churn, slices[len(slices)-1].RuleRows[0])
 	}
+	blind := append(append([]int(nil), slices[len(slices)/2].OwnRows...), slices[0].RuleRows[0])
+	opts := core.Options{Threshold: 3}
 	y := h.cleanVector()
-	got, err := c.DetectMasked(y, masked)
-	if err != nil {
-		t.Fatalf("%s/masked: cluster detect: %v", label, err)
+	for name, masked := range map[string][]int{"churn": churn, "blind": blind} {
+		got, err := c.DetectMasked(y, masked, opts)
+		if err != nil {
+			t.Fatalf("%s/%s: cluster detect: %v", label, name, err)
+		}
+		want, err := local.DetectMasked(y, masked, opts)
+		if err != nil {
+			t.Fatalf("%s/%s: local detect: %v", label, name, err)
+		}
+		assertOutcomeIdentical(t, label+"/"+name, got, want)
+		if name == "blind" && len(got.PerSwitch) != len(slices)-1 {
+			t.Fatalf("%s/blind: %d slices checked, want %d (one blinded)", label, len(got.PerSwitch), len(slices)-1)
+		}
 	}
-	want, err := local.DetectMasked(y, masked)
-	if err != nil {
-		t.Fatalf("%s/masked: local detect: %v", label, err)
-	}
-	assertOutcomeIdentical(t, label+"/masked", got, want)
 }
 
 // TestClusterVerdictIdentical is the tentpole acceptance at package
@@ -433,7 +441,7 @@ func TestClusterNodeDeathMidWindow(t *testing.T) {
 	}
 	res := make(chan outcome, 1)
 	go func() {
-		out, err := c.DetectWithOptions(y, core.Options{})
+		out, err := c.DetectMasked(y, nil, core.Options{})
 		res <- outcome{out, err}
 	}()
 	time.Sleep(100 * time.Millisecond)

@@ -73,13 +73,13 @@ func (c Config) withDefaults() Config {
 
 // Coordinator owns the detection baseline and fans sliced-detection
 // windows across detector nodes. It implements foces.SlicedRunner, so
-// System.RunWith(obs, coord) routes the Algorithm 2 stage of any
-// clean or reconciled window through the cluster while everything
-// else (full engine, missing-switch path, report assembly) stays
-// local and unchanged.
+// System.RunWith(obs, coord) routes the Algorithm 2 stage of every
+// window — clean, lagged, switches missing — through the cluster while
+// everything else (full engine, report assembly) stays local and
+// unchanged.
 type Coordinator struct {
 	mgr  *churn.Manager
-	opts core.Options // engines' construction options (masked path)
+	opts core.Options // construction options replicas build their engines with
 	cfg  Config
 	tel  *telemetry.ClusterMetrics
 
@@ -124,9 +124,8 @@ type shardSync struct {
 // shard's payload so an eviction can requeue the unanswered remainder
 // to surviving nodes under the same sequence number.
 type windowCall struct {
-	seq    uint64
-	masked bool
-	opts   core.Options
+	seq  uint64
+	opts core.Options
 
 	mu      sync.Mutex
 	shards  map[topo.SwitchID]windowShard
@@ -484,7 +483,7 @@ func (c *Coordinator) sendTo(p *peer, call *windowCall, shards []windowShard) er
 	if err := c.syncShardsLocked(p, shards); err != nil {
 		return err
 	}
-	w := &windowMsg{Seq: call.seq, Masked: call.masked, Opts: call.opts, Shards: shards}
+	w := &windowMsg{Seq: call.seq, Opts: call.opts, Shards: shards}
 	return p.conn.WriteFrame(msgWindow, 0, encodeWindow(w))
 }
 
@@ -557,46 +556,48 @@ func (c *Coordinator) syncShardsLocked(p *peer, shards []windowShard) error {
 	return nil
 }
 
-// DetectWithOptions distributes one clean window — the
-// foces.SlicedRunner clean path.
-func (c *Coordinator) DetectWithOptions(y []float64, opts core.Options) (core.SlicedOutcome, error) {
-	return c.detect(y, nil, opts, false)
-}
-
-// DetectMasked distributes one reconciled window; like the local
-// engine, an empty mask degenerates to a clean run under the
-// construction options.
-func (c *Coordinator) DetectMasked(y []float64, masked []int) (core.SlicedOutcome, error) {
-	if len(masked) == 0 {
-		return c.detect(y, nil, c.opts, false)
-	}
-	return c.detect(y, masked, core.Options{}, true)
-}
-
-func (c *Coordinator) detect(y []float64, masked []int, opts core.Options, isMasked bool) (core.SlicedOutcome, error) {
+// DetectMasked distributes one window — the foces.SlicedRunner
+// surface. masked lists the global rule rows to leave out (empty on a
+// clean window); each dispatched shard carries its slice-local share of
+// the mask, and a slice the mask blinds (core.Slice.LocalMask) is not
+// dispatched at all.
+func (c *Coordinator) DetectMasked(y []float64, masked []int, opts core.Options) (core.SlicedOutcome, error) {
 	t0 := time.Now()
 	slices := c.mgr.Slices()
-	if space := c.mgr.RuleSpace(); len(y) != space {
+	space := c.mgr.RuleSpace()
+	if len(y) != space {
 		return core.SlicedOutcome{}, fmt.Errorf("cluster: counter vector has %d entries, baseline expects %d", len(y), space)
 	}
-	maskSet := make(map[int]bool, len(masked))
-	for _, rid := range masked {
-		maskSet[rid] = true
+	mask, err := core.RowMask(space, masked)
+	if err != nil {
+		return core.SlicedOutcome{}, err
 	}
 	// The coordinator gathers per-slice sub-vectors itself — exactly
 	// the gather the local SlicedDetector performs — so nodes receive
 	// only their shards' share of the window.
-	shards := make([]windowShard, len(slices))
-	for i, sl := range slices {
-		sub := make([]float64, len(sl.RuleRows))
+	var skipped []bool
+	if mask != nil {
+		skipped = make([]bool, len(slices))
+	}
+	shards := make([]windowShard, 0, len(slices))
+	for i := range slices {
+		sl := &slices[i]
 		var local []int
-		for j, rid := range sl.RuleRows {
-			sub[j] = y[rid]
-			if maskSet[rid] {
-				local = append(local, j)
+		if mask != nil {
+			if local, skipped[i] = sl.LocalMask(mask, nil); skipped[i] {
+				continue
 			}
 		}
-		shards[i] = windowShard{Switch: sl.Switch, Sub: sub, Mask: local}
+		sub := make([]float64, len(sl.RuleRows))
+		for k, rid := range sl.RuleRows {
+			sub[k] = y[rid]
+		}
+		shards = append(shards, windowShard{Switch: sl.Switch, Sub: sub, Mask: local})
+	}
+	if len(shards) == 0 {
+		// Nothing to dispatch; the local engine owns the verdict on an
+		// empty or fully blinded window.
+		return c.localFallback(y, masked, opts)
 	}
 
 	c.mu.Lock()
@@ -606,12 +607,11 @@ func (c *Coordinator) detect(y []float64, masked []int, opts core.Options, isMas
 	}
 	if c.ring.Size() == 0 {
 		c.mu.Unlock()
-		return c.localFallback(y, masked, opts, isMasked)
+		return c.localFallback(y, masked, opts)
 	}
 	c.seq++
 	call := &windowCall{
 		seq:     c.seq,
-		masked:  isMasked,
 		opts:    opts,
 		shards:  make(map[topo.SwitchID]windowShard, len(shards)),
 		owners:  make(map[topo.SwitchID]string, len(shards)),
@@ -633,7 +633,7 @@ func (c *Coordinator) detect(y []float64, masked []int, opts core.Options, isMas
 	}
 	if !ok {
 		c.mu.Unlock()
-		return c.localFallback(y, masked, opts, isMasked)
+		return c.localFallback(y, masked, opts)
 	}
 	c.pending[call.seq] = call
 	c.mu.Unlock()
@@ -659,15 +659,15 @@ func (c *Coordinator) detect(y []float64, masked []int, opts core.Options, isMas
 		// Capacity exhausted or a node failed the window: run it on the
 		// coordinator's own engines. By the replication invariant this
 		// yields the identical outcome.
-		return c.localFallback(y, masked, opts, isMasked)
+		return c.localFallback(y, masked, opts)
 	}
 	results := make([]core.Result, len(slices))
 	call.mu.Lock()
 	for i, sl := range slices {
-		results[i] = call.results[sl.Switch]
+		results[i] = call.results[sl.Switch] // zero for an undispatched slice; the merge leaves those out
 	}
 	call.mu.Unlock()
-	out := core.MergeSliceResults(slices, results)
+	out := core.MergeSliceResults(slices, results, skipped)
 	if c.tel != nil {
 		c.tel.WindowSeconds.Observe(time.Since(t0).Seconds())
 	}
@@ -676,11 +676,8 @@ func (c *Coordinator) detect(y []float64, masked []int, opts core.Options, isMas
 
 // localFallback runs a window on the coordinator's own engines — the
 // degraded path when no detector capacity is live.
-func (c *Coordinator) localFallback(y []float64, masked []int, opts core.Options, isMasked bool) (core.SlicedOutcome, error) {
-	if isMasked {
-		return c.mgr.Sliced().DetectMasked(y, masked)
-	}
-	return c.mgr.Sliced().DetectWithOptions(y, opts)
+func (c *Coordinator) localFallback(y []float64, masked []int, opts core.Options) (core.SlicedOutcome, error) {
+	return c.mgr.Sliced().DetectMasked(y, masked, opts)
 }
 
 // PeerStatus is one node's row in Status.

@@ -325,8 +325,9 @@ func (n *Node) applyRank1(rk *rank1Msg) error {
 
 // runWindow executes one window's shards against the local engines.
 // The coordinator already gathered each shard's counter sub-vector
-// and slice-local mask, so this is pure prepared-engine work — the
-// same calls the local SlicedDetector would make for these slices.
+// and slice-local mask (empty on a clean window), so this is pure
+// prepared-engine work — the same call the local SlicedDetector makes
+// for these slices.
 func (n *Node) runWindow(w *windowMsg) (*verdictMsg, error) {
 	v := &verdictMsg{Seq: w.Seq}
 	for _, sh := range w.Shards {
@@ -336,13 +337,7 @@ func (n *Node) runWindow(w *windowMsg) (*verdictMsg, error) {
 		if s == nil {
 			return nil, fmt.Errorf("cluster: window names shard %d this node does not hold", sh.Switch)
 		}
-		var res core.Result
-		var err error
-		if w.Masked {
-			res, err = s.engine.DetectMasked(sh.Sub, sh.Mask)
-		} else {
-			res, err = s.engine.DetectWithOptions(sh.Sub, w.Opts)
-		}
+		res, err := s.engine.DetectMasked(sh.Sub, sh.Mask, w.Opts)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", sh.Switch, err)
 		}

@@ -19,7 +19,7 @@ import (
 // FatTree(16)-scale slices while still bounding a corrupt length
 // prefix.
 const (
-	Version  = 1
+	Version  = 2
 	maxFrame = 64 << 20
 )
 
@@ -45,8 +45,8 @@ const protoName = "foces-cluster"
 
 // helloMsg opens a coordinator→node session: protocol check plus the
 // detection options every replicated engine must be constructed with
-// (construction options are baked into masked detection, so the two
-// sides must agree on them or verdicts diverge).
+// (the solver choice decides whether an engine holds a prepared factor,
+// so the two sides must agree on them or verdicts diverge).
 type helloMsg struct {
 	Proto string
 	Space int // rule space (full counter-vector length), informative
@@ -171,8 +171,8 @@ func decodeGob(body []byte, v any) error {
 }
 
 // windowShard is one slice's share of a detection window: the
-// coordinator-gathered counter sub-vector and (masked windows) the
-// slice-local indices to mask. Shipping sub-vectors instead of the
+// coordinator-gathered counter sub-vector and the slice-local indices
+// to mask (none on a clean window). Shipping sub-vectors instead of the
 // full y splits gather and serialization cost across nodes and leaves
 // the node nothing to do but run its prepared engine.
 type windowShard struct {
@@ -181,14 +181,12 @@ type windowShard struct {
 	Mask   []int
 }
 
-// windowMsg is one dispatched window (or requeued remnant of one).
-// Clean windows carry the caller's unresolved detection options —
-// each slice engine resolves defaults against its own sub-vector,
-// exactly as the local SlicedDetector does; masked windows always use
-// construction options, so none are shipped.
+// windowMsg is one dispatched window (or requeued remnant of one). It
+// carries the caller's unresolved detection options — each slice
+// engine resolves defaults against its own sub-vector, exactly as the
+// local SlicedDetector does.
 type windowMsg struct {
 	Seq    uint64
-	Masked bool
 	Opts   core.Options
 	Shards []windowShard
 }
@@ -306,11 +304,6 @@ func (r *breader) fail() {
 func encodeWindow(w *windowMsg) []byte {
 	var bw bwriter
 	bw.u64(w.Seq)
-	if w.Masked {
-		bw.u8(1)
-	} else {
-		bw.u8(0)
-	}
 	bw.f64(w.Opts.Threshold)
 	bw.u32(uint32(w.Opts.Solver))
 	bw.f64(w.Opts.ZeroTol)
@@ -326,7 +319,7 @@ func encodeWindow(w *windowMsg) []byte {
 
 func decodeWindow(body []byte) (*windowMsg, error) {
 	r := breader{b: body}
-	w := &windowMsg{Seq: r.u64(), Masked: r.u8() == 1}
+	w := &windowMsg{Seq: r.u64()}
 	w.Opts.Threshold = r.f64()
 	w.Opts.Solver = core.Solver(r.u32())
 	w.Opts.ZeroTol = r.f64()

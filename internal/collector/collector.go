@@ -106,8 +106,9 @@ func (c *Collector) CollectCounters() (map[int]uint64, error) {
 // CollectCountersTolerant polls every switch like CollectCounters but
 // tolerates per-switch failures: counters from unreachable switches
 // are simply absent and their IDs are reported, so detection can
-// proceed on the reachable sub-system (core.DetectWithMissing). It
-// errors only when no switch answered at all.
+// proceed with those switches' rule rows masked
+// (foces.RunOptions.Missing). It errors only when no switch answered
+// at all.
 func (c *Collector) CollectCountersTolerant() (map[int]uint64, []topo.SwitchID, error) {
 	type result struct {
 		sw    topo.SwitchID

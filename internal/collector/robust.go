@@ -140,7 +140,8 @@ type PollResult struct {
 	Deltas map[int]uint64
 	// Missing lists (sorted) every switch whose counters are unusable
 	// this period: quarantined, poll failed, counters reset, or freshly
-	// (re)baselined. Feed it to core.DetectWithMissing.
+	// (re)baselined. Feed it to foces.RunOptions.Missing: their rule
+	// rows are masked out of this period's detection.
 	Missing []topo.SwitchID
 	// Resets lists switches whose counters went backwards this period.
 	Resets []topo.SwitchID
@@ -157,7 +158,8 @@ type PollResult struct {
 	// Straddled maps each switch whose delta window spans one or more
 	// rule updates to the epoch its baseline snapshot was taken under.
 	// The union of rules changed in epochs (from, Epoch] must be masked
-	// out of this period's detection (core.SlicedDetector.DetectMasked).
+	// out of this period's detection too (foces.RunOptions.Epoch set to
+	// the oldest such epoch) — the same row mask Missing feeds.
 	Straddled map[topo.SwitchID]uint64
 	// Elapsed is the wall-clock duration of the poll.
 	Elapsed time.Duration
@@ -178,7 +180,7 @@ type switchState struct {
 // layer converts cumulative counters to per-period deltas while
 // detecting counter resets. Quarantined/failed/reset switches surface
 // in PollResult.Missing, which plugs straight into
-// core.DetectWithMissing / core.DetectSlicedWithMissing.
+// foces.RunOptions.Missing.
 //
 // Safe for concurrent use, though polls are serialized by design: a
 // period's state transitions must observe the previous period's.

@@ -8,6 +8,7 @@ import (
 	"foces/internal/core"
 	"foces/internal/dataplane"
 	"foces/internal/fcm"
+	"foces/internal/oracle"
 	"foces/internal/topo"
 )
 
@@ -56,8 +57,9 @@ func TestCollectCountersTolerant(t *testing.T) {
 		}
 	}
 
-	// And partial detection over the degraded poll stays clean.
-	res, err := core.DetectWithMissing(f, counters, missing, core.Options{})
+	// And the degraded poll, with the dead switch's rows masked, stays
+	// clean.
+	res, _, err := oracle.Detect(f.H, f.CounterVector(counters), oracle.SwitchRows(f, missing), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,17 +177,29 @@ type SlicedDetector struct {
 
 	poolOnce sync.Once       // starts the persistent workers
 	jobs     chan *slicedJob // buffered dispatch to the persistent workers
-	stop     chan struct{}   // closed by the finalizer when sd is collected
+	stop     *poolStop       // its finalizer ends the pool once sd is collected
 }
 
-// slicedScratch holds one run's per-slice gather buffers plus the
-// result/error slots and the dispatch job itself. A run owns the whole
-// set; each slice index is touched by exactly one worker, and every
-// slot is overwritten each run so nothing needs clearing on reuse.
+// poolStop carries the finalizer that stops a detector's workers. It is
+// its own small object, referenced only by the detector, because an
+// object with a finalizer outlives its last reference by a collection
+// cycle: were the finalizer on the SlicedDetector, every retired rule
+// generation's engines — megabytes of factors — would stay live that
+// extra cycle. Masked windows run on the pool too, so under churn each
+// generation's detector starts one.
+type poolStop struct{ ch chan struct{} }
+
+// slicedScratch holds one run's per-slice gather buffers, slice-local
+// masks and the result/error/skip slots, plus the dispatch job itself.
+// A run owns the whole set; each slice index is touched by exactly one
+// worker, and every slot is overwritten each run so nothing needs
+// clearing on reuse.
 type slicedScratch struct {
 	subs    [][]float64
+	locals  [][]int
 	results []Result
 	errs    []error
+	skipped []bool
 	job     slicedJob
 }
 
@@ -198,6 +210,7 @@ type slicedScratch struct {
 type slicedJob struct {
 	sd       *SlicedDetector
 	y        []float64
+	mask     []bool // over the full rule space; nil when nothing is masked
 	opts     Options
 	sc       *slicedScratch
 	chunk    int
@@ -242,13 +255,25 @@ func (j *slicedJob) runChunk(lo, hi int) {
 		}
 	}
 	for i := lo; i < hi; i++ {
-		sc.results[i], sc.errs[i] = sd.engines[i].DetectWithOptions(sc.subs[i], j.opts)
+		var local []int
+		skip := false
+		if j.mask != nil {
+			local, skip = sd.slices[i].LocalMask(j.mask, sc.locals[i][:0])
+			sc.locals[i] = local
+		}
+		sc.skipped[i] = skip
+		if skip {
+			sc.results[i], sc.errs[i] = Result{}, nil
+			continue
+		}
+		sc.results[i], sc.errs[i] = sd.engines[i].DetectMasked(sc.subs[i], local, j.opts)
 	}
 }
 
 // slicedPoolWorker is a persistent pool goroutine. It captures only the
 // two channels — never the detector — so an abandoned SlicedDetector
-// remains collectible; its finalizer closes stop to end the pool.
+// remains collectible; its poolStop's finalizer closes stop to end the
+// pool.
 func slicedPoolWorker(jobs <-chan *slicedJob, stop <-chan struct{}) {
 	for {
 		select {
@@ -267,11 +292,11 @@ func slicedPoolWorker(jobs <-chan *slicedJob, stop <-chan struct{}) {
 func (sd *SlicedDetector) startWorkers() {
 	sd.poolOnce.Do(func() {
 		sd.jobs = make(chan *slicedJob, sd.workers)
-		sd.stop = make(chan struct{})
+		sd.stop = &poolStop{ch: make(chan struct{})}
 		for w := 1; w < sd.workers; w++ {
-			go slicedPoolWorker(sd.jobs, sd.stop)
+			go slicedPoolWorker(sd.jobs, sd.stop.ch)
 		}
-		runtime.SetFinalizer(sd, func(s *SlicedDetector) { close(s.stop) })
+		runtime.SetFinalizer(sd.stop, func(p *poolStop) { close(p.ch) })
 	})
 }
 
@@ -323,8 +348,10 @@ func newSlicedDetector(slices []Slice, engines []*Detector, numRules int, opts O
 	sd.pool.New = func() any {
 		sc := &slicedScratch{
 			subs:    make([][]float64, len(slices)),
+			locals:  make([][]int, len(slices)),
 			results: make([]Result, len(slices)),
 			errs:    make([]error, len(slices)),
+			skipped: make([]bool, len(slices)),
 		}
 		for i, sl := range slices {
 			sc.subs[i] = make([]float64, len(sl.RuleRows))
@@ -344,25 +371,39 @@ func (sd *SlicedDetector) Workers() int { return sd.workers }
 // Detect runs Algorithm 2 on one period's counter vector, slices in
 // parallel, using the options fixed at construction.
 func (sd *SlicedDetector) Detect(y []float64) (SlicedOutcome, error) {
-	return sd.detect(y, sd.opts, sd.workers)
+	return sd.detect(y, nil, sd.opts, sd.workers)
 }
 
 // DetectWithOptions runs Algorithm 2 with per-call options (the
 // prepared per-slice factorizations are reused).
 func (sd *SlicedDetector) DetectWithOptions(y []float64, opts Options) (SlicedOutcome, error) {
-	return sd.detect(y, opts, sd.workers)
+	return sd.detect(y, nil, opts, sd.workers)
+}
+
+// DetectMasked runs Algorithm 2 with the given global rule rows masked
+// out of every slice they appear in: each engine is handed its
+// slice-local mask (Detector.DetectMasked), and a slice whose own-switch
+// rows are all masked is skipped and absent from the outcome (see
+// Slice.LocalMask). An empty mask is exactly DetectWithOptions. Skipping
+// every slice is an error: a blind window must not read as a clean one.
+func (sd *SlicedDetector) DetectMasked(y []float64, masked []int, opts Options) (SlicedOutcome, error) {
+	return sd.detect(y, masked, opts, sd.workers)
 }
 
 // DetectSequential runs the slices one by one on the calling
 // goroutine — the reference execution the parallel path must match
 // exactly, and a debugging aid when a slice misbehaves.
 func (sd *SlicedDetector) DetectSequential(y []float64) (SlicedOutcome, error) {
-	return sd.detect(y, sd.opts, 1)
+	return sd.detect(y, nil, sd.opts, 1)
 }
 
-func (sd *SlicedDetector) detect(y []float64, opts Options, workers int) (SlicedOutcome, error) {
+func (sd *SlicedDetector) detect(y []float64, masked []int, opts Options, workers int) (SlicedOutcome, error) {
 	if len(y) != sd.numRules {
 		return SlicedOutcome{}, fmt.Errorf("core: counter vector has %d entries, sliced detector expects %d", len(y), sd.numRules)
+	}
+	mask, err := RowMask(sd.numRules, masked)
+	if err != nil {
+		return SlicedOutcome{}, err
 	}
 	tel := sd.tel
 	var t0 time.Time
@@ -374,7 +415,7 @@ func (sd *SlicedDetector) detect(y []float64, opts Options, workers int) (Sliced
 	results := sc.results
 	errs := sc.errs
 	j := &sc.job
-	j.y, j.opts, j.sc = y, opts, sc
+	j.y, j.mask, j.opts, j.sc = y, mask, opts, sc
 	j.timed = tel != nil
 	j.gatherNS.Store(0)
 	j.next.Store(0)
@@ -400,20 +441,27 @@ func (sd *SlicedDetector) detect(y []float64, opts Options, workers int) (Sliced
 	}
 	j.work()
 	j.wg.Wait()
-	j.y = nil
-	if tel != nil {
-		tel.gather.ObserveDuration(j.gatherNS.Load())
-		tel.fanout.Observe(float64(len(sd.slices)))
-	}
+	j.y, j.mask = nil, nil
 	// Aggregate in slice order so parallel and sequential runs produce
 	// identical outcomes, including Suspects order under index ties.
+	checked := 0
 	for i, sl := range sd.slices {
 		if errs[i] != nil {
 			return SlicedOutcome{}, fmt.Errorf("core: slice switch %d: %w", sl.Switch, errs[i])
 		}
-		tel.slice(results[i])
+		if !sc.skipped[i] {
+			checked++
+			tel.slice(results[i])
+		}
 	}
-	out := MergeSliceResults(sd.slices, results)
+	if tel != nil {
+		tel.gather.ObserveDuration(j.gatherNS.Load())
+		tel.fanout.Observe(float64(checked))
+	}
+	if checked == 0 && len(sd.slices) > 0 {
+		return SlicedOutcome{}, fmt.Errorf("core: every slice's own rows are masked; nothing to check")
+	}
+	out := MergeSliceResults(sd.slices, results, sc.skipped)
 	tel.outcome(t0, out.Anomalous)
 	return out, nil
 }

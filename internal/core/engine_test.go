@@ -3,8 +3,10 @@ package core
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // engineFixture returns slices plus one clean and one anomalous counter
@@ -215,5 +217,43 @@ func TestSlicedDetectorBuildTimeValidation(t *testing.T) {
 	// Wrong-length counter vectors are rejected per call.
 	if _, err := sd.Detect(clean[:numRules-1]); err == nil {
 		t.Fatal("short counter vector must error")
+	}
+}
+
+// TestRetiredSlicedDetectorFreesEngines: the finalizer that
+// stops a detector's worker pool must not sit on the detector itself —
+// an object with a finalizer survives the collection that finds it
+// unreachable, and would keep every slice engine (the factors) live for
+// that extra cycle. Under rule churn each generation's detector runs a
+// masked window on the pool and is then retired, so that extra cycle is
+// a standing megabytes-sized tax on the live heap.
+func TestRetiredSlicedDetectorFreesEngines(t *testing.T) {
+	slices, numRules, clean, _ := engineFixture(t)
+	sd, err := NewSlicedDetector(slices, numRules, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sd.Workers() < 2 {
+		t.Skip("one worker: the pool (and its finalizer) never starts")
+	}
+	if _, err := sd.DetectMasked(clean, []int{slices[0].RuleRows[0]}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if sd.stop == nil {
+		t.Fatal("a masked window did not run on the worker pool")
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(sd.engines[0], func(*Detector) { close(freed) })
+	sd = nil
+	// Two cycles, as the benchmark's heap reading takes: the first only
+	// retires the detector's pooled scratch (which points back at it) to
+	// sync.Pool's victim cache, the second finds the detector unreachable
+	// and queues the finalizers of everything it owned.
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("slice engines still live two collections after the detector was dropped")
 	}
 }

@@ -10,11 +10,12 @@ import (
 	"foces/internal/stats"
 )
 
-// This file supports the churn subsystem: engines rebuilt from
-// incrementally maintained factors, and detection with a subset of rows
-// masked out — the reconciliation path for counter windows that
-// straddle a rule update (rows whose rules changed mid-window carry
-// mixed-epoch counts and must not be read as forwarding anomalies).
+// This file holds engines rebuilt from incrementally maintained
+// factors, and detection with a subset of rows masked out — the one
+// degraded path. A window that straddles a rule update (rows whose
+// rules changed mid-window carry mixed-epoch counts) and a window with
+// an unreachable switch (its rows carry no counts at all) are the same
+// thing to the solver: rows to leave out of HX = Y'.
 
 // NewDetectorFromPrepared wraps an externally prepared least-squares
 // engine (for example one whose factor was advanced by rank-one
@@ -59,54 +60,65 @@ func NewSlicedDetectorWithEngines(slices []Slice, engines []*Detector, numRules 
 	return newSlicedDetector(slices, engines, numRules, opts), nil
 }
 
+// RowMask expands a list of masked row indices into a boolean mask over
+// n rows, rejecting indices outside [0, n). An empty list yields a nil
+// mask: nothing masked, nothing allocated.
+func RowMask(n int, masked []int) ([]bool, error) {
+	if len(masked) == 0 {
+		return nil, nil
+	}
+	mask := make([]bool, n)
+	for _, i := range masked {
+		if i < 0 || i >= n {
+			return nil, fmt.Errorf("core: masked row %d outside %d rows", i, n)
+		}
+		mask[i] = true
+	}
+	return mask, nil
+}
+
 // DetectMasked runs Algorithm 1 with the given rows (indices into y /
 // the engine's H) excluded from the equation system and from the
-// error statistics. The prepared Gram factor is downdated by each
-// masked row in O(k·n²) instead of refactored; if the downdated system
-// loses positive definiteness the engine falls back to a one-shot
-// solve over the surviving rows. Delta and YHat stay aligned with the
-// full row space (masked entries read 0 in Delta).
-func (d *Detector) DetectMasked(y []float64, masked []int) (Result, error) {
+// error statistics — the one question FOCES asks, on a row subspace.
+// Why a row is masked (its switch did not report, its rule changed
+// mid-window) is the caller's business; an empty mask is exactly
+// DetectWithOptions. The prepared Gram factor is downdated by each
+// masked row instead of refactored; if the downdated system loses
+// positive definiteness the engine falls back to a one-shot solve over
+// the surviving rows. Delta and YHat stay aligned with the full row
+// space (masked entries read 0 in Delta). Masking every row is an
+// error: a blind window must not read as a clean one.
+func (d *Detector) DetectMasked(y []float64, masked []int, opts Options) (Result, error) {
+	if len(masked) == 0 {
+		return d.DetectWithOptions(y, opts)
+	}
 	h := d.h
 	if h.Rows() != len(y) {
 		return Result{}, fmt.Errorf("core: H is %dx%d but y has %d entries", h.Rows(), h.Cols(), len(y))
 	}
-	mask := make([]bool, h.Rows())
-	nMasked := 0
-	for _, i := range masked {
-		if i < 0 || i >= h.Rows() {
-			return Result{}, fmt.Errorf("core: masked row %d outside %d rows", i, h.Rows())
-		}
-		if !mask[i] {
-			mask[i] = true
-			nMasked++
-		}
-	}
-	if nMasked == 0 {
-		return d.Detect(y)
+	mask, err := RowMask(h.Rows(), masked)
+	if err != nil {
+		return Result{}, err
 	}
 	tel := d.tel
 	var t0 time.Time
 	if tel != nil {
 		t0 = time.Now()
 	}
-	kept := make([]int, 0, h.Rows()-nMasked)
+	kept := make([]int, 0, h.Rows())
 	for i := 0; i < h.Rows(); i++ {
 		if !mask[i] {
 			kept = append(kept, i)
 		}
 	}
+	if len(kept) == 0 {
+		return Result{}, fmt.Errorf("core: every row is masked; nothing to check")
+	}
 	yKept := make([]float64, len(kept))
 	for j, i := range kept {
 		yKept[j] = y[i]
 	}
-	opts := d.opts.withDefaults(yKept)
-	if len(kept) == 0 || h.Rows() == 0 {
-		// Every observable row is masked: nothing to check this window.
-		res := Result{Delta: make([]float64, len(y))}
-		tel.outcome(t0, res)
-		return res, nil
-	}
+	opts = opts.withDefaults(yKept)
 	if h.Cols() == 0 {
 		delta := make([]float64, len(y))
 		compact := make([]float64, 0, len(kept))
@@ -121,6 +133,8 @@ func (d *Detector) DetectMasked(y []float64, masked []int) (Result, error) {
 		tel.outcome(t0, res)
 		return res, nil
 	}
+	sc := d.pool.Get().(*detectScratch)
+	defer d.pool.Put(sc)
 	var xHat []float64
 	solved := false
 	// CloneFactor works for dense- and sparse-backed engines alike; a
@@ -165,7 +179,7 @@ func (d *Detector) DetectMasked(y []float64, masked []int) (Result, error) {
 			if err := h.TMulVecInto(xHat, ym); err != nil {
 				return Result{}, err
 			}
-			if err := chol.SolveInto(xHat, xHat, make([]float64, h.Cols())); err != nil {
+			if err := chol.SolveInto(xHat, xHat, sc.ws); err != nil {
 				return Result{}, fmt.Errorf("core: masked solve: %w", err)
 			}
 			solved = true
@@ -197,7 +211,7 @@ func (d *Detector) DetectMasked(y []float64, masked []int) (Result, error) {
 	}
 	res := Result{Delta: delta, XHat: xHat, YHat: yHat}
 	res.ErrMax, _ = stats.Max(compact)
-	res.ErrMed = opts.denominatorInto(make([]float64, len(compact)), compact)
+	res.ErrMed = opts.denominatorInto(sc.med[:len(compact)], compact)
 	res.Index = anomalyIndex(res.ErrMax, res.ErrMed, opts.ZeroTol)
 	res.Anomalous = res.Index > opts.Threshold
 	tel.outcome(t0, res)
@@ -212,48 +226,4 @@ func (d *Detector) cloneFactorForMask(opts Options) matrix.UpdatableFactor {
 		return nil
 	}
 	return d.ls.CloneFactor()
-}
-
-// DetectMasked runs Algorithm 2 with the given global rule rows masked
-// out of every slice they appear in — the sliced form of the
-// epoch-straddling-window reconciliation. It runs sequentially; the
-// reconciliation path fires only on the single window that spans an
-// update, not in steady state.
-func (sd *SlicedDetector) DetectMasked(y []float64, masked []int) (SlicedOutcome, error) {
-	if len(masked) == 0 {
-		return sd.Detect(y)
-	}
-	if len(y) != sd.numRules {
-		return SlicedOutcome{}, fmt.Errorf("core: counter vector has %d entries, sliced detector expects %d", len(y), sd.numRules)
-	}
-	tel := sd.tel
-	var t0 time.Time
-	if tel != nil {
-		t0 = time.Now()
-		tel.fanout.Observe(float64(len(sd.slices)))
-	}
-	maskSet := make(map[int]bool, len(masked))
-	for _, rid := range masked {
-		maskSet[rid] = true
-	}
-	results := make([]Result, len(sd.slices))
-	for i, sl := range sd.slices {
-		sub := make([]float64, len(sl.RuleRows))
-		var local []int
-		for j, rid := range sl.RuleRows {
-			sub[j] = y[rid]
-			if maskSet[rid] {
-				local = append(local, j)
-			}
-		}
-		res, err := sd.engines[i].DetectMasked(sub, local)
-		if err != nil {
-			return SlicedOutcome{}, fmt.Errorf("core: slice switch %d: %w", sl.Switch, err)
-		}
-		tel.slice(res)
-		results[i] = res
-	}
-	out := MergeSliceResults(sd.slices, results)
-	tel.outcome(t0, out.Anomalous)
-	return out, nil
 }

@@ -127,3 +127,25 @@ func TestAttributeDeltaRanksCompromisedNeighbourhood(t *testing.T) {
 		t.Fatal("TopSuspects must clamp k")
 	}
 }
+
+func TestMonitorClampsNegativeConfig(t *testing.T) {
+	// Negative values used to slip past the zero-only default checks:
+	// a negative threshold always fires, a negative consecutive alerts
+	// without debouncing, a negative alpha diverges the EWMA.
+	m := NewMonitor(MonitorConfig{Threshold: -3, Consecutive: -1, EWMAAlpha: -0.5})
+	if m.cfg.Threshold != 4.5 || m.cfg.Consecutive != 2 || m.cfg.EWMAAlpha != 0.3 {
+		t.Fatalf("negative config not clamped: %+v", m.cfg)
+	}
+	if v := m.Feed(1); v.Exceeded || v.Alert {
+		t.Fatalf("quiet index must not fire: %+v", v)
+	}
+	// Alpha above 1 clamps to plain averaging instead of oscillating.
+	m = NewMonitor(MonitorConfig{EWMAAlpha: 2.5})
+	if m.cfg.EWMAAlpha != 1 {
+		t.Fatalf("alpha > 1 not clamped: %v", m.cfg.EWMAAlpha)
+	}
+	m.Feed(10)
+	if v := m.Feed(4); v.EWMA != 4 {
+		t.Fatalf("alpha=1 must track the latest index, EWMA=%v", v.EWMA)
+	}
+}

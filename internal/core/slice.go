@@ -17,6 +17,9 @@ type Slice struct {
 	// RuleRows are the global rule IDs forming the slice's rows, in
 	// ascending order.
 	RuleRows []int
+	// OwnRows are the global IDs of the switch's own rules (V_out), the
+	// subset of RuleRows the slice exists to check.
+	OwnRows []int
 	// FlowCols are the flow IDs forming the slice's columns, in
 	// ascending order.
 	FlowCols []int
@@ -107,9 +110,34 @@ func BuildSlices(f *fcm.FCM) ([]Slice, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: slice for switch %d: %w", p.sw, err)
 		}
-		slices = append(slices, Slice{Switch: p.sw, RuleRows: p.rows, FlowCols: cols[i], H: sub})
+		slices = append(slices, Slice{Switch: p.sw, RuleRows: p.rows, OwnRows: vout[p.sw], FlowCols: cols[i], H: sub})
 	}
 	return slices, nil
+}
+
+// LocalMask translates a global row mask (as RowMask builds it) into
+// the slice's own terms: the indices into RuleRows that are masked,
+// appended to dst, and whether to skip the slice altogether. A slice
+// is skipped when every one of its switch's own rules is masked — its
+// V_out is unobservable (the switch did not report, or all its rules
+// changed mid-window), so there is nothing of that switch's to check.
+func (sl *Slice) LocalMask(mask []bool, dst []int) (local []int, skip bool) {
+	skip = len(sl.OwnRows) > 0
+	for _, rid := range sl.OwnRows {
+		if !mask[rid] {
+			skip = false
+			break
+		}
+	}
+	if skip {
+		return dst, true
+	}
+	for k, rid := range sl.RuleRows {
+		if mask[rid] {
+			dst = append(dst, k)
+		}
+	}
+	return dst, false
 }
 
 // SliceResult is one switch's detection outcome within a sliced run.
@@ -135,12 +163,13 @@ type SlicedOutcome struct {
 
 // MergeSliceResults aggregates per-slice results — one per slice, in
 // slice order (ascending switch, the order BuildSlices emits) — into a
-// SlicedOutcome. This is THE merge: SlicedDetector's parallel and
-// sequential paths, its masked path, and the cluster coordinator's
-// partial-verdict assembly all funnel through it, so a distributed run
-// reproduces a local run's outcome (including Suspects order under
-// index ties, which the stable sort preserves in slice order) exactly.
-func MergeSliceResults(slices []Slice, results []Result) SlicedOutcome {
+// SlicedOutcome, leaving out the slices skipped marks (nil: none; see
+// Slice.LocalMask). This is THE merge: SlicedDetector's parallel and
+// sequential runs and the cluster coordinator's partial-verdict
+// assembly all funnel through it, so a distributed run reproduces a
+// local run's outcome (including Suspects order under index ties,
+// which the stable sort preserves in slice order) exactly.
+func MergeSliceResults(slices []Slice, results []Result, skipped []bool) SlicedOutcome {
 	var out SlicedOutcome
 	type suspect struct {
 		sw    topo.SwitchID
@@ -148,6 +177,9 @@ func MergeSliceResults(slices []Slice, results []Result) SlicedOutcome {
 	}
 	var suspects []suspect
 	for i, sl := range slices {
+		if skipped != nil && skipped[i] {
+			continue
+		}
 		out.PerSwitch = append(out.PerSwitch, SliceResult{Switch: sl.Switch, Result: results[i]})
 		if results[i].Anomalous {
 			out.Anomalous = true
@@ -184,5 +216,5 @@ func DetectSliced(slices []Slice, y []float64, opts Options) (SlicedOutcome, err
 	if err != nil {
 		return SlicedOutcome{}, err
 	}
-	return sd.detect(y, opts, 1)
+	return sd.detect(y, nil, opts, 1)
 }

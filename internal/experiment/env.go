@@ -221,8 +221,9 @@ func (e *Env) Observe(loss float64) ([]float64, error) {
 // is detected by the delta layer and returned in missing instead of
 // feeding a garbage window into HX=Y; its snapshot re-baselines so the
 // following period is clean again. The first call only primes baselines
-// and reports every switch missing. Feed missing to
-// core.DetectWithMissing / core.DetectSlicedWithMissing.
+// and reports every switch missing. Mask the missing switches' rule
+// rows out of detection (Detector.DetectMasked, or
+// foces.RunOptions.Missing).
 func (e *Env) ObserveWindowed(loss float64) (y []float64, missing []topo.SwitchID, err error) {
 	if err := e.Net.SetLinkLoss(loss); err != nil {
 		return nil, nil, err

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"foces/internal/core"
+	"foces/internal/oracle"
 )
 
 func TestObserveWindowedResetIsMissingNotAnomalous(t *testing.T) {
@@ -52,11 +53,7 @@ func TestObserveWindowedResetIsMissingNotAnomalous(t *testing.T) {
 	if len(missing) != 1 || missing[0] != victim {
 		t.Fatalf("reset period missing = %v, want [%d]", missing, victim)
 	}
-	counters := make(map[int]uint64, len(y))
-	for rid, v := range y {
-		counters[rid] = uint64(v + 0.5)
-	}
-	partial, err := core.DetectWithMissing(env.FCM, counters, missing, core.Options{})
+	partial, _, err := oracle.Detect(env.FCM.H, y, oracle.SwitchRows(env.FCM, missing), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Sparse direct Cholesky. The factor of P·G·Pᵀ = L·Lᵀ is stored in the
@@ -36,6 +36,37 @@ type SparseCholesky struct {
 	sym      *SparseSymbolic
 	val      []float64
 	poisoned bool
+	rank     *rankOneScratch // Update/Downdate workspace, made on first use; never cloned
+}
+
+// rankOneScratch is the O(n) workspace of a sparse rank-one pass, kept
+// on the factor so that a run of Update/Downdate calls (one per masked
+// row of a degraded window) pays for it once. Every call leaves work,
+// inWp and seen all-zero again by undoing only the entries it touched.
+type rankOneScratch struct {
+	work    []float64
+	inWp    []bool
+	seen    []bool
+	stamp   []int32 // stamp[i] == k only ever says "row i is in column k's pattern", which stays true across calls
+	wp      []int32
+	closure []int32
+}
+
+func (c *SparseCholesky) rankOneScratch() *rankOneScratch {
+	if c.rank == nil {
+		n := c.sym.n
+		sc := &rankOneScratch{
+			work:  make([]float64, n),
+			inWp:  make([]bool, n),
+			seen:  make([]bool, n),
+			stamp: make([]int32, n),
+		}
+		for i := range sc.stamp {
+			sc.stamp[i] = -1
+		}
+		c.rank = sc
+	}
+	return c.rank
 }
 
 // NewSparseCholesky analyzes and factors the sparse symmetric
@@ -335,9 +366,20 @@ func (c *SparseCholesky) rankOne(x []float64, down bool) error {
 	if c.poisoned {
 		return ErrFactorPoisoned
 	}
-	work := make([]float64, n)
-	wp := make([]int32, 0, 64)
-	inWp := make([]bool, n)
+	sc := c.rankOneScratch()
+	work, inWp, seen, stamp := sc.work, sc.inWp, sc.seen, sc.stamp
+	wp, closure := sc.wp[:0], sc.closure[:0]
+	// Every non-zero of work lies on wp and every mark of seen on
+	// closure, so this leaves the scratch clean on every return path.
+	defer func() {
+		for _, i := range wp {
+			work[i], inWp[i] = 0, false
+		}
+		for _, j := range closure {
+			seen[j] = false
+		}
+		sc.wp, sc.closure = wp, closure
+	}()
 	for i, v := range x {
 		if v != 0 {
 			pi := sym.iperm[i]
@@ -353,23 +395,17 @@ func (c *SparseCholesky) rankOne(x []float64, down bool) error {
 	// seed to its root. All structurally reachable work indices stay
 	// inside this set, because every column pattern consists of
 	// elimination-tree ancestors.
-	closure := make([]int32, 0, 64)
-	seen := make([]bool, n)
 	for _, k := range wp {
 		for j := k; j != -1 && !seen[j]; j = sym.parent[j] {
 			seen[j] = true
 			closure = append(closure, j)
 		}
 	}
-	sort.Slice(closure, func(a, b int) bool { return closure[a] < closure[b] })
+	slices.Sort(closure)
 	// Structural precheck (no mutation): walking the rotation forward,
 	// the working vector at column k is non-zero only on wp; every such
 	// row must be present in column k's stored pattern or the rotation
 	// would need fill.
-	stamp := make([]int32, n)
-	for i := range stamp {
-		stamp[i] = -1
-	}
 	for _, k := range closure {
 		if !inWp[k] {
 			continue

@@ -273,6 +273,75 @@ func TestSparseUpdateDowndateMatchesDense(t *testing.T) {
 	}
 }
 
+// A factor keeps its rank-one workspace between calls. Every call on
+// the long-lived factor must leave the same bits as the same call on a
+// clone taken just before it (a clone starts without a workspace) —
+// across updates, downdates, an all-zero vector and a fill rejection
+// that returns half-way through — and a warm successful call must not
+// allocate.
+func TestSparseRankOneScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	rejected := 0
+	for trial := 0; trial < 10; trial++ {
+		cols := 10 + rng.Intn(40)
+		h := randomSparseH(rng, 3*cols, cols, 0.1)
+		sp, err := NewSparseCholesky(h.SymGram(), KernelOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, cols)
+		step := func(name string, op func(c *SparseCholesky) error) {
+			t.Helper()
+			fresh := sp.Clone()
+			errWarm, errFresh := op(sp), op(fresh)
+			if (errWarm == nil) != (errFresh == nil) || errWarm != nil && errWarm.Error() != errFresh.Error() {
+				t.Fatalf("trial %d %s: warm error %v, fresh error %v", trial, name, errWarm, errFresh)
+			}
+			if errors.Is(errWarm, ErrSparseUpdateFill) {
+				rejected++
+			}
+			for i, v := range sp.val {
+				if math.Float64bits(v) != math.Float64bits(fresh.val[i]) {
+					t.Fatalf("trial %d %s: factor entry %d is %v warm, %v fresh", trial, name, i, v, fresh.val[i])
+				}
+			}
+		}
+		for round := 0; round < 6; round++ {
+			ri := rng.Intn(h.Rows())
+			for j := range x {
+				x[j] = 0
+			}
+			h.RowEntries(ri, func(c int, v float64) { x[c] = v })
+			step("update", func(c *SparseCholesky) error { return c.Update(x) })
+			if round == 2 {
+				dense := make([]float64, cols)
+				for j := range dense {
+					dense[j] = 1
+				}
+				// Rejected for fill on every trial whose Gram is not one
+				// clique; either way warm and fresh must agree.
+				step("dense update", func(c *SparseCholesky) error { return c.Update(dense) })
+				step("zero update", func(c *SparseCholesky) error { return c.Update(make([]float64, cols)) })
+			}
+			step("downdate", func(c *SparseCholesky) error { return c.Downdate(x) })
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := sp.Update(x); err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.Downdate(x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("trial %d: a warm update+downdate allocates %v times, want 0", trial, allocs)
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no trial exercised the fill-rejection return path")
+	}
+}
+
 func TestSparseUpdateFillRejectedWithoutMutation(t *testing.T) {
 	// Two disconnected 2-column cliques: an update coupling columns from
 	// both needs fill outside the factor pattern and must be rejected

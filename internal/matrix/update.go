@@ -34,34 +34,7 @@ func (c *Cholesky) Clone() *Cholesky {
 // column after straddle reconciliation) returns
 // ErrNotPositiveDefinite and poisons the factor instead of silently
 // writing ±Inf/NaN into L.
-func (c *Cholesky) Update(x []float64) error {
-	if len(x) != c.n {
-		return fmt.Errorf("matrix: cholesky update dim %d vs %d", len(x), c.n)
-	}
-	if c.poisoned {
-		return ErrFactorPoisoned
-	}
-	work := make([]float64, c.n)
-	copy(work, x)
-	for k := 0; k < c.n; k++ {
-		lkk := c.l.At(k, k)
-		r := math.Hypot(lkk, work[k])
-		if lkk <= 0 || r == 0 || math.IsNaN(r) {
-			c.poisoned = true
-			return fmt.Errorf("%w: update pivot %d = %g", ErrNotPositiveDefinite, k, lkk)
-		}
-		cos := r / lkk
-		sin := work[k] / lkk
-		c.l.Set(k, k, r)
-		for i := k + 1; i < c.n; i++ {
-			lik := (c.l.At(i, k) + sin*work[i]) / cos
-			work[i] = cos*work[i] - sin*lik
-			c.l.Set(i, k, lik)
-		}
-	}
-	c.lt = c.l.Transpose()
-	return nil
-}
+func (c *Cholesky) Update(x []float64) error { return c.rankOne(x, false) }
 
 // Downdate rewrites the factorization of A into the factorization of
 // A − xxᵀ in O(n²) using hyperbolic rotations. It fails with
@@ -70,32 +43,64 @@ func (c *Cholesky) Update(x []float64) error {
 // factor is poisoned in that case — later solves return
 // ErrFactorPoisoned — and callers must fall back to a fresh
 // factorization. x is not modified.
-func (c *Cholesky) Downdate(x []float64) error {
-	if len(x) != c.n {
-		return fmt.Errorf("matrix: cholesky downdate dim %d vs %d", len(x), c.n)
+func (c *Cholesky) Downdate(x []float64) error { return c.rankOne(x, true) }
+
+// rankOne is the shared column sweep. Column k of L is row k of Lᵀ, so
+// the sweep reads and writes the contiguous Lᵀ row and mirrors each
+// entry into L — no transpose afterwards. A column whose working entry
+// is zero needs no rotation (cos = 1, sin = 0 leaves L and the working
+// vector as they are) and is skipped once its pivot has passed the
+// same validity check, so a sparse x costs what its fill costs: masking
+// one rule row of a near-diagonal Gram touches a handful of columns.
+func (c *Cholesky) rankOne(x []float64, down bool) error {
+	op := "update"
+	if down {
+		op = "downdate"
+	}
+	n := c.n
+	if len(x) != n {
+		return fmt.Errorf("matrix: cholesky %s dim %d vs %d", op, len(x), n)
 	}
 	if c.poisoned {
 		return ErrFactorPoisoned
 	}
-	work := make([]float64, c.n)
+	work := make([]float64, n)
 	copy(work, x)
-	for k := 0; k < c.n; k++ {
-		lkk := c.l.At(k, k)
-		d := (lkk - work[k]) * (lkk + work[k])
-		if d <= 0 || math.IsNaN(d) {
-			c.poisoned = true
-			return fmt.Errorf("%w: downdate pivot %d = %g", ErrNotPositiveDefinite, k, d)
+	for k := 0; k < n; k++ {
+		ltk := c.lt.Row(k)
+		lkk, wk := ltk[k], work[k]
+		var r float64
+		if down {
+			d := (lkk - wk) * (lkk + wk)
+			if d <= 0 || math.IsNaN(d) {
+				c.poisoned = true
+				return fmt.Errorf("%w: downdate pivot %d = %g", ErrNotPositiveDefinite, k, d)
+			}
+			r = math.Sqrt(d)
+		} else {
+			r = math.Hypot(lkk, wk)
+			if lkk <= 0 || r == 0 || math.IsNaN(r) {
+				c.poisoned = true
+				return fmt.Errorf("%w: update pivot %d = %g", ErrNotPositiveDefinite, k, lkk)
+			}
 		}
-		r := math.Sqrt(d)
+		if wk == 0 && r == lkk {
+			continue
+		}
 		cos := r / lkk
-		sin := work[k] / lkk
-		c.l.Set(k, k, r)
-		for i := k + 1; i < c.n; i++ {
-			lik := (c.l.At(i, k) - sin*work[i]) / cos
+		sin := wk / lkk
+		sl := sin // the sign the rotation applies to L's column
+		if down {
+			sl = -sin
+		}
+		ltk[k] = r
+		c.l.data[k*n+k] = r
+		for i := k + 1; i < n; i++ {
+			lik := (ltk[i] + sl*work[i]) / cos
 			work[i] = cos*work[i] - sin*lik
-			c.l.Set(i, k, lik)
+			ltk[i] = lik
+			c.l.data[i*n+k] = lik
 		}
 	}
-	c.lt = c.l.Transpose()
 	return nil
 }

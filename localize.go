@@ -170,15 +170,6 @@ func (s *System) suspectSet(cfg *LocalizeConfig, rep *Report) ([]SwitchID, []flo
 			fold(rid, d)
 		}
 	}
-	if rep.Partial != nil {
-		// The partial delta is positional over the reachable rows;
-		// scatter it back to global rule IDs via PresentRows.
-		for i, rid := range rep.Partial.PresentRows {
-			if i < len(rep.Partial.Result.Delta) {
-				fold(rid, rep.Partial.Result.Delta[i])
-			}
-		}
-	}
 	if rep.Sliced != nil {
 		// Per-slice deltas are positional over each slice's RuleRows.
 		bySwitch := make(map[SwitchID]*Slice, len(s.slices))

@@ -11,15 +11,15 @@ import (
 	"foces/internal/telemetry"
 )
 
-// This file is the unified detection entry point. Historically System
-// grew five Detect* methods (Detect, DetectSliced, DetectWithMissing,
-// DetectSlicedWithMissing, DetectReconciled) whose correct choice
-// depended on collection-plane state the caller had to inspect by
-// hand. System.Run collapses them: describe one observation window —
-// counters, which switches failed to report, which baseline epoch the
-// window was snapshotted under — and Run dispatches to the right
-// engine combination and returns a single Report. The legacy methods
-// survive as thin deprecated wrappers over Run.
+// This file is the unified detection entry point. Describe one
+// observation window — counters, which switches failed to report, which
+// baseline epoch the window was snapshotted under — and System.Run
+// turns the degraded conditions into one row mask (rows of the missing
+// switches ∪ rows changed since the window's epoch), asks the prepared
+// engines the paper's question on the rows that are left, and returns a
+// single Report. A clean window is the empty mask; there is no other
+// path. Detect, DetectSliced and DetectReconciled survive as thin
+// deprecated wrappers over Run.
 
 // Mode selects which detection engines a Run executes.
 type Mode int
@@ -51,47 +51,48 @@ func (m Mode) String() string {
 // self-describing instead of leaking iota ordering.
 func (m Mode) MarshalJSON() ([]byte, error) { return json.Marshal(m.String()) }
 
-// Report.Path values: the dispatch route a Run took.
+// Report.Path values: a label for where a window's row mask came from.
+// Every window runs the same engine calls; the label only says why
+// rows were left out.
 const (
-	// PathClean is the steady-state route: every switch reported and
-	// the window matches the current baseline epoch.
+	// PathClean is the steady state: every switch reported and the
+	// window matches the current baseline epoch, so nothing is masked.
 	PathClean = "clean"
-	// PathMissing is the degraded route: one or more switches did not
-	// report, so their rule rows are dropped from the equation system.
+	// PathMissing marks a degraded window: one or more switches did not
+	// report, so their rule rows are masked. The window may be lagged
+	// as well (Report.EpochLag > 0); missing takes the label.
 	PathMissing = "missing"
-	// PathReconciled is the churn route: the window straddles one or
-	// more rule updates, so rows changed since its baseline epoch are
-	// masked out.
+	// PathReconciled marks a lagged window with every switch reporting:
+	// it straddles one or more rule updates, so rows changed since its
+	// baseline epoch are masked.
 	PathReconciled = "reconciled"
 )
 
 // RunOptions is everything that shapes how a window is detected and
 // diagnosed, separate from the measurements themselves. It is the one
-// option surface behind Run: each deprecated Detect* wrapper is now a
+// option surface behind Run: each deprecated Detect* wrapper is a
 // one-line translation of its legacy signature into a RunOptions
 // value, and new knobs (like Localize) land here once instead of
-// fanning out across five method signatures.
+// fanning out across method signatures.
 type RunOptions struct {
 	// Missing lists switches whose counters are unusable this window
-	// (unreachable, quarantined, reset). A non-nil slice — even an
-	// empty one — selects the degraded partial-detection path; nil
-	// means every switch reported.
+	// (unreachable, quarantined, reset). Their rule rows are masked out
+	// of the equation system; nil and empty both mean every switch
+	// reported.
 	Missing []SwitchID
 	// Epoch is the baseline epoch the window's counters were
 	// snapshotted under (PollResult straddle reporting). When it trails
 	// the system's current epoch, Run masks the rule rows changed in
 	// between instead of reading mixed-generation counters as an
-	// anomaly. Callers polling without churn awareness should set it to
-	// System.Epoch(). A non-nil Missing takes precedence: faults are
-	// reconciled before churn, matching the monitor's legacy dispatch.
+	// anomaly — whether or not switches are missing too. Callers
+	// polling without churn awareness should set it to System.Epoch().
 	Epoch uint64
 	// Mode selects the engines to run; the zero value (ModeAuto) runs
 	// both.
 	Mode Mode
-	// Options overrides the system's detection options for this window.
-	// The zero value inherits the options fixed at construction. On the
-	// reconciled path the engines' construction-time options always
-	// apply (masking reuses the prepared factors).
+	// Options overrides the system's detection options for this window,
+	// masked or not. The zero value inherits the options fixed at
+	// construction.
 	Options DetectOptions
 	// Localize opts the window into active-probe localization: when the
 	// verdict is anomalous, Run probes the suspect set and attaches a
@@ -105,9 +106,8 @@ type RunOptions struct {
 // RunOptions describing how to detect and diagnose them.
 //
 // Counters is a rule-ID keyed snapshot (collector output), Vector a
-// pre-built dense vector indexed by rule ID (simulation output). The
-// missing-switch path requires Counters, since dropped rows must be
-// re-gathered per sub-system.
+// pre-built dense vector indexed by rule ID (simulation output); either
+// works on every window. Entries of masked rows are never read.
 type Observation struct {
 	// Counters is the window's per-rule counter snapshot (deltas for a
 	// live collector), keyed by global rule ID.
@@ -149,25 +149,34 @@ const ReportSchema = "foces/report/v1"
 type Report struct {
 	// Mode echoes the observation's engine selection.
 	Mode Mode `json:"mode"`
-	// Path is the dispatch route taken: PathClean, PathMissing or
-	// PathReconciled.
+	// Path labels where the window's row mask came from: PathMissing if
+	// any switch was missing, else PathReconciled if the window lagged
+	// the baseline, else PathClean.
 	Path string `json:"path"`
 	// Epoch is the baseline epoch detection ran against.
 	Epoch uint64 `json:"epoch"`
-	// EpochLag is how many epochs the window trailed the baseline
-	// (non-zero only on the reconciled path).
+	// EpochLag is how many epochs the window trailed the baseline (zero
+	// when it was current; non-zero on PathReconciled and on a
+	// PathMissing window that was lagged as well).
 	EpochLag uint64 `json:"epochLag,omitempty"`
 
-	// Full is the Algorithm 1 result (nil when ModeSliced, or on the
-	// missing path where Partial holds the full-FCM outcome).
+	// Full is the Algorithm 1 result over the global row space, masked
+	// entries reading 0 in Delta (nil when ModeSliced).
 	Full *Result `json:"-"`
-	// Partial is the reachable-switch restricted result (missing path
-	// only).
+	// Partial is never set.
+	//
+	// Deprecated: missing-switch windows report through Full like every
+	// other window. The field survives, pointer-typed with a Result
+	// inside, only because the frozen benchmark (bench/ft8.go) compiles
+	// against rep.Partial.Result; the next benchmark PR drops it.
 	Partial *PartialResult `json:"-"`
 	// Sliced is the per-switch localization outcome (nil when
-	// ModeFull).
+	// ModeFull). Slices whose switch had every own rule masked are
+	// absent.
 	Sliced *SlicedOutcome `json:"-"`
-	// MaskedRows lists the rule rows masked on the reconciled path.
+	// MaskedRows lists the rule rows masked for churn (changed since
+	// the window's epoch). Rows masked because their switch is in
+	// Missing are not repeated here.
 	MaskedRows []int `json:"maskedRows,omitempty"`
 	// Missing echoes the observation's missing switches.
 	Missing []SwitchID `json:"missing,omitempty"`
@@ -188,11 +197,16 @@ type Report struct {
 	Timings RunTimings `json:"timings"`
 }
 
+// PartialResult is the shape Report.Partial used to carry.
+//
+// Deprecated: see Report.Partial.
+type PartialResult struct{ Result }
+
 // MarshalJSON serializes the report with its schema version stamped
 // in, clamping infinite anomaly indices (a zero median error with a
 // non-zero max yields +Inf, which JSON cannot carry) the same way the
-// RunEvent ring does. The dense engine payloads (Full, Partial,
-// Sliced) stay out of the wire format: they carry O(rules) vectors.
+// RunEvent ring does. The dense engine payloads (Full, Sliced) stay
+// out of the wire format: they carry O(rules) vectors.
 func (r Report) MarshalJSON() ([]byte, error) {
 	return r.AppendJSON(nil)
 }
@@ -351,9 +365,11 @@ func (r *Report) Event() RunEvent {
 const defaultRecentRuns = 64
 
 // Run executes one detection window. It validates the observation,
-// picks the dispatch path (clean / missing / reconciled — see
-// Observation), runs the engines obs.Mode selects, and aggregates
-// everything into one Report.
+// builds the window's row mask (rows of obs.Missing switches ∪ rows
+// changed since obs.Epoch; empty on a clean window), runs the engines
+// obs.Mode selects on the unmasked rows, and aggregates everything into
+// one Report. A mask that covers every installed rule is an error: a
+// blind window has no verdict.
 //
 //	rep, err := sys.Run(foces.Observation{
 //		Counters: poll.Deltas,
@@ -363,31 +379,30 @@ const defaultRecentRuns = 64
 //		},
 //	})
 //
-// Run is the supported entry point; the Detect* methods are deprecated
-// wrappers over it.
+// Run is the supported entry point; Detect, DetectSliced and
+// DetectReconciled are deprecated wrappers over it.
 func (s *System) Run(obs Observation) (Report, error) {
 	s.baselineMu.RLock()
 	defer s.baselineMu.RUnlock()
 	return s.runLocked(obs, nil)
 }
 
-// SlicedRunner is the Algorithm 2 execution surface a Run needs: clean
-// and masked sliced detection over a full counter vector. It is
-// satisfied by *core.SlicedDetector (the local engine) and by the
-// cluster coordinator, which fans the per-slice work across detector
-// nodes and merges partial verdicts through the same
-// core.MergeSliceResults the local engine uses.
+// SlicedRunner is the Algorithm 2 execution surface a Run needs:
+// sliced detection over a full counter vector with a (possibly empty)
+// set of global rule rows masked. It is satisfied by
+// *core.SlicedDetector (the local engine) and by the cluster
+// coordinator, which fans the per-slice work across detector nodes and
+// merges partial verdicts through the same core.MergeSliceResults the
+// local engine uses.
 type SlicedRunner interface {
-	DetectWithOptions(y []float64, opts DetectOptions) (SlicedOutcome, error)
-	DetectMasked(y []float64, masked []int) (SlicedOutcome, error)
+	DetectMasked(y []float64, masked []int, opts DetectOptions) (SlicedOutcome, error)
 }
 
 // RunWith executes one detection window like Run but delegates the
 // sliced (Algorithm 2) stage to the given runner — the cluster entry
-// point. The full (Algorithm 1) stage and the missing-switch path
-// always run locally: the full engine lives with the baseline, and the
-// missing path re-gathers rows against collector state only this
-// process holds. A nil runner is exactly Run.
+// point, for every kind of window. The full (Algorithm 1) stage runs
+// locally: the full engine lives with the baseline. A nil runner is
+// exactly Run.
 func (s *System) RunWith(obs Observation, sliced SlicedRunner) (Report, error) {
 	s.baselineMu.RLock()
 	defer s.baselineMu.RUnlock()
@@ -402,7 +417,7 @@ func (s *System) runLocked(obs Observation, runner SlicedRunner) (Report, error)
 	// engines (which copy what they keep) are done with them.
 	var pooledY []float64
 	defer func() { s.putVector(pooledY) }()
-	rep := Report{Mode: obs.Mode, Epoch: s.Epoch()}
+	rep := Report{Mode: obs.Mode, Path: PathClean, Epoch: s.Epoch()}
 	if obs.Epoch > rep.Epoch {
 		return Report{}, fmt.Errorf("foces: observation epoch %d is ahead of baseline epoch %d", obs.Epoch, rep.Epoch)
 	}
@@ -410,121 +425,62 @@ func (s *System) runLocked(obs Observation, runner SlicedRunner) (Report, error)
 	if opts == (DetectOptions{}) {
 		opts = s.opts
 	}
-	runFull := obs.Mode == ModeAuto || obs.Mode == ModeFull
-	runSliced := obs.Mode == ModeAuto || obs.Mode == ModeSliced
 	if runner == nil {
 		runner = s.sliced
 	}
-
-	switch {
-	case obs.Missing != nil:
-		rep.Path = PathMissing
-		rep.Missing = obs.Missing
-		if obs.Vector != nil {
-			return Report{}, fmt.Errorf("foces: the missing-switch path re-gathers rows per sub-system and needs Observation.Counters, not Vector")
-		}
-		if obs.Counters == nil {
-			return Report{}, fmt.Errorf("foces: observation carries no counters (set Counters)")
-		}
-		if runFull {
-			t0 := time.Now()
-			pr, err := core.DetectWithMissing(s.fcm, obs.Counters, obs.Missing, opts)
-			if err != nil {
-				return Report{}, err
-			}
-			rep.Timings.Full = time.Since(t0)
-			rep.Partial = &pr
-			rep.Index = pr.Result.Index
-			rep.Anomalous = rep.Anomalous || pr.Result.Anomalous
-		}
-		if runSliced {
-			t0 := time.Now()
-			so, err := core.DetectSlicedWithMissing(s.fcm, s.slices, obs.Counters, obs.Missing, opts)
-			if err != nil {
-				return Report{}, err
-			}
-			rep.Timings.Sliced = time.Since(t0)
-			rep.Sliced = &so
-		}
-
-	case obs.Epoch < rep.Epoch:
+	y, pooled, err := s.observationVector(obs)
+	if err != nil {
+		return Report{}, err
+	}
+	if pooled {
+		pooledY = y
+	}
+	if obs.Epoch < rep.Epoch {
 		rep.Path = PathReconciled
 		rep.EpochLag = rep.Epoch - obs.Epoch
-		y, pooled, err := s.observationVector(obs)
-		if err != nil {
-			return Report{}, err
-		}
-		if pooled {
-			pooledY = y
-		}
+		rep.MaskedRows = s.AffectedSince(obs.Epoch)
 		// A window snapshotted before rule additions is legitimately
 		// short: the new rows are masked anyway, so zero-pad rather
-		// than reject. (The clean path never pads — a short vector
-		// there means a stale caller and must error.)
+		// than reject. (A current window is never padded — a short
+		// vector there means a stale caller and must error.)
 		if space := s.fcm.NumRules(); len(y) < space {
 			padded := make([]float64, space)
 			copy(padded, y)
 			y = padded
 		}
-		rep.MaskedRows = s.AffectedSince(obs.Epoch)
-		if runFull {
-			d, err := s.fullDetector()
-			if err != nil {
-				return Report{}, err
-			}
-			t0 := time.Now()
-			res, err := d.DetectMasked(y, rep.MaskedRows)
-			if err != nil {
-				return Report{}, err
-			}
-			rep.Timings.Full = time.Since(t0)
-			rep.Full = &res
-			rep.Index = res.Index
-			rep.Anomalous = rep.Anomalous || res.Anomalous
-		}
-		if runSliced {
-			t0 := time.Now()
-			so, err := runner.DetectMasked(y, rep.MaskedRows)
-			if err != nil {
-				return Report{}, err
-			}
-			rep.Timings.Sliced = time.Since(t0)
-			rep.Sliced = &so
-		}
+	}
+	if len(obs.Missing) > 0 {
+		rep.Path = PathMissing
+		rep.Missing = obs.Missing
+	}
+	mask, err := s.windowMask(rep.MaskedRows, obs.Missing)
+	if err != nil {
+		return Report{}, err
+	}
 
-	default:
-		rep.Path = PathClean
-		y, pooled, err := s.observationVector(obs)
+	if obs.Mode == ModeAuto || obs.Mode == ModeFull {
+		d, err := s.fullDetector()
 		if err != nil {
 			return Report{}, err
 		}
-		if pooled {
-			pooledY = y
+		t0 := time.Now()
+		res, err := d.DetectMasked(y, mask, opts)
+		if err != nil {
+			return Report{}, err
 		}
-		if runFull {
-			d, err := s.fullDetector()
-			if err != nil {
-				return Report{}, err
-			}
-			t0 := time.Now()
-			res, err := d.DetectWithOptions(y, opts)
-			if err != nil {
-				return Report{}, err
-			}
-			rep.Timings.Full = time.Since(t0)
-			rep.Full = &res
-			rep.Index = res.Index
-			rep.Anomalous = rep.Anomalous || res.Anomalous
+		rep.Timings.Full = time.Since(t0)
+		rep.Full = &res
+		rep.Index = res.Index
+		rep.Anomalous = res.Anomalous
+	}
+	if obs.Mode == ModeAuto || obs.Mode == ModeSliced {
+		t0 := time.Now()
+		so, err := runner.DetectMasked(y, mask, opts)
+		if err != nil {
+			return Report{}, err
 		}
-		if runSliced {
-			t0 := time.Now()
-			so, err := runner.DetectWithOptions(y, opts)
-			if err != nil {
-				return Report{}, err
-			}
-			rep.Timings.Sliced = time.Since(t0)
-			rep.Sliced = &so
-		}
+		rep.Timings.Sliced = time.Since(t0)
+		rep.Sliced = &so
 	}
 
 	if rep.Sliced != nil {
@@ -538,10 +494,44 @@ func (s *System) runLocked(obs Observation, runner SlicedRunner) (Report, error)
 	return rep, nil
 }
 
+// windowMask resolves a window's one row mask: the rows its churn lag
+// already masks plus every rule row hosted on a switch that did not
+// report. Nil (nothing masked) is the clean window. A mask that leaves
+// no installed rule visible is an error — placeholder rows of retired
+// rule IDs carry nothing, so they do not count as visible.
+func (s *System) windowMask(churned []int, missing []SwitchID) ([]int, error) {
+	if len(churned) == 0 && len(missing) == 0 {
+		return nil, nil
+	}
+	covered, err := core.RowMask(s.fcm.NumRules(), churned)
+	if err != nil {
+		return nil, err
+	}
+	down := make(map[SwitchID]bool, len(missing))
+	for _, sw := range missing {
+		down[sw] = true
+	}
+	mask := churned[:len(churned):len(churned)] // appends copy; Report.MaskedRows stays churn-only
+	visible := false
+	for _, r := range s.fcm.Rules {
+		switch {
+		case r.Switch < 0 || (covered != nil && covered[r.ID]):
+		case down[r.Switch]:
+			mask = append(mask, r.ID)
+		default:
+			visible = true
+		}
+	}
+	if !visible {
+		return nil, fmt.Errorf("foces: every installed rule row is masked (%d switches missing, %d rows changed mid-window); nothing to check", len(missing), len(churned))
+	}
+	return mask, nil
+}
+
 // RunBatch executes a batch of observation windows against the same
 // baseline in one call — the multi-tenant / replayed-window entry
-// point. Windows on the clean path that run the full engine (ModeAuto
-// or ModeFull, no missing switches, current epoch) share one batched
+// point. Clean windows that run the full engine (ModeAuto or ModeFull,
+// no missing switches, current epoch) share one batched
 // Algorithm-1 multi-RHS solve per distinct option set
 // (Detector.DetectBatch), which amortizes the triangular-factor memory
 // traffic across the batch; every other window simply dispatches
@@ -572,7 +562,7 @@ func (s *System) RunBatch(obs []Observation) ([]Report, error) {
 	// two distinct option sets, and the steady-state single-group case
 	// must not pay a map allocation per call.
 	for i, o := range obs {
-		if o.Missing != nil || o.Epoch != epoch || (o.Mode != ModeAuto && o.Mode != ModeFull) {
+		if len(o.Missing) > 0 || o.Epoch != epoch || (o.Mode != ModeAuto && o.Mode != ModeFull) {
 			continue
 		}
 		y, pooled, err := s.observationVector(o)
@@ -848,7 +838,7 @@ func (s *System) recordRun(rep *Report) {
 		} else {
 			pt.clean.Inc()
 		}
-		if rep.Path == PathReconciled {
+		if rep.EpochLag > 0 {
 			r.epochLag.Observe(float64(rep.EpochLag))
 			r.maskedRows.Observe(float64(len(rep.MaskedRows)))
 		}

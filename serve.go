@@ -18,8 +18,8 @@ import (
 // continuously, grouping batchable ones through RunBatch and emitting
 // verdicts on a channel. Health states and churn epochs flow through
 // unchanged: a streaming window straddling an ApplyUpdate carries the
-// same epoch/straddle metadata a polled window would, so it reconciles
-// through exactly the same masked-row path.
+// same epoch/straddle metadata a polled window would, so it is masked
+// exactly the same way.
 
 // Streaming types re-exported from internal/collector. The assembler
 // and sampler live with the collection plane; Serve only consumes
@@ -127,8 +127,8 @@ type StreamReport struct {
 
 // Serve runs continuous streaming detection: it consumes completed
 // windows from cfg.Windows, converts each to an Observation (missing
-// switches masked, straddled windows reconciled under their oldest
-// baseline epoch — identical dispatch to the polled path), groups
+// switches and, for straddled windows, rows changed since their oldest
+// baseline epoch masked — identical to the polled path), groups
 // pending windows through RunBatch, and emits one StreamReport per
 // window, in window order, on the returned channel.
 //
@@ -270,14 +270,10 @@ func (s *System) emitReport(ctx context.Context, cfg StreamConfig, w StreamWindo
 
 // windowObservation converts one completed streaming window into the
 // Observation a polled monitor would have built from the equivalent
-// PollResult: empty missing means nil (clean path), and a straddling
-// window is dated by its oldest baseline epoch so the reconciled path
-// masks every rule changed since.
+// PollResult: a straddling window is dated by its oldest baseline epoch
+// so Run masks every rule changed since, alongside the rows of any
+// switch that went missing in the same window.
 func windowObservation(w StreamWindow, cfg StreamConfig) Observation {
-	missing := w.Missing
-	if len(missing) == 0 {
-		missing = nil
-	}
 	epoch := w.Epoch
 	for _, from := range w.Straddled {
 		if from < epoch {
@@ -287,7 +283,7 @@ func windowObservation(w StreamWindow, cfg StreamConfig) Observation {
 	return Observation{
 		Counters: w.Deltas,
 		RunOptions: RunOptions{
-			Missing:  missing,
+			Missing:  w.Missing,
 			Epoch:    epoch,
 			Mode:     cfg.Mode,
 			Options:  cfg.Options,

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/gob"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"foces"
 	"foces/internal/collector"
+	"foces/internal/oracle"
 )
 
 // serveTestWindows precomputes per-window cumulative per-switch counter
@@ -338,6 +340,80 @@ func TestServeSamplerFeedback(t *testing.T) {
 	if minDue >= len(switches) {
 		t.Fatal("due set never shrank below the full switch set")
 	}
+}
+
+// TestServeMissingAndLaggedWindow is TestRunMissingAndLagged through the
+// streaming path: one window in which a switch goes silent AND a rule on
+// a reporting switch is rewritten mid-window. windowObservation hands
+// Run both conditions; both must be masked, and the verdict must be the
+// cold oracle's.
+func TestServeMissingAndLaggedWindow(t *testing.T) {
+	const windows = 3
+	gen := newSystem(t, "fattree4", foces.PairExact)
+	switches := sortedSwitchIDs(gen)
+	seq := serveTestWindows(t, gen, windows, -1, -1, 0, 19)
+
+	sys := newSystem(t, "fattree4", foces.PairExact)
+	asm := collector.NewWindowAssembler(switches, collector.StreamConfig{WindowBuffer: windows + 2})
+	asm.SetEpoch(sys.Epoch())
+	reports, err := sys.Serve(context.Background(), foces.StreamConfig{Windows: asm.Windows()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer asm.Close()
+	push := func(w int, silent foces.SwitchID) {
+		for _, sw := range switches {
+			if sw == silent {
+				asm.Forget(sw)
+				asm.MarkMissing(sw)
+				continue
+			}
+			counters := make(map[int]uint64, len(seq[w][sw]))
+			for rid, v := range seq[w][sw] {
+				counters[rid] = v
+			}
+			if err := asm.Push(collector.Update{Switch: sw, Counters: counters, At: time.Now()}); err != nil {
+				t.Fatalf("window %d switch %d: %v", w, sw, err)
+			}
+		}
+	}
+	push(0, -1) // priming window, skipped by Serve
+	push(1, -1)
+	if sr := nextStreamReport(t, reports); sr.Err != nil || sr.Report.Path != foces.PathClean || sr.Report.Anomalous {
+		t.Fatalf("steady window: %+v", sr)
+	}
+	// The generator keeps forwarding under the old rules, so window 2's
+	// counters are old-generation on every row the rewrite affects.
+	from := sys.Epoch()
+	victim, silent := dropFirstHop(t, sys)
+	asm.SetEpoch(sys.Epoch())
+	push(2, silent)
+	sr := nextStreamReport(t, reports)
+	if sr.Err != nil {
+		t.Fatal(sr.Err)
+	}
+	rep := sr.Report
+	if rep.Path != foces.PathMissing || rep.EpochLag != 1 || !slices.Equal(rep.Missing, []foces.SwitchID{silent}) {
+		t.Fatalf("path=%q epochLag=%d missing=%v, want %q, 1 and [%d]", rep.Path, rep.EpochLag, rep.Missing, foces.PathMissing, silent)
+	}
+	if !slices.Equal(rep.MaskedRows, sys.AffectedSince(from)) || !slices.Contains(rep.MaskedRows, victim.ID) {
+		t.Fatalf("MaskedRows = %v, want AffectedSince = %v containing rule %d", rep.MaskedRows, sys.AffectedSince(from), victim.ID)
+	}
+	if rep.Anomalous {
+		t.Fatalf("clean traffic flagged: index %v, suspects %v", rep.Index, rep.Suspects)
+	}
+	f := sys.FCM()
+	y := make([]float64, f.NumRules())
+	for _, sw := range switches {
+		if sw == silent {
+			continue
+		}
+		for rid, v := range seq[2][sw] {
+			y[rid] = float64(v - seq[1][sw][rid])
+		}
+	}
+	masked := append(oracle.SwitchRows(f, []foces.SwitchID{silent}), rep.MaskedRows...)
+	checkAgainstOracle(t, sys, rep, y, masked)
 }
 
 // TestServeCancelClosesReports checks that cancelling the context shuts

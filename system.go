@@ -301,41 +301,6 @@ func (s *System) DetectSliced(y []float64, opts DetectOptions) (SlicedOutcome, e
 	return *rep.Sliced, nil
 }
 
-// DetectWithMissing runs Algorithm 1 restricted to reachable switches:
-// the rule rows of missing (unreachable, quarantined or counter-reset)
-// switches are dropped and consistency is checked on everything still
-// observable.
-//
-// Deprecated: use Run with Observation.Missing set (non-nil).
-// DetectWithMissing remains as a thin wrapper.
-func (s *System) DetectWithMissing(counters map[int]uint64, missing []SwitchID, opts DetectOptions) (PartialResult, error) {
-	if missing == nil {
-		missing = []SwitchID{} // non-nil selects Run's partial path
-	}
-	rep, err := s.Run(Observation{Counters: counters, RunOptions: RunOptions{Missing: missing, Epoch: s.Epoch(), Mode: ModeFull, Options: opts}})
-	if err != nil {
-		return PartialResult{}, err
-	}
-	return *rep.Partial, nil
-}
-
-// DetectSlicedWithMissing runs Algorithm 2 restricted to reachable
-// switches: missing switches' slices are skipped and surviving slices
-// drop rows hosted on missing switches.
-//
-// Deprecated: use Run with Observation.Missing set (non-nil) in
-// ModeSliced. DetectSlicedWithMissing remains as a thin wrapper.
-func (s *System) DetectSlicedWithMissing(counters map[int]uint64, missing []SwitchID, opts DetectOptions) (SlicedOutcome, error) {
-	if missing == nil {
-		missing = []SwitchID{}
-	}
-	rep, err := s.Run(Observation{Counters: counters, RunOptions: RunOptions{Missing: missing, Epoch: s.Epoch(), Mode: ModeSliced, Options: opts}})
-	if err != nil {
-		return SlicedOutcome{}, err
-	}
-	return *rep.Sliced, nil
-}
-
 // Detector returns the prepared baseline detection engine (rebuilt
 // lazily if rule updates made it stale).
 func (s *System) Detector() *Detector {

@@ -9,7 +9,7 @@ import (
 )
 
 // The deprecated Detect* wrappers are contractually one-line shims
-// over Run: for every dispatch path, the wrapper's return value must
+// over Run: for every window kind they cover, the wrapper's return value must
 // byte-equal the corresponding field of the Run(Observation) report,
 // and — because the wrappers route through Run — every wrapper call
 // must land in the telemetry verdict ring exactly like a direct Run,
@@ -40,8 +40,6 @@ func TestWrappersByteEqualRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			counters := sys.Network().CollectCounters()
-			missing := []foces.SwitchID{sys.Slices()[0].Switch}
 
 			type equiv struct {
 				name    string
@@ -71,34 +69,6 @@ func TestWrappersByteEqualRun(t *testing.T) {
 					},
 					run: func() (any, error) {
 						rep, err := sys.Run(foces.Observation{Vector: y, RunOptions: foces.RunOptions{Epoch: sys.Epoch(), Mode: foces.ModeSliced}})
-						if err != nil {
-							return nil, err
-						}
-						return *rep.Sliced, nil
-					},
-				},
-				{
-					name: "DetectWithMissing",
-					wrapper: func() (any, error) {
-						r, err := sys.DetectWithMissing(counters, missing, foces.DetectOptions{})
-						return r, err
-					},
-					run: func() (any, error) {
-						rep, err := sys.Run(foces.Observation{Counters: counters, RunOptions: foces.RunOptions{Missing: missing, Epoch: sys.Epoch(), Mode: foces.ModeFull}})
-						if err != nil {
-							return nil, err
-						}
-						return *rep.Partial, nil
-					},
-				},
-				{
-					name: "DetectSlicedWithMissing",
-					wrapper: func() (any, error) {
-						r, err := sys.DetectSlicedWithMissing(counters, missing, foces.DetectOptions{})
-						return r, err
-					},
-					run: func() (any, error) {
-						rep, err := sys.Run(foces.Observation{Counters: counters, RunOptions: foces.RunOptions{Missing: missing, Epoch: sys.Epoch(), Mode: foces.ModeSliced}})
 						if err != nil {
 							return nil, err
 						}
