@@ -35,14 +35,16 @@ test-stress:
 	$(GO) test -race -count=2 -timeout 900s ./...
 
 # Allocation regression tests: AllocsPerRun budgets on the streaming
-# hot path (Serve allocs/window, wire frame round trip) plus the pooled
-# window release contract. Run WITHOUT -race — the race detector's
+# hot path (Serve allocs/window, wire frame round trip) and on the
+# symbolic walk (header-space operations, the candidate-first table
+# carve, TraceSource allocs per record) plus the pooled window release
+# contract. Run WITHOUT -race — the race detector's
 # instrumentation inflates MemStats allocation counts, so the budget
 # tests carry a !race build tag and would silently vanish under it. The
 # release-contract tests additionally ride along under `make test` and
 # `make test-stress` with -race.
 test-alloc:
-	$(GO) test -timeout 180s -run 'Alloc|WindowRelease|DoubleRelease|FrameRoundTrip' . ./internal/wire/ ./internal/collector/
+	$(GO) test -timeout 180s -run 'Alloc|WindowRelease|DoubleRelease|FrameRoundTrip' . ./internal/wire/ ./internal/collector/ ./internal/header/ ./internal/flowtable/ ./internal/fcm/
 
 # Bench gate for the zero-allocation steady state: the alloc experiment
 # must keep pooled-path verdicts byte-identical to the polled map-era
@@ -119,9 +121,11 @@ vet-metrics:
 	if [ "$$missing" -ne 0 ]; then exit 1; fi
 
 # Compile-and-run-once smoke over every Detect* benchmark, including
-# the cold-vs-prepared and sequential-vs-parallel engine comparisons.
+# the cold-vs-prepared and sequential-vs-parallel engine comparisons,
+# and over the baseline-maintenance ones (one source's symbolic trace,
+# one rule update end to end on the FatTree(8) bench system).
 bench-smoke:
-	$(GO) test -run '^$$' -bench Detect -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Detect|TraceSource|ChurnApply' -benchtime 1x .
 
 # Full benchmark sweep (slow; not part of ci).
 bench:

@@ -11,8 +11,11 @@ import (
 	"testing"
 
 	"foces"
+	"foces/internal/controller"
 	"foces/internal/core"
 	"foces/internal/experiment"
+	"foces/internal/fcm"
+	"foces/internal/header"
 	"foces/internal/matrix"
 	"foces/internal/stats"
 	"foces/internal/telemetry"
@@ -474,6 +477,91 @@ func BenchmarkAblation_SliceBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.BuildSlices(env.FCM); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// ft8Pairs is the bench/ workloads' flow set: the first 960 ordered
+// host pairs of FatTree(8), source-major (4,512 pair-exact rules).
+func ft8Pairs(b *testing.B) (*topo.Topology, [][2]topo.HostID) {
+	b.Helper()
+	t, err := topo.FatTree(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pairs [][2]topo.HostID
+	for _, src := range t.Hosts() {
+		for _, dst := range t.Hosts() {
+			if src.ID != dst.ID && len(pairs) < 960 {
+				pairs = append(pairs, [2]topo.HostID{src.ID, dst.ID})
+			}
+		}
+	}
+	return t, pairs
+}
+
+// BenchmarkTraceSourceFT8 measures one source's symbolic trace on the
+// FatTree(8)/960-pair tables: host 0 sends to 127 destinations, so its
+// pin meets ~127 of the ~500 rules of its edge switch and the carved
+// remainder grows to ~1,000 pieces — the walk every cold build runs per
+// source and every update re-runs for the sources it touches.
+func BenchmarkTraceSourceFT8(b *testing.B) {
+	t, pairs := ft8Pairs(b)
+	layout := header.FiveTuple()
+	ctrl, err := controller.New(t, layout, controller.PairExact)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ctrl.ComputeRulesForPairs(pairs); err != nil {
+		b.Fatal(err)
+	}
+	tables, err := fcm.BuildTables(t, ctrl.Rules())
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := t.Hosts()[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := fcm.TraceSource(t, layout, tables, src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(tr.Records) != 127 {
+			b.Fatalf("%d records, want 127", len(tr.Records))
+		}
+	}
+}
+
+// BenchmarkChurnApplyModifyFT8 is the churn-ft8 event: a priority bump
+// (same match, same action) on one rule of a longest-path pair, through
+// System.ModifyRule — controller, data plane, one source re-traced, no
+// class born or died, every engine reused.
+func BenchmarkChurnApplyModifyFT8(b *testing.B) {
+	t, pairs := ft8Pairs(b)
+	sys, err := foces.NewSystemWithPairs(t, pairs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var path []int
+	for _, fl := range sys.FCM().Flows {
+		if len(fl.RuleIDs) > len(path) {
+			path = fl.RuleIDs
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, ok := sys.Controller().Rule(path[i%len(path)])
+		if !ok {
+			b.Fatal("rule vanished")
+		}
+		u, err := sys.ModifyRule(r.ID, r.Priority^1, r.Match, r.Action)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if u.Retraced != 1 || u.SlicesReused != 80 {
+			b.Fatalf("update re-traced %d sources and reused %d engines, want 1 and 80", u.Retraced, u.SlicesReused)
 		}
 	}
 }

@@ -93,7 +93,10 @@ func TestRunKernelsWritesTrajectory(t *testing.T) {
 	}
 	defer os.Chdir(wd)
 	var out strings.Builder
-	if err := run([]string{"-exp", "kernels", "-topo", "fattree4", "-runs", "2", "-check"}, &out); err != nil {
+	// Best of five per arm: the x1.25 gate compares ~40 ms timings taken
+	// while `go test ./...` runs (and still builds) other packages on the
+	// same cores, and two samples were too few to find a quiet one.
+	if err := run([]string{"-exp", "kernels", "-topo", "fattree4", "-runs", "5", "-check"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "kernels: baseline preparation") || !strings.Contains(out.String(), "prepare speedup") {

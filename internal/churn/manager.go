@@ -29,12 +29,17 @@ type class struct {
 	// bySource maps each contributing source host to its delivered
 	// destinations (−1 for drops), in discovery order.
 	bySource map[topo.HostID][]topo.HostID
-	dead     bool
+	// pairs is bySource flattened in host order — the class's
+	// fcm.Flow.Pairs, shared by every generation until a re-trace of one
+	// of its sources resets it to nil.
+	pairs []fcm.Pair
+	dead  bool
 }
 
 // sliceMeta remembers what a per-switch engine was built from, so the
 // next update can decide reuse / rank-one repair / refactor.
 type sliceMeta struct {
+	pos     int      // index of the slice in Manager.slices
 	rows    []int    // global rule IDs, ascending (Slice.RuleRows)
 	colUIDs []uint64 // class uid per sub-FCM column
 	engine  *core.Detector
@@ -57,12 +62,14 @@ type Manager struct {
 	log   Log
 	stats Stats
 
-	rules   map[int]flowtable.Rule
-	retired map[int]bool
-	space   int // exclusive upper bound of ever-allocated rule IDs
-	tables  map[topo.SwitchID]*flowtable.Table
+	// rows is the rule set spread over the ever-allocated ID space (see
+	// fcm.DenseRows): retired IDs are placeholder rows. It is the
+	// current FCM's Rules, so Apply patches a copy.
+	rows   []flowtable.Rule
+	tables map[topo.SwitchID]*flowtable.Table
 
-	hostOrder  []topo.HostID
+	hosts      []*topo.Host                 // sources, in topology (= column discovery) order
+	hostPos    map[topo.HostID]int          // index into hosts
 	pins       map[topo.HostID]header.Space // fcm.SourcePin per source
 	traces     map[topo.HostID]*fcm.SourceTrace
 	classes    map[string]*class
@@ -82,9 +89,19 @@ type Manager struct {
 
 	// Telemetry wiring (nil unless SetTelemetry was called): det is
 	// re-applied to every engine generation rebuild creates; tel records
-	// the incremental-maintenance activity itself.
-	det *telemetry.DetectionMetrics
-	tel *telemetry.ChurnMetrics
+	// the incremental-maintenance activity itself, stages the Apply
+	// stages of its PrepareSeconds family.
+	det    *telemetry.DetectionMetrics
+	tel    *telemetry.ChurnMetrics
+	stages applyStages
+}
+
+// applyStages are the per-Apply children of foces_prepare_stage_seconds,
+// resolved once at wiring time: trace (symbolic re-trace of the selected
+// sources), assemble (classes → FCM → the slices the update touched) and
+// slice_build (their engines).
+type applyStages struct {
+	trace, assemble, sliceBuild *telemetry.Histogram
 }
 
 // NewManager seeds a manager from a rule set (the cold baseline). space
@@ -92,55 +109,43 @@ type Manager struct {
 // (controller.RuleSpace()); IDs in [0, space) absent from rules are
 // treated as retired and become permanent placeholder rows.
 func NewManager(t *topo.Topology, layout *header.Layout, rules []flowtable.Rule, space int, opts core.Options, cfg Config) (*Manager, error) {
-	m := &Manager{
-		topol:      t,
-		layout:     layout,
-		opts:       opts,
-		cfg:        cfg.withDefaults(),
-		rules:      make(map[int]flowtable.Rule, len(rules)),
-		retired:    make(map[int]bool),
-		space:      space,
-		pins:       make(map[topo.HostID]header.Space),
-		traces:     make(map[topo.HostID]*fcm.SourceTrace),
-		classes:    make(map[string]*class),
-		srcClasses: make(map[topo.HostID]map[*class]bool),
-		sliceMeta:  make(map[topo.SwitchID]*sliceMeta),
-		replica:    make(map[topo.SwitchID]*ReplicaState),
-	}
-	for _, r := range rules {
-		if r.ID < 0 || r.ID >= space {
-			return nil, fmt.Errorf("churn: rule ID %d outside rule space [0,%d)", r.ID, space)
-		}
-		if _, dup := m.rules[r.ID]; dup {
-			return nil, fmt.Errorf("churn: duplicate rule ID %d", r.ID)
-		}
-		m.rules[r.ID] = r
-	}
-	for id := 0; id < space; id++ {
-		if _, live := m.rules[id]; !live {
-			m.retired[id] = true
-		}
+	rows, err := fcm.DenseRows(rules, space)
+	if err != nil {
+		return nil, fmt.Errorf("churn: %w", err)
 	}
 	tables, err := fcm.BuildTables(t, rules)
 	if err != nil {
 		return nil, err
 	}
-	m.tables = tables
-	for _, h := range t.Hosts() {
-		m.hostOrder = append(m.hostOrder, h.ID)
-		pin, err := fcm.SourcePin(layout, h)
-		if err != nil {
+	m := &Manager{
+		topol:      t,
+		layout:     layout,
+		opts:       opts,
+		cfg:        cfg.withDefaults(),
+		rows:       rows,
+		tables:     tables,
+		hosts:      t.Hosts(),
+		hostPos:    make(map[topo.HostID]int),
+		pins:       make(map[topo.HostID]header.Space),
+		traces:     make(map[topo.HostID]*fcm.SourceTrace),
+		classes:    make(map[string]*class),
+		srcClasses: make(map[topo.HostID]map[*class]bool),
+	}
+	for i, h := range m.hosts {
+		m.hostPos[h.ID] = i
+		if m.pins[h.ID], err = fcm.SourcePin(layout, h); err != nil {
 			return nil, err
 		}
-		m.pins[h.ID] = pin
-		tr, err := fcm.TraceSource(t, layout, tables, h)
-		if err != nil {
-			return nil, err
-		}
+	}
+	traces, err := fcm.TraceSources(t, layout, tables, m.hosts)
+	if err != nil {
+		return nil, err
+	}
+	for _, tr := range traces {
 		m.mergeTrace(tr)
 	}
-	m.stats.Sources = len(m.hostOrder)
-	if err := m.rebuild(nil); err != nil {
+	m.stats.Sources = len(m.hosts)
+	if err := m.rebuild(nil, columnChange{}); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -172,101 +177,204 @@ func (m *Manager) mergeTrace(tr *fcm.SourceTrace) {
 		}
 		c.dead = false
 		c.bySource[tr.Src] = append(c.bySource[tr.Src], rec.Dst)
+		c.pairs = nil
 		set[c] = true
 	}
 	m.traces[tr.Src] = tr
 }
 
+// withdraw removes one source's contributions ahead of its re-trace;
+// classes left without any source are dead unless a re-trace revives
+// them.
+func (m *Manager) withdraw(src topo.HostID) {
+	for c := range m.srcClasses[src] {
+		delete(c.bySource, src)
+		c.pairs = nil
+		if len(c.bySource) == 0 {
+			c.dead = true
+		}
+	}
+	delete(m.srcClasses, src)
+}
+
+// flowPairs returns c's (src, dst) pairs in host order, flattening
+// bySource only after a re-trace changed it.
+func (m *Manager) flowPairs(c *class) []fcm.Pair {
+	if c.pairs != nil {
+		return c.pairs
+	}
+	srcs := make([]topo.HostID, 0, len(c.bySource))
+	for src := range c.bySource {
+		srcs = append(srcs, src)
+	}
+	sort.Slice(srcs, func(i, j int) bool { return m.hostPos[srcs[i]] < m.hostPos[srcs[j]] })
+	for _, src := range srcs {
+		for _, dst := range c.bySource[src] {
+			c.pairs = append(c.pairs, fcm.Pair{Src: src, Dst: dst})
+		}
+	}
+	return c.pairs
+}
+
 // liveRules returns the live rule set sorted by ID.
 func (m *Manager) liveRules() []flowtable.Rule {
-	out := make([]flowtable.Rule, 0, len(m.rules))
-	for _, r := range m.rules {
-		out = append(out, r)
+	out := make([]flowtable.Rule, 0, len(m.rows))
+	for _, r := range m.rows {
+		if r.Switch >= 0 {
+			out = append(out, r)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// rebuild reassembles the FCM from the class structures and rebuilds
-// the sliced engine, carrying over or rank-one-repairing per-switch
-// engines where the update permits. u (nil on the cold seed) receives
-// the engine-disposition counts.
-func (m *Manager) rebuild(u *Update) error {
-	flows := make([]*fcm.Flow, 0, len(m.order))
-	for _, c := range m.order {
-		fl := &fcm.Flow{RuleIDs: c.history, Space: c.space}
-		for _, src := range m.hostOrder {
-			for _, dst := range c.bySource[src] {
-				fl.Pairs = append(fl.Pairs, fcm.Pair{Src: src, Dst: dst})
+// columnChange is what an update did to the column order.
+type columnChange struct {
+	// remap sends an old column to its new index; nil when no class died
+	// (survivors keep their relative order, so only a death shifts them).
+	remap []int
+	// born reports classes appended at the tail.
+	born bool
+}
+
+// rebuild moves the baseline to the next generation at a cost
+// proportional to what the update touched. The FCM is reassembled from
+// the class structures (H itself is carried over when no class was born
+// or died and no row was added); only slices of changed switches or with
+// a row in u.Affected are derived again and their engines reused,
+// rank-one-repaired or refactored — every other slice, with its engine
+// and replication state, is carried over: nothing it was built from
+// moved (a surviving class never changes its history, and a born or
+// dead one has every rule of its history in Affected). On the cold seed
+// (u nil) every slice is built. u receives the engine-disposition
+// counts.
+func (m *Manager) rebuild(u *Update, cols columnChange) error {
+	var t0 time.Time
+	if m.tel != nil {
+		t0 = time.Now()
+	}
+	flowStore := make([]fcm.Flow, len(m.order)) // the generation's flows, one allocation
+	flows := make([]*fcm.Flow, len(m.order))
+	for j, c := range m.order {
+		flowStore[j] = fcm.Flow{RuleIDs: c.history, Pairs: m.flowPairs(c), Space: c.space}
+		flows[j] = &flowStore[j]
+	}
+	var h *matrix.CSR
+	if u != nil && cols.remap == nil && !cols.born && m.fcmCur.H.Rows() == len(m.rows) {
+		h = m.fcmCur.H
+	}
+	f, err := fcm.Assemble(m.topol, m.layout, m.rows, flows, h)
+	if err != nil {
+		return err
+	}
+	// stale marks the switches whose slice must be derived again; nil
+	// (cold seed) means all of them.
+	var stale map[topo.SwitchID]bool
+	if u != nil {
+		stale = make(map[topo.SwitchID]bool, len(u.ChangedSwitches))
+		for _, sw := range u.ChangedSwitches {
+			stale[sw] = true
+		}
+		for sw, old := range m.sliceMeta {
+			for _, rid := range u.Affected {
+				if _, found := sort.Find(len(old.rows), func(i int) int { return rid - old.rows[i] }); found {
+					stale[sw] = true
+					break
+				}
 			}
 		}
-		flows = append(flows, fl)
 	}
-	f, err := fcm.Assemble(m.topol, m.layout, m.liveRules(), m.space, flows)
+	derived, err := core.BuildSlicesFor(f, stale)
 	if err != nil {
 		return err
 	}
-	slices, err := core.BuildSlices(f)
-	if err != nil {
-		return err
+	// The new generation in topology switch order: derived slices where
+	// stale, the previous generation's otherwise.
+	var (
+		slices  []core.Slice
+		engines []*core.Detector
+		metas   []*sliceMeta // per slice; carried slices arrive complete
+		rebuilt []int        // indices into slices that need an engine
+	)
+	for _, s := range m.topol.Switches() {
+		switch old := m.sliceMeta[s.ID]; {
+		case stale == nil || stale[s.ID]:
+			if len(derived) == 0 || derived[0].Switch != s.ID {
+				continue // no rule left (or none yet) on this switch
+			}
+			sl := derived[0]
+			derived = derived[1:]
+			uids := make([]uint64, len(sl.FlowCols))
+			for k, col := range sl.FlowCols {
+				uids[k] = m.order[col].uid
+			}
+			rebuilt = append(rebuilt, len(slices))
+			metas = append(metas, &sliceMeta{pos: len(slices), rows: sl.RuleRows, colUIDs: uids})
+			slices = append(slices, sl)
+			engines = append(engines, nil)
+		case old != nil:
+			sl := m.slices[old.pos]
+			if cols.remap != nil {
+				moved := make([]int, len(sl.FlowCols))
+				for k, col := range sl.FlowCols {
+					moved[k] = cols.remap[col]
+				}
+				sl.FlowCols = moved
+			}
+			metas = append(metas, &sliceMeta{pos: len(slices), rows: old.rows, colUIDs: old.colUIDs, engine: old.engine})
+			slices = append(slices, sl)
+			engines = append(engines, old.engine)
+		}
 	}
-	colUID := make([]uint64, len(m.order))
-	for j, c := range m.order {
-		colUID[j] = c.uid
+	if m.tel != nil {
+		m.stages.assemble.ObserveDuration(time.Since(t0).Nanoseconds())
+		t0 = time.Now()
 	}
 	// Per-slice engine builds are independent (each reads only the old
 	// generation's meta and clones any factor it repairs), so fan them
 	// across the kernel workers; dispositions and errors are aggregated
 	// in slice order afterwards so reporting stays deterministic.
-	sliceUIDs := make([][]uint64, len(slices))
-	olds := make([]*sliceMeta, len(slices))
-	for i, sl := range slices {
-		uids := make([]uint64, len(sl.FlowCols))
-		for k, col := range sl.FlowCols {
-			uids[k] = colUID[col]
-		}
-		sliceUIDs[i] = uids
-		olds[i] = m.sliceMeta[sl.Switch]
-	}
-	var buildStart time.Time
-	if m.tel != nil {
-		buildStart = time.Now()
-	}
-	engines := make([]*core.Detector, len(slices))
-	dispositions := make([]sliceDisposition, len(slices))
-	changes := make([]*SliceChange, len(slices))
-	buildErrs := make([]error, len(slices))
-	matrix.FanOut(len(slices), matrix.KernelWorkers(), func(i int) {
-		engines[i], dispositions[i], changes[i], buildErrs[i] = m.buildSliceEngine(slices[i], sliceUIDs[i], olds[i])
+	dispositions := make([]sliceDisposition, len(rebuilt))
+	changes := make([]*SliceChange, len(rebuilt))
+	buildErrs := make([]error, len(rebuilt))
+	matrix.FanOut(len(rebuilt), matrix.KernelWorkers(), func(k int) {
+		i := rebuilt[k]
+		engines[i], dispositions[k], changes[k], buildErrs[k] = m.buildSliceEngine(slices[i], metas[i].colUIDs, m.sliceMeta[slices[i].Switch])
 	})
 	if m.tel != nil {
-		m.tel.PrepareSeconds.With("slice_build").ObserveDuration(time.Since(buildStart).Nanoseconds())
+		m.stages.sliceBuild.ObserveDuration(time.Since(t0).Nanoseconds())
 	}
 	epoch := uint64(0)
 	if u != nil {
 		epoch = u.Epoch
+		u.SlicesReused = len(slices) - len(rebuilt)
 	}
 	meta := make(map[topo.SwitchID]*sliceMeta, len(slices))
 	replica := make(map[topo.SwitchID]*ReplicaState, len(slices))
 	for i, sl := range slices {
-		if buildErrs[i] != nil {
-			return buildErrs[i]
+		meta[sl.Switch] = metas[i]
+		// A carried-over slice keeps its replication state as it keeps
+		// its engine. Dropped switches fall out of both maps.
+		replica[sl.Switch] = m.replica[sl.Switch]
+	}
+	for k, i := range rebuilt {
+		if buildErrs[k] != nil {
+			return buildErrs[k]
 		}
-		meta[sl.Switch] = &sliceMeta{rows: sl.RuleRows, colUIDs: sliceUIDs[i], engine: engines[i]}
+		sl := slices[i]
+		metas[i].engine = engines[i]
 		// Replica-log maintenance mirrors the engine disposition exactly:
 		// a refactor resets the slice's replication base (the snapshot a
 		// joining or fill-rejected replica is served), a rank-one repair
 		// appends the rows it applied, and a reused engine carries its
-		// state forward untouched. Dropped switches fall out of the map.
-		switch dispositions[i] {
+		// state forward untouched.
+		switch dispositions[k] {
 		case sliceReused:
-			replica[sl.Switch] = m.replica[sl.Switch]
 			if u != nil {
 				u.SlicesReused++
 			}
 		case sliceUpdated:
 			prev := m.replica[sl.Switch]
-			ch := *changes[i]
+			ch := *changes[k]
 			ch.Epoch = epoch
 			replica[sl.Switch] = &ReplicaState{
 				Switch:    sl.Switch,
@@ -290,7 +398,7 @@ func (m *Manager) rebuild(u *Update) error {
 			}
 		}
 	}
-	sliced, err := core.NewSlicedDetectorWithEngines(slices, engines, m.space, m.opts)
+	sliced, err := core.NewSlicedDetectorWithEngines(slices, engines, len(m.rows), m.opts)
 	if err != nil {
 		return err
 	}
@@ -432,8 +540,9 @@ func rowDelta(old, new []int) (removed, added []int) {
 
 // Apply validates and applies one controller mutation batch, advancing
 // the epoch: intent tables are patched, only sources whose symbolic
-// trace visited a changed switch are re-traced, the FCM is reassembled
-// with surviving columns in place, and per-switch engines are reused,
+// trace visited a changed switch are re-traced (concurrently, merged in
+// host order), the FCM is reassembled with surviving columns in place,
+// and the per-switch engines the update touched are reused,
 // rank-one-repaired or refactored as the slice structure dictates. The
 // returned Update is also appended to the epoch log.
 func (m *Manager) Apply(events []controller.RuleChange) (Update, error) {
@@ -449,62 +558,52 @@ func (m *Manager) Apply(events []controller.RuleChange) (Update, error) {
 	// Decide which sources to re-trace against the pre-update state
 	// (the filter reasons about old traces and old class histories).
 	need := m.retraceSet(events)
-	// Patch live rules and intent tables; collect changed switches.
+	// Patch live rules (a copy: the current FCM owns m.rows) and intent
+	// tables; collect changed switches.
+	rows := append([]flowtable.Rule(nil), m.rows...)
 	changed := make(map[topo.SwitchID]bool)
 	for _, e := range events {
-		switch e.Op {
-		case controller.RuleAdded:
-			m.rules[e.Rule.ID] = e.Rule
-			m.space = e.Rule.ID + 1
-			if err := m.tables[e.Rule.Switch].Install(e.Rule); err != nil {
-				return Update{}, fmt.Errorf("churn: install rule %d: %w", e.Rule.ID, err)
-			}
-			changed[e.Rule.Switch] = true
-		case controller.RuleRemoved:
-			delete(m.rules, e.Rule.ID)
-			m.retired[e.Rule.ID] = true
-			if err := m.tables[e.Rule.Switch].Remove(e.Rule.ID); err != nil {
-				return Update{}, fmt.Errorf("churn: remove rule %d: %w", e.Rule.ID, err)
-			}
-			changed[e.Rule.Switch] = true
-		case controller.RuleModified:
-			m.rules[e.Rule.ID] = e.Rule
-			tbl := m.tables[e.Rule.Switch]
+		tbl := m.tables[e.Rule.Switch]
+		if e.Op != controller.RuleAdded {
 			if err := tbl.Remove(e.Rule.ID); err != nil {
-				return Update{}, fmt.Errorf("churn: modify rule %d: %w", e.Rule.ID, err)
+				return Update{}, fmt.Errorf("churn: %s rule %d: %w", e.Op, e.Rule.ID, err)
 			}
+			rows[e.Rule.ID] = flowtable.Rule{ID: e.Rule.ID, Switch: -1}
+		}
+		if e.Op != controller.RuleRemoved {
 			if err := tbl.Install(e.Rule); err != nil {
-				return Update{}, fmt.Errorf("churn: modify rule %d: %w", e.Rule.ID, err)
+				return Update{}, fmt.Errorf("churn: %s rule %d: %w", e.Op, e.Rule.ID, err)
 			}
-			changed[e.Rule.Switch] = true
+			for id := len(rows); id <= e.Rule.ID; id++ {
+				rows = append(rows, flowtable.Rule{ID: id, Switch: -1})
+			}
+			rows[e.Rule.ID] = e.Rule
+		}
+		changed[e.Rule.Switch] = true
+	}
+	m.rows = rows
+	// Re-trace exactly the sources whose forwarding could have changed.
+	var t0 time.Time
+	if m.tel != nil {
+		t0 = time.Now()
+	}
+	firstNewUID := m.nextUID
+	var retrace []*topo.Host
+	for _, h := range m.hosts {
+		if need[h.ID] {
+			m.withdraw(h.ID)
+			retrace = append(retrace, h)
 		}
 	}
-	// Re-trace exactly the sources whose forwarding could have changed.
-	firstNewUID := m.nextUID
-	retraced := 0
-	for _, hid := range m.hostOrder {
-		if !need[hid] {
-			continue
-		}
-		host, err := m.topol.Host(hid)
-		if err != nil {
-			return Update{}, err
-		}
-		// Withdraw this source's contributions; classes left without
-		// any source are dropped unless a later re-trace revives them.
-		for c := range m.srcClasses[hid] {
-			delete(c.bySource, hid)
-			if len(c.bySource) == 0 {
-				c.dead = true
-			}
-		}
-		delete(m.srcClasses, hid)
-		nt, err := fcm.TraceSource(m.topol, m.layout, m.tables, host)
-		if err != nil {
-			return Update{}, err
-		}
-		m.mergeTrace(nt)
-		retraced++
+	traces, err := fcm.TraceSources(m.topol, m.layout, m.tables, retrace)
+	if err != nil {
+		return Update{}, err
+	}
+	for _, tr := range traces {
+		m.mergeTrace(tr)
+	}
+	if m.tel != nil {
+		m.stages.trace.ObserveDuration(time.Since(t0).Nanoseconds())
 	}
 	// Compact the column order: survivors keep their relative order,
 	// classes born this epoch stay appended at the tail.
@@ -512,19 +611,31 @@ func (m *Manager) Apply(events []controller.RuleChange) (Update, error) {
 	for _, e := range events {
 		affected[e.Rule.ID] = true
 	}
+	var cols columnChange
 	kept := m.order[:0]
-	for _, c := range m.order {
+	for j, c := range m.order {
 		if c.dead {
 			delete(m.classes, c.key)
 			for _, rid := range c.history {
 				affected[rid] = true
 			}
+			if cols.remap == nil {
+				cols.remap = make([]int, len(m.order))
+				for k := 0; k < j; k++ {
+					cols.remap[k] = k
+				}
+			}
+			cols.remap[j] = -1
 			continue
 		}
 		if c.uid >= firstNewUID {
+			cols.born = true
 			for _, rid := range c.history {
 				affected[rid] = true
 			}
+		}
+		if cols.remap != nil {
+			cols.remap[j] = len(kept)
 		}
 		kept = append(kept, c)
 	}
@@ -532,7 +643,7 @@ func (m *Manager) Apply(events []controller.RuleChange) (Update, error) {
 	u := Update{
 		Epoch:    m.epoch + 1,
 		Events:   append([]controller.RuleChange(nil), events...),
-		Retraced: retraced,
+		Retraced: len(retrace),
 	}
 	for sw := range changed {
 		u.ChangedSwitches = append(u.ChangedSwitches, sw)
@@ -542,7 +653,7 @@ func (m *Manager) Apply(events []controller.RuleChange) (Update, error) {
 		u.Affected = append(u.Affected, rid)
 	}
 	sort.Ints(u.Affected)
-	if err := m.rebuild(&u); err != nil {
+	if err := m.rebuild(&u, cols); err != nil {
 		return Update{}, err
 	}
 	m.epoch++
@@ -551,7 +662,7 @@ func (m *Manager) Apply(events []controller.RuleChange) (Update, error) {
 	m.stats.Epoch = m.epoch
 	m.stats.Updates++
 	m.stats.Events += len(events)
-	m.stats.Retraced += retraced
+	m.stats.Retraced += u.Retraced
 	m.stats.SlicesReused += u.SlicesReused
 	m.stats.SlicesUpdated += u.SlicesUpdated
 	m.stats.SlicesRefactored += u.SlicesRefactored
@@ -574,11 +685,18 @@ func (m *Manager) Apply(events []controller.RuleChange) (Update, error) {
 // validate simulates the batch against the current state so a bad
 // batch is rejected atomically, before anything mutates.
 func (m *Manager) validate(events []controller.RuleChange) error {
-	live := make(map[int]topo.SwitchID, len(m.rules))
-	for id, r := range m.rules {
-		live[id] = r.Switch
+	// pending overlays the batch's own adds and removes (−1) on m.rows.
+	pending := make(map[int]topo.SwitchID)
+	switchOf := func(id int) (topo.SwitchID, bool) {
+		if sw, ok := pending[id]; ok {
+			return sw, sw >= 0
+		}
+		if id < 0 || id >= len(m.rows) || m.rows[id].Switch < 0 {
+			return 0, false
+		}
+		return m.rows[id].Switch, true
 	}
-	space := m.space
+	space := len(m.rows)
 	for i, e := range events {
 		switch e.Op {
 		case controller.RuleAdded:
@@ -591,19 +709,19 @@ func (m *Manager) validate(events []controller.RuleChange) error {
 			if _, ok := m.tables[e.Rule.Switch]; !ok {
 				return fmt.Errorf("churn: event %d adds rule on unknown switch %d", i, e.Rule.Switch)
 			}
-			live[e.Rule.ID] = e.Rule.Switch
+			pending[e.Rule.ID] = e.Rule.Switch
 			space = e.Rule.ID + 1
 		case controller.RuleRemoved:
-			sw, ok := live[e.Rule.ID]
+			sw, ok := switchOf(e.Rule.ID)
 			if !ok {
 				return fmt.Errorf("churn: event %d removes unknown rule %d", i, e.Rule.ID)
 			}
 			if sw != e.Rule.Switch {
 				return fmt.Errorf("churn: event %d removes rule %d from switch %d, installed on %d", i, e.Rule.ID, e.Rule.Switch, sw)
 			}
-			delete(live, e.Rule.ID)
+			pending[e.Rule.ID] = -1
 		case controller.RuleModified:
-			sw, ok := live[e.Rule.ID]
+			sw, ok := switchOf(e.Rule.ID)
 			if !ok {
 				return fmt.Errorf("churn: event %d modifies unknown rule %d", i, e.Rule.ID)
 			}
@@ -623,9 +741,10 @@ func (m *Manager) validate(events []controller.RuleChange) error {
 //
 //   - Removing (or modifying away from) rule r can only change traffic
 //     that previously *matched* r — exactly the sources contributing to
-//     a class with r in its history. Traffic of other sources at r's
-//     switch either matched a higher-priority rule (unaffected) or
-//     missed every rule including r (still misses them all).
+//     a class with r in its history, which are the columns of r's row
+//     of H. Traffic of other sources at r's switch either matched a
+//     higher-priority rule (unaffected) or missed every rule including
+//     r (still misses them all).
 //   - Adding rule r (or modifying toward a new match/priority/action)
 //     can only change traffic that can reach r's switch (the old walk
 //     consulted it — a source cannot newly arrive there unless some
@@ -639,45 +758,29 @@ func (m *Manager) validate(events []controller.RuleChange) error {
 // Re-traces then run against the fully patched tables, so multi-event
 // batches converge in one pass.
 func (m *Manager) retraceSet(events []controller.RuleChange) map[topo.HostID]bool {
-	oldIDs := make(map[int]bool)
+	need := make(map[topo.HostID]bool)
 	var arrivals []flowtable.Rule // rules whose (new) match may capture traffic
 	for _, e := range events {
-		switch e.Op {
-		case controller.RuleRemoved:
-			oldIDs[e.Rule.ID] = true
-		case controller.RuleModified:
-			oldIDs[e.Rule.ID] = true
-			arrivals = append(arrivals, e.Rule)
-		case controller.RuleAdded:
+		if e.Op != controller.RuleRemoved {
 			arrivals = append(arrivals, e.Rule)
 		}
-	}
-	need := make(map[topo.HostID]bool)
-	for _, c := range m.order {
-		for _, rid := range c.history {
-			if !oldIDs[rid] {
-				continue
-			}
-			for src := range c.bySource {
+		if e.Op == controller.RuleAdded || e.Rule.ID >= m.fcmCur.H.Rows() {
+			continue // not in the pre-update FCM: nothing matched it
+		}
+		m.fcmCur.H.RowEntries(e.Rule.ID, func(col int, _ float64) {
+			for src := range m.order[col].bySource {
 				need[src] = true
 			}
-			break
-		}
+		})
 	}
-	if len(arrivals) == 0 {
-		return need
-	}
-	for _, hid := range m.hostOrder {
-		if need[hid] {
+	for _, h := range m.hosts {
+		if need[h.ID] {
 			continue
 		}
-		tr, pin := m.traces[hid], m.pins[hid]
+		tr, pin := m.traces[h.ID], m.pins[h.ID]
 		for _, r := range arrivals {
-			if !tr.Visited[r.Switch] {
-				continue
-			}
-			if _, ok := pin.Intersect(r.Match); ok {
-				need[hid] = true
+			if tr.Visited[r.Switch] && pin.Overlaps(r.Match) {
+				need[h.ID] = true
 				break
 			}
 		}
@@ -726,7 +829,7 @@ func (m *Manager) Rules() []flowtable.Rule {
 func (m *Manager) RuleSpace() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.space
+	return len(m.rows)
 }
 
 // Full returns the prepared Algorithm 1 engine for the current epoch,
@@ -821,7 +924,7 @@ func (m *Manager) DetectSliced(y []float64) (core.SlicedOutcome, error) {
 func (m *Manager) DetectReconciled(y []float64, from uint64) (core.SlicedOutcome, error) {
 	m.mu.Lock()
 	sliced := m.sliced
-	space := m.space
+	space := len(m.rows)
 	masked := m.log.AffectedRules(from, m.epoch)
 	m.mu.Unlock()
 	if len(y) < space {

@@ -18,6 +18,14 @@ func (m *Manager) SetTelemetry(det *telemetry.DetectionMetrics, ch *telemetry.Ch
 	defer m.mu.Unlock()
 	m.det = det
 	m.tel = ch
+	m.stages = applyStages{}
+	if ch != nil {
+		m.stages = applyStages{
+			trace:      ch.PrepareSeconds.With("trace"),
+			assemble:   ch.PrepareSeconds.With("assemble"),
+			sliceBuild: ch.PrepareSeconds.With("slice_build"),
+		}
+	}
 	if m.sliced != nil {
 		m.sliced.SetTelemetry(det)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"foces/internal/fcm"
@@ -28,91 +29,65 @@ type Slice struct {
 }
 
 // BuildSlices derives one slice per switch that has at least one rule,
-// following the FCM-slicing construction: R(S) = (V_in ∪ V_out) \ r_s
-// from the switch's Rule Bipartite Graph, F(S) = flows matching at
-// least one rule of R(S). Column assignment goes through a rule→slice
-// inverse index so the whole construction is one pass over the flow
-// histories, not one scan per switch — the churn subsystem rebuilds
-// slices on every applied update, so this is on the per-update path.
+// in topology switch order, following the FCM-slicing construction:
+// R(S) = (V_in ∪ V_out) \ r_s from the switch's Rule Bipartite Graph,
+// F(S) = flows matching at least one rule of R(S).
 func BuildSlices(f *fcm.FCM) ([]Slice, error) {
-	// Predecessor sets per switch: for each flow history, rule r
-	// preceding a rule on switch S joins V_in(S).
-	vin := make(map[topo.SwitchID]map[int]bool)
-	for _, fl := range f.Flows {
-		for i, rid := range fl.RuleIDs {
-			if i == 0 {
-				continue
-			}
-			sw := f.Rules[rid].Switch
-			if vin[sw] == nil {
-				vin[sw] = make(map[int]bool)
-			}
-			vin[sw][fl.RuleIDs[i-1]] = true
-		}
-	}
+	return BuildSlicesFor(f, nil)
+}
+
+// BuildSlicesFor is BuildSlices restricted to the switches in only (nil
+// means all). A slice is read off the rows of H its rules occupy — the
+// flows through a rule are that rule's row — so one slice costs what it
+// contains, not a pass over every flow of the network: the churn
+// subsystem rebuilds just the slices an update touched.
+func BuildSlicesFor(f *fcm.FCM, only map[topo.SwitchID]bool) ([]Slice, error) {
 	// V_out per switch: every installed rule (traffic-carrying or not),
 	// skipping placeholder rows of retired rule IDs.
 	vout := make(map[topo.SwitchID][]int)
 	for _, r := range f.Rules {
-		if r.Switch >= 0 {
+		if r.Switch >= 0 && (only == nil || only[r.Switch]) {
 			vout[r.Switch] = append(vout[r.Switch], r.ID)
 		}
 	}
-	type protoSlice struct {
-		sw   topo.SwitchID
-		rows []int
-	}
-	var protos []protoSlice
-	ruleSlices := make(map[int][]int) // rule ID -> indices into protos
+	out := make([]Slice, 0, len(vout))
 	for _, s := range f.Topology().Switches() {
-		out := vout[s.ID]
-		if len(out) == 0 {
+		own := vout[s.ID]
+		if len(own) == 0 {
 			continue
 		}
-		ruleSet := make(map[int]bool, len(out)+len(vin[s.ID]))
-		for _, rid := range out {
-			ruleSet[rid] = true
-		}
-		for rid := range vin[s.ID] {
-			ruleSet[rid] = true
-		}
-		rows := make([]int, 0, len(ruleSet))
-		for rid := range ruleSet {
-			rows = append(rows, rid)
-		}
-		sort.Ints(rows)
-		idx := len(protos)
-		protos = append(protos, protoSlice{sw: s.ID, rows: rows})
-		for _, rid := range rows {
-			ruleSlices[rid] = append(ruleSlices[rid], idx)
-		}
-	}
-	// F(S): flows with at least one rule in R(S), ascending by flow ID
-	// (f.Flows is in column order).
-	cols := make([][]int, len(protos))
-	seen := make([]int, len(protos))
-	for i := range seen {
-		seen[i] = -1
-	}
-	for j, fl := range f.Flows {
-		for _, rid := range fl.RuleIDs {
-			for _, idx := range ruleSlices[rid] {
-				if seen[idx] != j {
-					seen[idx] = j
-					cols[idx] = append(cols[idx], fl.ID)
+		// V_in: the rule a flow matched just before each rule of S.
+		rows := append([]int(nil), own...)
+		for _, rid := range own {
+			f.H.RowEntries(rid, func(col int, _ float64) {
+				hist := f.Flows[col].RuleIDs
+				for i := 1; i < len(hist); i++ {
+					if hist[i] == rid {
+						rows = append(rows, hist[i-1])
+					}
 				}
-			}
+			})
 		}
-	}
-	slices := make([]Slice, 0, len(protos))
-	for i, p := range protos {
-		sub, err := f.H.SubMatrix(p.rows, cols[i])
+		rows = sortedSet(rows)
+		// F(S): flows with at least one rule in R(S), ascending by flow ID.
+		var cols []int
+		for _, rid := range rows {
+			f.H.RowEntries(rid, func(col int, _ float64) { cols = append(cols, col) })
+		}
+		cols = sortedSet(cols)
+		sub, err := f.H.SubMatrix(rows, cols)
 		if err != nil {
-			return nil, fmt.Errorf("core: slice for switch %d: %w", p.sw, err)
+			return nil, fmt.Errorf("core: slice for switch %d: %w", s.ID, err)
 		}
-		slices = append(slices, Slice{Switch: p.sw, RuleRows: p.rows, OwnRows: vout[p.sw], FlowCols: cols[i], H: sub})
+		out = append(out, Slice{Switch: s.ID, RuleRows: rows, OwnRows: own, FlowCols: cols, H: sub})
 	}
-	return slices, nil
+	return out, nil
+}
+
+// sortedSet sorts ids ascending and drops duplicates, in place.
+func sortedSet(ids []int) []int {
+	sort.Ints(ids)
+	return slices.Compact(ids)
 }
 
 // LocalMask translates a global row mask (as RowMask builds it) into

@@ -336,26 +336,75 @@ func (t *Table) SymbolicMatches(s header.Space) []SymbolicMatch {
 // incomplete rule set — e.g. after a mid-path rule removal — traffic in
 // the remainder still incremented every earlier hop's counters, so FCM
 // generation must account for these deaths rather than ignore them.
+//
+// Cost model: only rules overlapping s are candidates (every remainder
+// piece lies inside s, so a rule disjoint from s is disjoint from all of
+// them), and a candidate is tested against the pieces it can reach, not
+// against the whole remainder: a carved piece keeps its place and its
+// sub-pieces hang below it, so a rule that misses the piece skips them
+// all. The cost is candidates × pieces they split (times the carve
+// depth, at most the header width), not rules × pieces.
 func (t *Table) SymbolicMatchesWithRemainder(s header.Space) ([]SymbolicMatch, []header.Space) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	c := carving{spaces: []header.Space{s}, carved: []pieceRange{{}}, leaves: 1}
 	var out []SymbolicMatch
-	remaining := []header.Space{s}
 	for _, r := range t.rules {
-		if len(remaining) == 0 {
+		if c.leaves == 0 {
 			break
 		}
-		var next []header.Space
-		for _, rem := range remaining {
-			hit, ok := rem.Intersect(r.Match)
-			if !ok {
-				next = append(next, rem)
-				continue
-			}
-			out = append(out, SymbolicMatch{Rule: *r, Space: hit})
-			next = append(next, header.Subtract(rem, r.Match)...)
+		if r.Match.Overlaps(s) {
+			out = c.carve(0, r, out)
 		}
-		remaining = next
 	}
-	return out, remaining
+	return out, c.remainder(0, make([]header.Space, 0, c.leaves))
+}
+
+// carving is the remainder of a symbolic header while a table carves
+// it: a tree whose root is the injected space and whose leaves, left to
+// right, are the remainder pieces — the list a flat carve would keep,
+// in the same order. A piece a rule hits becomes an inner node over the
+// pieces of piece \ rule.
+type carving struct {
+	spaces []header.Space // spaces[0] is the root; a carve appends its pieces
+	carved []pieceRange   // per space: zero while it is a leaf
+	leaves int
+}
+
+// pieceRange locates a carved space's sub-pieces in carving.spaces.
+// lo > 0 marks the space carved (hi == lo when the rule covered it).
+type pieceRange struct{ lo, hi int32 }
+
+// carve matches r against the remainder below piece i, appending one
+// match per leaf hit, in leaf order.
+func (c *carving) carve(i int, r *Rule, out []SymbolicMatch) []SymbolicMatch {
+	if !c.spaces[i].Overlaps(r.Match) {
+		return out
+	}
+	if sub := c.carved[i]; sub.lo > 0 {
+		for k := sub.lo; k < sub.hi; k++ {
+			out = c.carve(int(k), r, out)
+		}
+		return out
+	}
+	hit, _ := c.spaces[i].Intersect(r.Match)
+	out = append(out, SymbolicMatch{Rule: *r, Space: hit})
+	lo := len(c.spaces)
+	c.spaces = header.AppendSubtract(c.spaces, c.spaces[i], r.Match)
+	c.carved[i] = pieceRange{int32(lo), int32(len(c.spaces))}
+	c.carved = append(c.carved, make([]pieceRange, len(c.spaces)-lo)...)
+	c.leaves += len(c.spaces) - lo - 1
+	return out
+}
+
+// remainder appends the leaves below piece i to dst, left to right.
+func (c *carving) remainder(i int, dst []header.Space) []header.Space {
+	sub := c.carved[i]
+	if sub.lo == 0 {
+		return append(dst, c.spaces[i])
+	}
+	for k := sub.lo; k < sub.hi; k++ {
+		dst = c.remainder(int(k), dst)
+	}
+	return dst
 }

@@ -138,27 +138,36 @@ func (t Trit) String() string {
 
 // Intersect returns the intersection of two spaces and whether it is
 // non-empty. The intersection is empty when any bit is exact in both
-// spaces with conflicting values.
+// spaces with conflicting values. A miss allocates nothing; a hit
+// allocates one backing array shared by the result's value and mask.
 func (s Space) Intersect(o Space) (Space, bool) {
-	if s.width != o.width {
+	if !s.Overlaps(o) {
 		return Space{}, false
 	}
-	out := Space{width: s.width, value: make([]uint64, len(s.value)), mask: make([]uint64, len(s.mask))}
-	for i := range s.mask {
-		conflict := s.mask[i] & o.mask[i] & (s.value[i] ^ o.value[i])
-		if conflict != 0 {
-			return Space{}, false
-		}
+	n := len(s.mask)
+	buf := make([]uint64, 2*n)
+	out := Space{width: s.width, value: buf[:n:n], mask: buf[n:]}
+	for i := range out.mask {
 		out.mask[i] = s.mask[i] | o.mask[i]
 		out.value[i] = s.value[i] | o.value[i]
 	}
 	return out, true
 }
 
-// Overlaps reports whether the two spaces share at least one packet.
+// Overlaps reports whether the two spaces share at least one packet:
+// no bit is exact in both with conflicting values. It is word-parallel
+// and allocates nothing — the symbolic walk asks it of every candidate
+// rule against every remainder piece.
 func (s Space) Overlaps(o Space) bool {
-	_, ok := s.Intersect(o)
-	return ok
+	if s.width != o.width {
+		return false
+	}
+	for i, m := range s.mask {
+		if m&o.mask[i]&(s.value[i]^o.value[i]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Covers reports whether every packet in o is also in s (s ⊇ o).

@@ -1,45 +1,60 @@
 package header
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // Subtract computes the set difference a \ b as a list of pairwise
 // disjoint spaces. This is the classic header-space difference used to
 // carve a symbolic header around higher-priority rules: each exact bit
 // of b that is a wildcard in a splits off the sub-space on the opposite
-// side of that bit.
+// side of that bit, in ascending bit order.
 //
 // The result is empty when b covers a, and {a} when the two spaces are
 // disjoint.
 func Subtract(a, b Space) []Space {
-	if a.width != b.width {
-		return []Space{a}
+	return AppendSubtract(nil, a, b)
+}
+
+// AppendSubtract appends the pieces of a \ b to dst and returns it, so
+// a caller carving many spaces fills one list instead of concatenating
+// per-call results. dst grows at most once per call, and the pieces of
+// one call share one backing array.
+func AppendSubtract(dst []Space, a, b Space) []Space {
+	if !a.Overlaps(b) { // includes a width mismatch
+		return append(dst, a)
 	}
-	if !a.Overlaps(b) {
-		return []Space{a}
+	// One piece per bit that b pins and a leaves open.
+	pieces := 0
+	for w, m := range b.mask {
+		pieces += bits.OnesCount64(m &^ a.mask[w])
 	}
-	var out []Space
-	cur := a
-	for i := 0; i < a.width; i++ {
-		bBit := b.Bit(i)
-		if bBit == Any {
-			continue
+	if pieces == 0 {
+		return dst
+	}
+	n := len(a.mask)
+	dst = slices.Grow(dst, pieces)
+	buf := make([]uint64, 2*n*pieces)
+	// Each piece is the one before it (a, for the first) moved onto b's
+	// side of that piece's split bit and off b's side of the next one.
+	fromValue, fromMask := a.value, a.mask
+	fromWord, fromBit := 0, uint64(0)
+	for w := range n {
+		for split := b.mask[w] &^ a.mask[w]; split != 0; split &= split - 1 {
+			bit := split & -split
+			value, mask := buf[:n:n], buf[n:2*n:2*n]
+			buf = buf[2*n:]
+			copy(value, fromValue)
+			copy(mask, fromMask)
+			value[fromWord] ^= fromBit
+			mask[w] |= bit
+			value[w] |= bit &^ b.value[w]
+			dst = append(dst, Space{width: a.width, value: value, mask: mask})
+			fromValue, fromMask, fromWord, fromBit = value, mask, w, bit
 		}
-		switch cur.Bit(i) {
-		case Any:
-			// Packets on the other side of bit i are kept.
-			opp := One
-			if bBit == One {
-				opp = Zero
-			}
-			out = append(out, cur.WithBit(i, opp))
-			// Continue carving inside the b side.
-			cur = cur.WithBit(i, bBit)
-		case bBit:
-			// Already constrained to b's side; nothing splits here.
-		default:
-			// a is exact and differs from b at bit i, so a and b are
-			// disjoint; Overlaps above excludes this.
-		}
 	}
-	return out
+	return dst
 }
 
 // SubtractAll removes every space in bs from a, returning a disjoint
@@ -49,7 +64,7 @@ func SubtractAll(a Space, bs []Space) []Space {
 	for _, b := range bs {
 		var next []Space
 		for _, r := range remain {
-			next = append(next, Subtract(r, b)...)
+			next = AppendSubtract(next, r, b)
 		}
 		remain = next
 		if len(remain) == 0 {

@@ -96,7 +96,7 @@ type ChurnMetrics struct {
 	Events             *Counter
 	Slices             *CounterVec // disposition: reused | updated | refactored
 	Epoch              *Gauge
-	PrepareSeconds     *HistogramVec // stage: gram | factor | slice_build
+	PrepareSeconds     *HistogramVec // stage: trace | assemble | slice_build | gram | factor | ...
 }
 
 // NewChurnMetrics registers the churn family set.
@@ -110,7 +110,7 @@ func NewChurnMetrics(r *Registry) *ChurnMetrics {
 		Events:             r.NewCounter("foces_churn_events_total", "Individual rule add/remove/modify events applied."),
 		Slices:             r.NewCounterVec("foces_churn_slices_total", "Per-switch slice engines by rebuild disposition.", "disposition"),
 		Epoch:              r.NewGauge("foces_churn_epoch", "Current baseline epoch."),
-		PrepareSeconds:     r.NewHistogramVec("foces_prepare_stage_seconds", "Baseline preparation wall time by kernel stage (gram, factor, slice_build; sparse-backed factors also report ordering, symbolic, numeric).", SecondsBuckets, "stage"),
+		PrepareSeconds:     r.NewHistogramVec("foces_prepare_stage_seconds", "Baseline preparation wall time by stage: per applied update trace, assemble, slice_build; per lazy full-engine rebuild gram, factor (sparse-backed factors also report ordering, symbolic, numeric).", SecondsBuckets, "stage"),
 	}
 }
 

@@ -1,9 +1,7 @@
 package foces
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"sync"
@@ -39,12 +37,8 @@ type System struct {
 	sliced   *SlicedDetector
 
 	// churnMgr owns the epoch-versioned baseline; fcm/slices/sliced are
-	// views of its current generation. ruleHash fingerprints the
-	// controller rule set the baseline was built from, backing the
-	// RebuildBaseline no-op fast path.
-	churnMgr  *churn.Manager
-	ruleHash  uint64
-	hashValid bool
+	// views of its current generation.
+	churnMgr *churn.Manager
 
 	// baselineMu serializes baseline swaps (ObserveUpdate /
 	// RebuildBaseline) against in-flight detections: Serve consumes
@@ -135,28 +129,30 @@ func NewSystemWithPairs(t *Topology, pairs [][2]HostID) (*System, error) {
 	return s, nil
 }
 
-// ruleSetHash fingerprints a rule set (plus its ID space) with FNV-1a
-// over every field that influences the FCM. Hash equality ⇒ identical
-// baseline, so RebuildBaseline can skip regeneration.
-func ruleSetHash(rules []Rule, space int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+// baselineCurrent reports whether the baseline was built from exactly
+// the controller's current rule set: the FCM's rows are that rule set
+// spread over the ID space, so the check is a rule-by-rule comparison.
+func (s *System) baselineCurrent() bool {
+	if s.fcm == nil || s.control.RuleSpace() != len(s.fcm.Rules) {
+		return false
 	}
-	word(uint64(space))
-	for _, r := range rules {
-		word(uint64(r.ID))
-		word(uint64(r.Switch))
-		word(uint64(r.Priority))
-		word(uint64(r.Action.Type))
-		word(uint64(r.Action.Port))
-		if b, err := r.Match.MarshalBinary(); err == nil {
-			h.Write(b)
+	rules := s.control.Rules()
+	live := 0
+	for _, r := range s.fcm.Rules {
+		if r.Switch >= 0 {
+			live++
 		}
 	}
-	return h.Sum64()
+	if live != len(rules) {
+		return false
+	}
+	for _, r := range rules {
+		b := s.fcm.Rules[r.ID]
+		if b.Switch != r.Switch || b.Priority != r.Priority || b.Action != r.Action || !b.Match.Equal(r.Match) {
+			return false
+		}
+	}
+	return true
 }
 
 // rebuildBaseline regenerates everything derived from the controller's
@@ -179,8 +175,6 @@ func (s *System) rebuildBaseline() error {
 	s.slices = mgr.Slices()
 	s.detector = detector
 	s.sliced = mgr.Sliced()
-	s.ruleHash = ruleSetHash(s.control.Rules(), s.control.RuleSpace())
-	s.hashValid = true
 	return nil
 }
 
@@ -190,16 +184,15 @@ func (s *System) rebuildBaseline() error {
 // installs, repairs): detection against a stale baseline checks the
 // wrong intent and will flag honest switches.
 //
-// When the installed rule set is unchanged since the last build
-// (fingerprinted by hash), the call is a no-op — callers may invoke it
+// When the installed rule set is the one the baseline was built from
+// (compared rule by rule), the call is a no-op — callers may invoke it
 // defensively on every cycle without paying regeneration. Prefer
 // ApplyUpdate for incremental changes: it re-traces only affected
 // sources instead of rebuilding from scratch.
 func (s *System) RebuildBaseline() error {
 	s.baselineMu.Lock()
 	defer s.baselineMu.Unlock()
-	if s.hashValid && s.fcm != nil &&
-		ruleSetHash(s.control.Rules(), s.control.RuleSpace()) == s.ruleHash {
+	if s.baselineCurrent() {
 		return nil
 	}
 	return s.rebuildBaseline()
@@ -363,8 +356,6 @@ func (s *System) ObserveUpdate(events []RuleChange) (ChurnUpdate, error) {
 	s.fcm = s.churnMgr.FCM()
 	s.slices = s.churnMgr.Slices()
 	s.sliced = s.churnMgr.Sliced()
-	s.ruleHash = ruleSetHash(s.control.Rules(), s.control.RuleSpace())
-	s.hashValid = true
 	return u, nil
 }
 
