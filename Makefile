@@ -38,13 +38,15 @@ test-stress:
 # hot path (Serve allocs/window, wire frame round trip) and on the
 # symbolic walk (header-space operations, the candidate-first table
 # carve, TraceSource allocs per record) plus the pooled window release
-# contract. Run WITHOUT -race — the race detector's
-# instrumentation inflates MemStats allocation counts, so the budget
-# tests carry a !race build tag and would silently vanish under it. The
-# release-contract tests additionally ride along under `make test` and
-# `make test-stress` with -race.
+# contract, and on the prepared solve (PreparedLS.SolveInto 0,
+# Detector.Detect 2, sliced detection flat). Run WITHOUT -race — the
+# race detector's instrumentation inflates MemStats allocation counts,
+# so the budget tests carry a !race build tag (or skip themselves) and
+# would silently vanish under it. The release-contract tests
+# additionally ride along under `make test` and `make test-stress` with
+# -race.
 test-alloc:
-	$(GO) test -timeout 180s -run 'Alloc|WindowRelease|DoubleRelease|FrameRoundTrip' . ./internal/wire/ ./internal/collector/ ./internal/header/ ./internal/flowtable/ ./internal/fcm/
+	$(GO) test -timeout 180s -run 'Alloc|WindowRelease|DoubleRelease|FrameRoundTrip' . ./internal/wire/ ./internal/collector/ ./internal/header/ ./internal/flowtable/ ./internal/fcm/ ./internal/matrix/ ./internal/core/
 
 # Bench gate for the zero-allocation steady state: the alloc experiment
 # must keep pooled-path verdicts byte-identical to the polled map-era
@@ -81,10 +83,12 @@ bench-cluster:
 	@test -f results/cluster.json || { echo "bench-cluster: results/cluster.json missing"; exit 1; }
 
 # Bench gate for the sparse solver: the sparse experiment must show the
-# dense Gram exceeding the memory budget while the sparse path stays
-# within it, keep sparse and dense verdicts identical with residual
-# deltas <= 1e-12 on every evaluation topology, and not regress the
-# sparse prepare past 1.25x the archived run (results/sparse.json).
+# dense primal Gram HᵀH exceeding the memory budget (a constant of the
+# scale-arm topology now that wide systems factor HHᵀ) while the sparse
+# path stays within it, keep sparse and dense verdicts identical with
+# residual deltas <= 1e-12 on every evaluation topology, and regress
+# neither the sparse prepare (fastest within one second) nor the
+# factor's entry count past 1.25x the archived run (results/sparse.json).
 bench-sparse:
 	$(GO) run ./cmd/focesbench -exp sparse -check
 	@test -f results/sparse.json || { echo "bench-sparse: results/sparse.json missing"; exit 1; }

@@ -723,15 +723,16 @@ func runAlloc(opts options, out io.Writer) error {
 }
 
 // runSparse exercises the sparse Cholesky solver: a scale arm on a
-// topology whose dense Gram exceeds the memory budget (prepared
-// sparse-only, with peak heap sampled) and an equivalence arm that
+// topology whose dense primal Gram HᵀH exceeds the memory budget
+// (prepared sparse-only — in dual form, H being wide — with peak heap
+// sampled) and an equivalence arm that
 // prepares every evaluation topology through both paths and compares
 // verdicts and residual norms window by window. The result is always
 // archived as results/sparse.json; with -check the run fails unless
-// the dense Gram really exceeds the budget, the sparse peak stays
-// within it, verdicts match with residual deltas <= 1e-12, and the
-// sparse prepare has not regressed past 1.25x the previously archived
-// run.
+// the dense primal Gram really exceeds the budget, the sparse peak stays
+// within it, verdicts match with residual deltas <= 1e-12, and neither
+// the sparse prepare (fastest within a second) nor the factor's entry count has
+// regressed past 1.25x the previously archived run.
 func runSparse(opts options, out io.Writer) error {
 	cfg := experiment.SparseConfig{Topology: opts.topo, Seed: opts.seed}
 	if opts.runs > 0 {
@@ -742,22 +743,26 @@ func runSparse(opts options, out io.Writer) error {
 	}
 	resultPath := filepath.Join("results", "sparse.json")
 	var prev experiment.SparseResult
-	havePrev := false
 	if blob, err := os.ReadFile(resultPath); err == nil {
-		if json.Unmarshal(blob, &prev) == nil && prev.PrepareSecs > 0 && prev.Topology == cfg.Topology {
-			havePrev = true
-		}
+		_ = json.Unmarshal(blob, &prev)
 	}
 	res, err := experiment.Sparse(cfg)
 	if err != nil {
 		return err
 	}
+	// Compared against the resolved configuration: cfg's zero values stand
+	// for defaults, which the archive spells out.
+	havePrev := prev.PrepareSecs > 0 && prev.Topology == res.Topology && prev.GroupSize == res.GroupSize
 	fmt.Fprintf(out, "\n== sparse: direct solver on %s, hosts=%d group=%d H=%dx%d GOMAXPROCS=%d ==\n",
 		res.Topology, res.Hosts, res.GroupSize, res.Rows, res.Cols, res.GoMaxProcs)
-	fmt.Fprintf(out, "gram: %d nnz (density %.4f), factor %d nnz (fill %.2fx)\n",
-		res.GramNNZ, res.GramDensity, res.FactorNNZ, res.FillRatio)
-	fmt.Fprintf(out, "memory: dense Gram would need %.0f MiB (budget %.0f MiB, exceeds: %v); sparse peak heap %.0f MiB (within: %v)\n",
-		float64(res.DenseGramBytes)/(1<<20), float64(res.BudgetBytes)/(1<<20), res.DenseExceedsBudget,
+	side := "HᵀH"
+	if res.Dual {
+		side = "HHᵀ+εI (dual: H is wide)"
+	}
+	fmt.Fprintf(out, "gram: factored %s, %d x %d, %d nnz (density %.4f, %.0f MiB if dense), factor %d nnz (fill %.2fx)\n",
+		side, res.FactoredDim, res.FactoredDim, res.GramNNZ, res.GramDensity, float64(res.DenseGramBytes)/(1<<20), res.FactorNNZ, res.FillRatio)
+	fmt.Fprintf(out, "memory: dense primal Gram HᵀH would need %.0f MiB (budget %.0f MiB, exceeds: %v); sparse peak heap %.0f MiB (within: %v)\n",
+		float64(res.PrimalDenseGramBytes)/(1<<20), float64(res.BudgetBytes)/(1<<20), res.DenseExceedsBudget,
 		float64(res.PeakHeapBytes)/(1<<20), res.SparseWithinBudget)
 	fmt.Fprintf(out, "prepare: %.3fs total (gram %.3fs, ordering %.3fs, symbolic %.3fs, numeric %.3fs)\n",
 		res.PrepareSecs, res.GramSecs, res.OrderingSecs, res.SymbolicSecs, res.NumericSecs)
@@ -779,8 +784,8 @@ func runSparse(opts options, out io.Writer) error {
 	}
 	if opts.check {
 		if !res.DenseExceedsBudget {
-			return fmt.Errorf("sparse check: dense Gram %d bytes does not exceed the %d-byte budget — scale the topology up",
-				res.DenseGramBytes, res.BudgetBytes)
+			return fmt.Errorf("sparse check: dense primal Gram %d bytes does not exceed the %d-byte budget — scale the topology up",
+				res.PrimalDenseGramBytes, res.BudgetBytes)
 		}
 		if !res.SparseWithinBudget {
 			return fmt.Errorf("sparse check: peak heap %d bytes exceeded the %d-byte budget", res.PeakHeapBytes, res.BudgetBytes)
@@ -796,6 +801,11 @@ func runSparse(opts options, out io.Writer) error {
 		}
 		if havePrev && res.PrepareSecs > prev.PrepareSecs*1.25 {
 			return fmt.Errorf("sparse check: prepare %.3fs regressed past previous %.3fs x1.25", res.PrepareSecs, prev.PrepareSecs)
+		}
+		// The factor's size is deterministic, so unlike the timing it
+		// catches a worse ordering or a lost dual form on any machine.
+		if havePrev && float64(res.FactorNNZ) > float64(prev.FactorNNZ)*1.25 {
+			return fmt.Errorf("sparse check: factor %d nnz grew past previous %d x1.25", res.FactorNNZ, prev.FactorNNZ)
 		}
 	}
 	return nil

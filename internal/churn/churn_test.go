@@ -3,6 +3,7 @@ package churn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"foces/internal/controller"
@@ -573,5 +574,63 @@ func TestRankOneRepairFailureFallsBackToRefactor(t *testing.T) {
 	}
 	if _, err := prep.Solve([]float64{1, 1, 2}); err != nil {
 		t.Fatalf("serving engine no longer solves: %v", err)
+	}
+}
+
+// TestWideSliceRefactorsInsteadOfRepairing: a wide slice (fewer rules
+// than flows) is prepared in dual form, whose HHᵀ factor no row update
+// can maintain. A small row delta on it must therefore come back
+// refactored — never repaired, never a SliceChange for replicas to
+// replay — and replaying a change against such an engine is an error,
+// not a panic.
+func TestWideSliceRefactorsInsteadOfRepairing(t *testing.T) {
+	hOld, err := matrix.NewCSR(3, 5, []matrix.Triplet{
+		{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: 1},
+		{Row: 1, Col: 1, Val: 1}, {Row: 1, Col: 2, Val: 1}, {Row: 1, Col: 3, Val: 1},
+		{Row: 2, Col: 3, Val: 1}, {Row: 2, Col: 4, Val: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewDetector(hOld, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eng.PrepareStats().Dual || eng.Prepared().CloneFactor() != nil {
+		t.Fatal("a 3x5 slice was not prepared in dual form")
+	}
+	uids := []uint64{1, 2, 3, 4, 5}
+	old := &sliceMeta{rows: []int{10, 11, 12}, colUIDs: uids, engine: eng}
+	// Rule 11 goes away: same column classes, one row removed, well
+	// inside the update threshold — the shape rankOneRepair exists for.
+	hNew, err := matrix.NewCSR(2, 5, []matrix.Triplet{
+		{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: 1},
+		{Row: 1, Col: 3, Val: 1}, {Row: 1, Col: 4, Val: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl := core.Slice{RuleRows: []int{10, 12}, H: hNew}
+	m := &Manager{opts: core.Options{}, cfg: Config{UpdateThreshold: 8}}
+	if got, ch, err := m.rankOneRepair(sl, old, []int{11}, nil); got != nil || ch != nil || err != nil {
+		t.Fatalf("rankOneRepair on a dual engine: engine %v, change %v, err %v", got, ch, err)
+	}
+	got, disp, ch, err := m.buildSliceEngine(sl, uids, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disp != sliceRefactored || ch != nil {
+		t.Fatalf("disposition %d with change %v, want refactored and none", disp, ch)
+	}
+	if !got.PrepareStats().Dual {
+		t.Fatal("the refactored 2x5 slice is not dual")
+	}
+	if res, err := got.Detect([]float64{300, 500}); err != nil || res.Anomalous {
+		t.Fatalf("refactored engine: %+v, %v", res, err)
+	}
+
+	change := SliceChange{Removed: []RowVec{{RuleID: 11, Cols: []int{1, 2, 3}, Vals: []float64{1, 1, 1}}}}
+	if _, _, err := ReplayChange(eng, old.rows, change, core.Options{}); err == nil || !strings.Contains(err.Error(), "not clonable") {
+		t.Fatalf("ReplayChange on a dual engine: %v", err)
 	}
 }

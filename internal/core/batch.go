@@ -83,11 +83,10 @@ func (d *Detector) DetectBatchWithOptions(ys [][]float64, opts Options) ([]Resul
 		for i := range xHat {
 			xHat[i] = x.At(i, r)
 		}
-		yHat := make([]float64, h.Rows())
+		yHat, delta := fitBuffers(h.Rows())
 		if err := h.MulVecInto(yHat, xHat); err != nil {
 			return nil, err
 		}
-		delta := make([]float64, h.Rows())
 		for i := range delta {
 			delta[i] = math.Abs(y[i] - yHat[i])
 		}

@@ -13,13 +13,15 @@ import (
 )
 
 // Detector is the prepared form of Algorithm 1 over a fixed flow-counter
-// matrix: the O(n³) normal-equations factorization runs once at
-// construction, after which every Detect call costs one sparse Hᵀy
-// product, two triangular substitutions, one SpMV and order statistics.
-// H only changes when the controller installs rules, so continuous
-// monitors build one Detector per rule generation and reuse it every
-// detection period (rebuild on any rule change — a stale factorization
-// silently checks the wrong intent).
+// matrix: the normal-equations factorization runs once at construction
+// — of HᵀH, or for a wide H (fewer rules than flows) of the smaller
+// HHᵀ+εI, the same estimator (see matrix.PreparedLS) — after which
+// every Detect call costs one sparse product with Hᵀ, two triangular
+// substitutions, one SpMV and order statistics. H only changes when the
+// controller installs rules, so continuous monitors build one Detector
+// per rule generation and reuse it every detection period (rebuild on
+// any rule change — a stale factorization silently checks the wrong
+// intent).
 //
 // A Detector is safe for concurrent Detect calls.
 type Detector struct {
@@ -35,6 +37,22 @@ type Detector struct {
 type detectScratch struct {
 	ws  []float64 // triangular-solve workspace, len = Cols
 	med []float64 // quickselect median scratch, len = Rows
+}
+
+// initPool sizes the pooled scratch for the engine's H.
+func (d *Detector) initPool() {
+	rows, cols := d.h.Rows(), d.h.Cols()
+	d.pool.New = func() any {
+		return &detectScratch{ws: make([]float64, cols), med: make([]float64, rows)}
+	}
+}
+
+// fitBuffers returns zeroed YHat and Delta vectors carved from one
+// allocation. Both are capacity-limited to their own half, so appending
+// to either reallocates instead of growing into its neighbour.
+func fitBuffers(rows int) (yHat, delta []float64) {
+	buf := make([]float64, 2*rows)
+	return buf[:rows:rows], buf[rows:]
 }
 
 // NewDetector prepares a detection engine for h. opts fixes the
@@ -63,10 +81,7 @@ func NewDetectorReusing(h *matrix.CSR, opts Options, prev *matrix.PreparedLS) (*
 		}
 		d.ls = ls
 	}
-	rows, cols := h.Rows(), h.Cols()
-	d.pool.New = func() any {
-		return &detectScratch{ws: make([]float64, cols), med: make([]float64, rows)}
-	}
+	d.initPool()
 	return d, nil
 }
 
@@ -106,11 +121,11 @@ func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) 
 		// inconsistency no flow-volume estimate can explain (this keeps
 		// Theorem 3 intact for slices of rules outside all flow paths,
 		// like rule r4 in the paper's Fig. 2).
-		delta := make([]float64, len(y))
+		yHat, delta := fitBuffers(len(y))
 		for i, v := range y {
 			delta[i] = math.Abs(v)
 		}
-		res := Result{Delta: delta, YHat: make([]float64, len(y))}
+		res := Result{Delta: delta, YHat: yHat}
 		res.ErrMax, _ = stats.Max(delta)
 		res.Index = anomalyIndex(res.ErrMax, 0, opts.ZeroTol)
 		res.Anomalous = res.Index > opts.Threshold
@@ -135,11 +150,10 @@ func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) 
 		tResid = time.Now()
 		tel.solve.ObserveDuration(tResid.Sub(t0).Nanoseconds())
 	}
-	yHat := make([]float64, h.Rows())
+	yHat, delta := fitBuffers(h.Rows())
 	if err := h.MulVecInto(yHat, xHat); err != nil {
 		return Result{}, err
 	}
-	delta := make([]float64, h.Rows())
 	for i := range delta {
 		delta[i] = math.Abs(y[i] - yHat[i])
 	}

@@ -22,10 +22,7 @@ import (
 // update/downdate from the previous rule generation) as a Detector.
 func NewDetectorFromPrepared(ls *matrix.PreparedLS, opts Options) *Detector {
 	d := &Detector{h: ls.H(), opts: opts, ls: ls}
-	rows, cols := d.h.Rows(), d.h.Cols()
-	d.pool.New = func() any {
-		return &detectScratch{ws: make([]float64, cols), med: make([]float64, rows)}
-	}
+	d.initPool()
 	return d
 }
 
@@ -82,12 +79,13 @@ func RowMask(n int, masked []int) ([]bool, error) {
 // error statistics — the one question FOCES asks, on a row subspace.
 // Why a row is masked (its switch did not report, its rule changed
 // mid-window) is the caller's business; an empty mask is exactly
-// DetectWithOptions. The prepared Gram factor is downdated by each
+// DetectWithOptions. The prepared factor of HᵀH is downdated by each
 // masked row instead of refactored; if the downdated system loses
-// positive definiteness the engine falls back to a one-shot solve over
-// the surviving rows. Delta and YHat stay aligned with the full row
-// space (masked entries read 0 in Delta). Masking every row is an
-// error: a blind window must not read as a clean one.
+// positive definiteness, or the engine has no such factor (a wide H is
+// prepared in dual form, see matrix.PreparedLS), it falls back to a
+// one-shot solve over the surviving rows. Delta and YHat stay aligned
+// with the full row space (masked entries read 0 in Delta). Masking
+// every row is an error: a blind window must not read as a clean one.
 func (d *Detector) DetectMasked(y []float64, masked []int, opts Options) (Result, error) {
 	if len(masked) == 0 {
 		return d.DetectWithOptions(y, opts)
@@ -120,13 +118,13 @@ func (d *Detector) DetectMasked(y []float64, masked []int, opts Options) (Result
 	}
 	opts = opts.withDefaults(yKept)
 	if h.Cols() == 0 {
-		delta := make([]float64, len(y))
+		yHat, delta := fitBuffers(len(y))
 		compact := make([]float64, 0, len(kept))
 		for _, i := range kept {
 			delta[i] = math.Abs(y[i])
 			compact = append(compact, delta[i])
 		}
-		res := Result{Delta: delta, YHat: make([]float64, len(y))}
+		res := Result{Delta: delta, YHat: yHat}
 		res.ErrMax, _ = stats.Max(compact)
 		res.Index = anomalyIndex(res.ErrMax, 0, opts.ZeroTol)
 		res.Anomalous = res.Index > opts.Threshold
@@ -138,7 +136,8 @@ func (d *Detector) DetectMasked(y []float64, masked []int, opts Options) (Result
 	var xHat []float64
 	solved := false
 	// CloneFactor works for dense- and sparse-backed engines alike; a
-	// nil clone (degenerate engine) falls through to the one-shot solve.
+	// nil clone (degenerate or dual engine) falls through to the
+	// one-shot solve.
 	if chol := d.cloneFactorForMask(opts); chol != nil {
 		row := make([]float64, h.Cols())
 		ok := true
@@ -199,11 +198,10 @@ func (d *Detector) DetectMasked(y []float64, masked []int, opts Options) (Result
 			return Result{}, fmt.Errorf("core: masked volume estimate: %w", err)
 		}
 	}
-	yHat := make([]float64, h.Rows())
+	yHat, delta := fitBuffers(h.Rows())
 	if err := h.MulVecInto(yHat, xHat); err != nil {
 		return Result{}, err
 	}
-	delta := make([]float64, h.Rows())
 	compact := make([]float64, 0, len(kept))
 	for _, i := range kept {
 		delta[i] = math.Abs(y[i] - yHat[i])
@@ -219,8 +217,8 @@ func (d *Detector) DetectMasked(y []float64, masked []int, opts Options) (Result
 }
 
 // cloneFactorForMask returns an independently downdatable copy of the
-// engine's Gram factor for the masked path, or nil when the engine has
-// no factor to downdate (non-Cholesky solver, degenerate H).
+// engine's HᵀH factor for the masked path, or nil when the engine has
+// none to downdate (non-Cholesky solver, degenerate H, dual engine).
 func (d *Detector) cloneFactorForMask(opts Options) matrix.UpdatableFactor {
 	if opts.Solver != SolverCholesky || d.ls == nil {
 		return nil

@@ -24,19 +24,18 @@ type maskedScenario struct {
 	attacked bool
 }
 
-// maskedFixture builds the FCM, slices, a clean and an attacked window,
-// and the named row masks the table runs. Every mask avoids the
-// attacker and its neighbours, so the attack's footprint stays on
-// unmasked rows and "still caught" is a property, not luck.
-func maskedFixture(t *testing.T) (f *fcm.FCM, slices []core.Slice, scenarios []maskedScenario, masks map[string][]int) {
+// observeWindows bootstraps topoName under mode and returns its FCM
+// with one clean and one attacked lossless traffic window.
+func observeWindows(t *testing.T, topoName string, mode controller.PolicyMode) (*topo.Topology, *fcm.FCM, []maskedScenario, *dataplane.Attack) {
 	t.Helper()
 	layout := header.FiveTuple()
-	top, err := topo.ByName("fattree4")
+	top, err := topo.ByName(topoName)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var f *fcm.FCM
 	observe := func(seed int64, attack bool) ([]float64, *dataplane.Attack) {
-		ctrl, net, err := controller.Bootstrap(top, layout, controller.PairExact)
+		ctrl, net, err := controller.Bootstrap(top, layout, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,8 +63,18 @@ func maskedFixture(t *testing.T) (f *fcm.FCM, slices []core.Slice, scenarios []m
 	}
 	yClean, _ := observe(1, false)
 	yAttacked, atk := observe(2, true)
-	scenarios = []maskedScenario{{"clean", yClean, false}, {"attacked", yAttacked, true}}
-	if slices, err = core.BuildSlices(f); err != nil {
+	return top, f, []maskedScenario{{"clean", yClean, false}, {"attacked", yAttacked, true}}, atk
+}
+
+// maskedFixture builds the FCM, slices, a clean and an attacked window,
+// and the named row masks the table runs. Every mask avoids the
+// attacker and its neighbours, so the attack's footprint stays on
+// unmasked rows and "still caught" is a property, not luck.
+func maskedFixture(t *testing.T) (f *fcm.FCM, slices []core.Slice, scenarios []maskedScenario, masks map[string][]int) {
+	t.Helper()
+	top, f, scenarios, atk := observeWindows(t, "fattree4", controller.PairExact)
+	slices, err := core.BuildSlices(f)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -149,6 +158,53 @@ func backendEngines(t *testing.T, f *fcm.FCM, slices []core.Slice, mode matrix.S
 	return prepare(f.H), sliced
 }
 
+// requireOracleResult: a masked full-engine result is the oracle's —
+// same verdict, index within 1e-9 relative, and a Delta that spans all
+// numRows rows with the oracle's positional residuals on the kept rows
+// and zero on the masked ones.
+func requireOracleResult(t *testing.T, got, want core.Result, kept []int, numRows int) {
+	t.Helper()
+	if got.Anomalous != want.Anomalous || !oracle.SameIndex(got.Index, want.Index) {
+		t.Fatalf("verdict (%v, %v), oracle (%v, %v)", got.Anomalous, got.Index, want.Anomalous, want.Index)
+	}
+	if len(got.Delta) != numRows {
+		t.Fatalf("Delta has %d entries, want %d", len(got.Delta), numRows)
+	}
+	tol := 1e-9 * (1 + want.ErrMax)
+	visible := make([]bool, numRows)
+	for k, rid := range kept {
+		visible[rid] = true
+		if math.Abs(got.Delta[rid]-want.Delta[k]) > tol {
+			t.Fatalf("row %d residual %v, oracle %v", rid, got.Delta[rid], want.Delta[k])
+		}
+	}
+	for rid, d := range got.Delta {
+		if !visible[rid] && d != 0 {
+			t.Fatalf("masked row %d carries residual %v", rid, d)
+		}
+	}
+}
+
+// requireOracleOutcome: a masked sliced outcome is the oracle's — same
+// verdict and suspects, the same slices checked, each with the oracle's
+// verdict and index.
+func requireOracleOutcome(t *testing.T, got, want core.SlicedOutcome) {
+	t.Helper()
+	if got.Anomalous != want.Anomalous || !reflect.DeepEqual(got.Suspects, want.Suspects) {
+		t.Fatalf("verdict (%v, %v), oracle (%v, %v)", got.Anomalous, got.Suspects, want.Anomalous, want.Suspects)
+	}
+	if len(got.PerSwitch) != len(want.PerSwitch) {
+		t.Fatalf("checked %d slices, oracle %d", len(got.PerSwitch), len(want.PerSwitch))
+	}
+	for i, g := range got.PerSwitch {
+		w := want.PerSwitch[i]
+		if g.Switch != w.Switch || g.Result.Anomalous != w.Result.Anomalous || !oracle.SameIndex(g.Result.Index, w.Result.Index) {
+			t.Fatalf("slice %d: (%d, %v, %v), oracle (%d, %v, %v)", i,
+				g.Switch, g.Result.Anomalous, g.Result.Index, w.Switch, w.Result.Anomalous, w.Result.Index)
+		}
+	}
+}
+
 // TestMaskedDetectionMatchesColdOracle is the one correctness gate of
 // the row-mask path. For every mask × engine × factor backend × window
 // it asks the prepared engines (downdated factors, pooled workers,
@@ -180,29 +236,9 @@ func TestMaskedDetectionMatchesColdOracle(t *testing.T) {
 					if err != nil || wantErr != nil {
 						t.Fatalf("engine %v, oracle %v", err, wantErr)
 					}
-					if got.Anomalous != want.Anomalous || !oracle.SameIndex(got.Index, want.Index) {
-						t.Fatalf("verdict (%v, %v), oracle (%v, %v)", got.Anomalous, got.Index, want.Anomalous, want.Index)
-					}
+					requireOracleResult(t, got, want, kept, f.NumRules())
 					if got.Anomalous != sc.attacked {
 						t.Fatalf("anomalous=%v on a %s window (index %v)", got.Anomalous, sc.name, got.Index)
-					}
-					// Delta spans the global row space: the oracle's
-					// positional residuals on kept rows, zero on masked.
-					if len(got.Delta) != f.NumRules() {
-						t.Fatalf("Delta has %d entries, want %d", len(got.Delta), f.NumRules())
-					}
-					tol := 1e-9 * (1 + want.ErrMax)
-					visible := make([]bool, f.NumRules())
-					for k, rid := range kept {
-						visible[rid] = true
-						if math.Abs(got.Delta[rid]-want.Delta[k]) > tol {
-							t.Fatalf("row %d residual %v, oracle %v", rid, got.Delta[rid], want.Delta[k])
-						}
-					}
-					for rid, d := range got.Delta {
-						if !visible[rid] && d != 0 {
-							t.Fatalf("masked row %d carries residual %v", rid, d)
-						}
 					}
 					if maskName == "empty" {
 						plain, err := full.Detect(sc.y)
@@ -226,21 +262,9 @@ func TestMaskedDetectionMatchesColdOracle(t *testing.T) {
 					if err != nil || wantErr != nil {
 						t.Fatalf("engine %v, oracle %v", err, wantErr)
 					}
-					if got.Anomalous != want.Anomalous || !reflect.DeepEqual(got.Suspects, want.Suspects) {
-						t.Fatalf("verdict (%v, %v), oracle (%v, %v)", got.Anomalous, got.Suspects, want.Anomalous, want.Suspects)
-					}
+					requireOracleOutcome(t, got, want)
 					if got.Anomalous != sc.attacked || (sc.attacked && len(got.Suspects) == 0) {
 						t.Fatalf("anomalous=%v suspects=%v on a %s window", got.Anomalous, got.Suspects, sc.name)
-					}
-					if len(got.PerSwitch) != len(want.PerSwitch) {
-						t.Fatalf("checked %d slices, oracle %d", len(got.PerSwitch), len(want.PerSwitch))
-					}
-					for i, g := range got.PerSwitch {
-						w := want.PerSwitch[i]
-						if g.Switch != w.Switch || g.Result.Anomalous != w.Result.Anomalous || !oracle.SameIndex(g.Result.Index, w.Result.Index) {
-							t.Fatalf("slice %d: (%d, %v, %v), oracle (%d, %v, %v)", i,
-								g.Switch, g.Result.Anomalous, g.Result.Index, w.Switch, w.Result.Anomalous, w.Result.Index)
-						}
 					}
 					// A switch with every own rule masked is skipped: not
 					// checked, so never a suspect.
@@ -275,6 +299,121 @@ func TestMaskedRejectsOutOfRangeRows(t *testing.T) {
 		}
 		if _, err := sliced.DetectMasked(scenarios[0].y, bad, core.Options{}); err == nil {
 			t.Fatalf("sliced engine accepted masked row %d", bad[0])
+		}
+	}
+}
+
+// TestMaskedWideEnginesMatchColdOracle runs the row-mask path over
+// engines prepared in dual form — DCell under destination-aggregate
+// rules, where every slice has fewer rules than flows, and a full
+// engine over the rules of most of its switches plus one rule no flow
+// matches. A dual engine has no HᵀH factor to downdate, so every mask
+// takes the cold fallback; the table pins that it still answers as the
+// oracle does with one row, several rows, an all-zero row and all but
+// one row masked, and refuses a mask that hides everything.
+func TestMaskedWideEnginesMatchColdOracle(t *testing.T) {
+	_, f, scenarios, _ := observeWindows(t, "dcell14", controller.DestAggregate)
+	slices, err := core.BuildSlices(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The full engine: H restricted to the first 350 of 500 rules (wide
+	// against 380 flows), then a trailing all-zero row.
+	const monitored = 350
+	var trips []matrix.Triplet
+	for r := 0; r < monitored; r++ {
+		f.H.RowEntries(r, func(col int, v float64) {
+			trips = append(trips, matrix.Triplet{Row: r, Col: col, Val: v})
+		})
+	}
+	zeroRow := monitored
+	wideH, err := matrix.NewCSR(monitored+1, f.H.Cols(), trips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allButOne := func(n, keep int) []int {
+		var rows []int
+		for i := 0; i < n; i++ {
+			if i != keep {
+				rows = append(rows, i)
+			}
+		}
+		return rows
+	}
+	fullMasks := map[string][]int{
+		"one-row":          {3},
+		"several-rows":     {0, 5, 9, 17, 120, 349},
+		"zero-row":         {zeroRow},
+		"zero-row-and-two": {zeroRow, 7, 8},
+		"all-but-one":      allButOne(wideH.Rows(), 2),
+		"all-rows":         allButOne(wideH.Rows(), -1),
+	}
+	slicedMasks := map[string][]int{
+		"one-row":            {3},
+		"several-rows":       {0, 5, 9, 17, 120, 349},
+		"one-switch-missing": oracle.SwitchRows(f, []topo.SwitchID{slices[4].Switch}),
+		"all-but-one":        allButOne(f.NumRules(), slices[0].OwnRows[0]),
+		"all-rows":           allButOne(f.NumRules(), -1),
+	}
+
+	for _, backend := range []struct {
+		name string
+		mode matrix.SparseMode
+	}{{"dense", matrix.SparseNever}, {"sparse", matrix.SparseAlways}} {
+		prepare := func(h *matrix.CSR) *core.Detector {
+			ls, err := matrix.PrepareLSOpts(h, matrix.LeastSquaresOptions{}, matrix.KernelOptions{Sparse: backend.mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := ls.Stats(); !st.Dual || st.Sparse != (backend.mode == matrix.SparseAlways) {
+				t.Fatalf("%dx%d engine under %s: stats %+v", h.Rows(), h.Cols(), backend.name, st)
+			}
+			return core.NewDetectorFromPrepared(ls, core.Options{})
+		}
+		full := prepare(wideH)
+		engines := make([]*core.Detector, len(slices))
+		for i, sl := range slices {
+			engines[i] = prepare(sl.H)
+		}
+		sliced, err := core.NewSlicedDetectorWithEngines(slices, engines, f.NumRules(), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range scenarios {
+			yWide := append(append([]float64(nil), sc.y[:monitored]...), 0)
+			for maskName, masked := range fullMasks {
+				t.Run(maskName+"/full/"+backend.name+"/"+sc.name, func(t *testing.T) {
+					got, err := full.DetectMasked(yWide, masked, core.Options{})
+					want, kept, wantErr := oracle.Detect(wideH, yWide, masked, core.Options{})
+					if maskName == "all-rows" {
+						if err == nil || wantErr == nil {
+							t.Fatalf("all rows masked must error: engine %v, oracle %v", err, wantErr)
+						}
+						return
+					}
+					if err != nil || wantErr != nil {
+						t.Fatalf("engine %v, oracle %v", err, wantErr)
+					}
+					requireOracleResult(t, got, want, kept, wideH.Rows())
+				})
+			}
+			for maskName, masked := range slicedMasks {
+				t.Run(maskName+"/sliced/"+backend.name+"/"+sc.name, func(t *testing.T) {
+					got, err := sliced.DetectMasked(sc.y, masked, core.Options{})
+					want, wantErr := oracle.DetectSliced(f, slices, sc.y, masked, core.Options{})
+					if maskName == "all-rows" {
+						if err == nil || wantErr == nil {
+							t.Fatalf("all rows masked must error: engine %v, oracle %v", err, wantErr)
+						}
+						return
+					}
+					if err != nil || wantErr != nil {
+						t.Fatalf("engine %v, oracle %v", err, wantErr)
+					}
+					requireOracleOutcome(t, got, want)
+				})
+			}
 		}
 	}
 }

@@ -70,6 +70,11 @@ func (c SparseConfig) withDefaults() SparseConfig {
 	return c
 }
 
+// scalePrepareBudget is how long the scale arm keeps re-preparing its
+// engine, the first, heap-sampled prepare included; the archived
+// timings are the fastest run's.
+const scalePrepareBudget = time.Second
+
 // SparseEquiv is one equivalence-arm row: the same H and the same
 // windows solved through the forced-dense and forced-sparse paths.
 type SparseEquiv struct {
@@ -100,22 +105,35 @@ type SparseResult struct {
 	Cols       int    `json:"cols"`
 	GoMaxProcs int    `json:"gomaxprocs"`
 
+	// Dual reports that H is wide and the engine factored HHᵀ+εI;
+	// FactoredDim is the dimension of the Gram that was factored (Rows
+	// when Dual, else Cols). The Gram and factor figures below describe
+	// that side.
+	Dual        bool `json:"dual"`
+	FactoredDim int  `json:"factoredDim"`
+
 	// GramNNZ and FactorNNZ count stored lower-triangle entries;
-	// FillRatio = FactorNNZ/GramNNZ measures ordering quality.
+	// FillRatio = FactorNNZ/GramNNZ measures ordering quality;
+	// GramDensity is (2·GramNNZ−d)/d² at d = FactoredDim.
 	GramNNZ     int     `json:"gramNNZ"`
 	FactorNNZ   int     `json:"factorNNZ"`
 	FillRatio   float64 `json:"fillRatio"`
 	GramDensity float64 `json:"gramDensity"`
 
-	// DenseGramBytes is what the dense path would allocate for the Gram
-	// alone (8n² bytes); the wall the sparse path exists to avoid.
-	DenseGramBytes     int64  `json:"denseGramBytes"`
-	BudgetBytes        int64  `json:"budgetBytes"`
-	DenseExceedsBudget bool   `json:"denseExceedsBudget"`
-	PeakHeapBytes      uint64 `json:"peakHeapBytes"`
-	SparseWithinBudget bool   `json:"sparseWithinBudget"`
+	// DenseGramBytes is what the factored Gram would take in dense form
+	// (8·FactoredDim² bytes). PrimalDenseGramBytes is the same for the
+	// primal Gram HᵀH (8·Cols² bytes) — the memory wall of a dense
+	// primal solve, which DenseExceedsBudget is about; on a wide H the
+	// two differ by (Cols/Rows)².
+	DenseGramBytes       int64  `json:"denseGramBytes"`
+	PrimalDenseGramBytes int64  `json:"primalDenseGramBytes"`
+	BudgetBytes          int64  `json:"budgetBytes"`
+	DenseExceedsBudget   bool   `json:"denseExceedsBudget"`
+	PeakHeapBytes        uint64 `json:"peakHeapBytes"`
+	SparseWithinBudget   bool   `json:"sparseWithinBudget"`
 
-	// Prepare-stage decomposition of the sparse path (seconds).
+	// Prepare-stage decomposition of the sparse path (seconds), from
+	// the fastest prepare within scalePrepareBudget.
 	GramSecs     float64 `json:"gramSecs"`
 	OrderingSecs float64 `json:"orderingSecs"`
 	SymbolicSecs float64 `json:"symbolicSecs"`
@@ -276,11 +294,12 @@ func Sparse(cfg SparseConfig) (SparseResult, error) {
 		return SparseResult{}, err
 	}
 	res.Rows, res.Cols = h.Rows(), h.Cols()
-	n := int64(h.Cols())
-	res.DenseGramBytes = 8 * n * n
-	res.DenseExceedsBudget = res.DenseGramBytes > cfg.BudgetBytes
+	cols := int64(h.Cols())
+	res.PrimalDenseGramBytes = 8 * cols * cols
+	res.DenseExceedsBudget = res.PrimalDenseGramBytes > cfg.BudgetBytes
 
 	var ls *matrix.PreparedLS
+	start := time.Now()
 	peak, err := peakHeapDuring(func() error {
 		var err error
 		ls, err = matrix.PrepareLSOpts(h, matrix.LeastSquaresOptions{}, matrix.KernelOptions{Sparse: matrix.SparseAlways})
@@ -295,6 +314,22 @@ func Sparse(cfg SparseConfig) (SparseResult, error) {
 	if !st.Sparse {
 		return SparseResult{}, fmt.Errorf("scale arm did not take the sparse path")
 	}
+	// The timings are the fastest prepare within scalePrepareBudget: the
+	// -check gate compares them with the previous archive at x1.25, which
+	// a single reading of a dual prepare (tens of milliseconds) cannot
+	// hold. A prepare that takes seconds runs once, as it always did.
+	for time.Since(start) < scalePrepareBudget {
+		again, err := matrix.PrepareLSOpts(h, matrix.LeastSquaresOptions{}, matrix.KernelOptions{Sparse: matrix.SparseAlways})
+		if err != nil {
+			return SparseResult{}, fmt.Errorf("sparse prepare on %s: %w", cfg.Topology, err)
+		}
+		if s := again.Stats(); s.Gram+s.Factor < st.Gram+st.Factor {
+			st = s
+		}
+	}
+	res.Dual, res.FactoredDim = st.Dual, st.Dim
+	n := int64(st.Dim)
+	res.DenseGramBytes = 8 * n * n
 	res.GramNNZ = st.GramNNZ
 	res.FactorNNZ = st.FactorNNZ
 	if st.GramNNZ > 0 {

@@ -7,19 +7,34 @@ import (
 )
 
 // PreparedLS is a factor-once/solve-many least-squares engine for a
-// fixed sparse H: the normal-equations matrix HᵀH is assembled and
+// fixed sparse H: the normal equations are assembled and
 // Cholesky-factored at prepare time (with the ridge fallback for
 // linearly dependent columns baked in), so each subsequent solve costs
-// only one sparse Hᵀy product and two triangular substitutions — no
-// O(n³) work and, via SolveInto, no allocation. H only changes when the
-// controller installs rules, so continuous monitors prepare once per
-// rule generation and solve every detection period.
+// only sparse products with H and two triangular substitutions — no
+// factorization work and, via SolveInto, no allocation. H only changes
+// when the controller installs rules, so continuous monitors prepare
+// once per rule generation and solve every detection period.
 //
-// The factorization backend is selected per KernelOptions.Sparse: the
-// default SparseAuto assembles the Gram sparsely for wide systems and
-// keeps it sparse when its density is at or below the threshold,
-// breaking the O(n²) dense-Gram memory wall; narrow or dense systems
-// scatter to the dense kernels and behave exactly as before.
+// Which side is factored is a property of H, not an option. A tall or
+// square H (Rows ≥ Cols) takes the primal form x̂ = (HᵀH)⁻¹Hᵀy, with
+// the ridge only when HᵀH turns out singular. A wide H (Rows < Cols)
+// has a singular HᵀH by construction (rank ≤ Rows), so the primal path
+// would always end at (HᵀH+εI)⁻¹Hᵀy; the engine instead factors the
+// Rows×Rows dual Gram and computes x̂ = Hᵀ(HHᵀ+εI)⁻¹y — the same
+// estimator exactly (push-through identity) under the same ε. For a
+// flow-counter matrix the dual Gram is also the sparser one: a flow
+// crosses at most path-length+1 rules, so a column of H adds a handful
+// of entries to HHᵀ, while an aggregate rule carrying k flows adds k²
+// to HᵀH. A dual engine's factor is not a factor of HᵀH, so it refuses
+// Factor and CloneFactor; callers that maintain factors by rank-one
+// updates take the refactor path they already have for factor-less
+// engines.
+//
+// The factorization backend is selected per KernelOptions.Sparse,
+// applied to the factored dimension: the default SparseAuto assembles
+// the Gram sparsely for large systems and keeps it sparse when its
+// density is at or below the threshold, breaking the O(n²) dense-Gram
+// memory wall; small or dense systems scatter to the dense kernels.
 type PreparedLS struct {
 	h     *CSR
 	chol  *Cholesky       // dense backend (nil when sparse)
@@ -32,11 +47,18 @@ type PreparedLS struct {
 // telemetry histograms. All durations are zero for engines wrapped
 // with NewPreparedLSFromFactor (no Gram or factorization ran).
 type PrepareStats struct {
-	// Gram is the HᵀH assembly time (sparse or dense form).
+	// Dual reports that H was wide (Rows < Cols) and the engine factored
+	// HHᵀ+εI instead of HᵀH; every other field then describes that
+	// side. Dim is the factored dimension: Rows when Dual, else Cols.
+	Dual bool
+	Dim  int
+	// Gram is the Gram assembly time (sparse or dense form; a dual
+	// engine's includes transposing H).
 	Gram time.Duration
 	// Factor is the total factorization time, including the ridge retry
-	// when the plain factorization failed. On the sparse path it equals
-	// Ordering + Symbolic + Numeric.
+	// when the plain factorization failed (a dual engine never retries:
+	// its ridge goes in before the only attempt). On the sparse path it
+	// equals Ordering + Symbolic + Numeric.
 	Factor time.Duration
 	// Sparse-path stage split (zero on the dense path): fill-reducing
 	// ordering, symbolic analysis, and numeric factorization.
@@ -67,7 +89,8 @@ type UpdatableFactor interface {
 // package kernel defaults. When HᵀH is singular it applies the same
 // ridge regularization as SolveNormalEquations (opts.Ridge, or a
 // trace-scaled default) before refactoring, so prepared and one-shot
-// solves agree exactly.
+// solves agree exactly; a wide h is singular by construction and goes
+// straight to the dual form under that ridge (see PreparedLS).
 func PrepareLS(h *CSR, opts LeastSquaresOptions) (*PreparedLS, error) {
 	return PrepareLSOpts(h, opts, KernelOptions{})
 }
@@ -78,10 +101,11 @@ func PrepareLSOpts(h *CSR, opts LeastSquaresOptions, ko KernelOptions) (*Prepare
 }
 
 // PrepareLSReusing prepares like PrepareLSOpts but, when prev is a
-// sparse-backed engine whose Gram pattern exactly matches h's, reuses
-// prev's cached ordering and symbolic analysis and runs only the
-// numeric factorization. The churn manager uses it so value-only rule
-// churn (and ridge retries) never repeat the pattern work.
+// sparse-backed engine whose factored Gram pattern (primal or dual)
+// exactly matches the one h will factor, reuses prev's cached ordering
+// and symbolic analysis and runs only the numeric factorization. The
+// churn manager uses it so value-only rule churn (and ridge retries)
+// never repeat the pattern work.
 func PrepareLSReusing(h *CSR, opts LeastSquaresOptions, ko KernelOptions, prev *PreparedLS) (*PreparedLS, error) {
 	var sym *SparseSymbolic
 	if prev != nil && prev.sp != nil {
@@ -91,67 +115,96 @@ func PrepareLSReusing(h *CSR, opts LeastSquaresOptions, ko KernelOptions, prev *
 }
 
 func prepareLS(h *CSR, opts LeastSquaresOptions, ko KernelOptions, prevSym *SparseSymbolic) (*PreparedLS, error) {
-	mode, minCols, density := resolveSparse(ko)
-	n := h.Cols()
-	if mode == SparseNever || (mode == SparseAuto && n < minCols) {
-		return prepareDense(h, opts, ko, nil, 0)
-	}
-	t0 := time.Now()
-	g := h.SymGram()
-	tGram := time.Since(t0)
-	if mode != SparseAlways && g.Density() > density {
-		// Too dense for the sparse factor to pay off: scatter the already
-		// assembled Gram (entry-for-entry equal to the serial dense
-		// assembly) and run the dense path.
-		return prepareDense(h, opts, ko, g, tGram)
-	}
-	return prepareSparse(h, opts, ko, g, tGram, prevSym)
-}
-
-// prepareDense is the dense backend: Gram (reusing a sparse assembly
-// when one was already built for the density probe), blocked Cholesky,
-// ridge retry.
-func prepareDense(h *CSR, opts LeastSquaresOptions, ko KernelOptions, g *SymSparse, tGram time.Duration) (*PreparedLS, error) {
-	var gram *Dense
-	if g != nil {
+	// a is the matrix whose Gram aᵀa gets factored: h itself, or hᵀ when
+	// h is wide and the small side is HHᵀ.
+	a := h
+	var tGram time.Duration
+	if h.Rows() < h.Cols() {
 		t0 := time.Now()
-		gram = g.ToDense()
-		tGram += time.Since(t0)
-	} else {
-		t0 := time.Now()
-		gram = h.GramOpts(ko)
+		a = h.transpose()
 		tGram = time.Since(t0)
 	}
-	t1 := time.Now()
-	chol, err := NewCholeskyOpts(gram, ko)
-	if err == nil {
-		return &PreparedLS{h: h, chol: chol, stats: PrepareStats{Gram: tGram, Factor: time.Since(t1)}}, nil
+	mode, minCols, density := resolveSparse(ko)
+	n := a.Cols()
+	var p *PreparedLS
+	var err error
+	if mode == SparseNever || (mode == SparseAuto && n < minCols) {
+		p, err = prepareDense(h, a, opts, ko, nil, tGram)
+	} else {
+		t0 := time.Now()
+		g := a.SymGram()
+		tGram += time.Since(t0)
+		if mode != SparseAlways && g.Density() > density {
+			// Too dense for the sparse factor to pay off: scatter the
+			// already assembled Gram (entry-for-entry equal to the serial
+			// dense assembly) and run the dense path.
+			p, err = prepareDense(h, a, opts, ko, g, tGram)
+		} else {
+			p, err = prepareSparse(h, a, opts, ko, g, tGram, prevSym)
+		}
 	}
-	if !errors.Is(err, ErrNotPositiveDefinite) {
+	if err != nil {
 		return nil, err
 	}
-	ridge := opts.Ridge
-	if ridge == 0 {
-		trace := 0.0
-		for i := 0; i < gram.Rows(); i++ {
-			trace += gram.At(i, i)
-		}
-		ridge = 1e-9 * (trace/float64(gram.Rows()) + 1)
+	p.h = h
+	p.stats.Dual, p.stats.Dim = a != h, n
+	return p, nil
+}
+
+// ridgeFor is the regularization ε for a singular HᵀH: opts.Ridge, or
+// by default 1e-9 of the mean diagonal of HᵀH (plus one). trace(HHᵀ) =
+// trace(HᵀH), so the dual form passes its own Gram's trace and H's
+// column count and lands on the same ε.
+func ridgeFor(opts LeastSquaresOptions, trace float64, cols int) float64 {
+	if opts.Ridge != 0 {
+		return opts.Ridge
 	}
+	return 1e-9 * (trace/float64(cols) + 1)
+}
+
+// prepareDense is the dense backend: Gram of a (reusing a sparse
+// assembly when one was already built for the density probe), blocked
+// Cholesky, ridge retry — or, when a is hᵀ, the ridge up front and one
+// factorization.
+func prepareDense(h, a *CSR, opts LeastSquaresOptions, ko KernelOptions, g *SymSparse, tGram time.Duration) (*PreparedLS, error) {
+	var gram *Dense
+	t0 := time.Now()
+	if g != nil {
+		gram = g.ToDense()
+	} else {
+		gram = a.GramOpts(ko)
+	}
+	tGram += time.Since(t0)
+	t1 := time.Now()
+	if dual := a != h; !dual {
+		chol, err := NewCholeskyOpts(gram, ko)
+		if err == nil {
+			return &PreparedLS{chol: chol, stats: PrepareStats{Gram: tGram, Factor: time.Since(t1)}}, nil
+		}
+		if !errors.Is(err, ErrNotPositiveDefinite) {
+			return nil, err
+		}
+	}
+	trace := 0.0
+	for i := 0; i < gram.Rows(); i++ {
+		trace += gram.At(i, i)
+	}
+	ridge := ridgeFor(opts, trace, h.Cols())
 	for i := 0; i < gram.Rows(); i++ {
 		gram.Add(i, i, ridge)
 	}
-	chol, err = NewCholeskyOpts(gram, ko)
+	chol, err := NewCholeskyOpts(gram, ko)
 	if err != nil {
 		return nil, fmt.Errorf("matrix: ridge-regularized normal equations: %w", err)
 	}
-	return &PreparedLS{h: h, chol: chol, ridge: ridge, stats: PrepareStats{Gram: tGram, Factor: time.Since(t1)}}, nil
+	return &PreparedLS{chol: chol, ridge: ridge, stats: PrepareStats{Gram: tGram, Factor: time.Since(t1)}}, nil
 }
 
 // prepareSparse is the sparse backend: AMD ordering + symbolic analysis
 // (reused from prevSym when its Gram pattern matches), supernodal
-// numeric factorization, ridge retry on the same analysis.
-func prepareSparse(h *CSR, opts LeastSquaresOptions, ko KernelOptions, g *SymSparse, tGram time.Duration, prevSym *SparseSymbolic) (*PreparedLS, error) {
+// numeric factorization, ridge retry on the same analysis — or, when a
+// is hᵀ, the ridge up front and one factorization.
+func prepareSparse(h, a *CSR, opts LeastSquaresOptions, ko KernelOptions, g *SymSparse, tGram time.Duration, prevSym *SparseSymbolic) (*PreparedLS, error) {
 	var tOrd, tSym time.Duration
 	sym := prevSym
 	if sym == nil || !sym.Matches(g) {
@@ -163,18 +216,19 @@ func prepareSparse(h *CSR, opts LeastSquaresOptions, ko KernelOptions, g *SymSpa
 		tSym = time.Since(t1)
 	}
 	t2 := time.Now()
-	sp, err := newSparseCholeskyWith(g, sym, ko)
 	ridge := 0.0
-	if err != nil {
-		if !errors.Is(err, ErrNotPositiveDefinite) {
+	var sp *SparseCholesky
+	var err error
+	if dual := a != h; !dual {
+		sp, err = newSparseCholeskyWith(g, sym, ko)
+		if err != nil && !errors.Is(err, ErrNotPositiveDefinite) {
 			return nil, err
 		}
-		ridge = opts.Ridge
-		if ridge == 0 {
-			ridge = 1e-9 * (g.Trace()/float64(g.n) + 1)
-		}
-		// The pattern always stores diagonal slots, so the ridge retry
-		// reuses the same symbolic analysis.
+	}
+	if sp == nil {
+		// The pattern always stores diagonal slots, so the ridge changes
+		// no pattern and a retry reuses the same symbolic analysis.
+		ridge = ridgeFor(opts, g.Trace(), h.Cols())
 		g.AddRidge(ridge)
 		sp, err = newSparseCholeskyWith(g, sym, ko)
 		if err != nil {
@@ -182,7 +236,7 @@ func prepareSparse(h *CSR, opts LeastSquaresOptions, ko KernelOptions, g *SymSpa
 		}
 	}
 	tNum := time.Since(t2)
-	return &PreparedLS{h: h, sp: sp, ridge: ridge, stats: PrepareStats{
+	return &PreparedLS{sp: sp, ridge: ridge, stats: PrepareStats{
 		Gram:      tGram,
 		Factor:    tOrd + tSym + tNum,
 		Ordering:  tOrd,
@@ -205,9 +259,12 @@ func NewPreparedLSFromFactor(h *CSR, chol *Cholesky, ridge float64) (*PreparedLS
 }
 
 // NewPreparedLSFromUpdatable wraps a rank-one-maintained factor of
-// either backend as a prepared engine. Poisoned factors (a failed
-// Update/Downdate) are rejected with ErrFactorPoisoned so a broken
-// factor can never be promoted into a serving engine.
+// hᵀh (+ ridge·I), of either backend, as a prepared primal engine. The
+// factor's dimension must be h's column count — which also keeps a
+// dual engine's Rows-sized factor from ever being wrapped — and
+// poisoned factors (a failed Update/Downdate) are rejected with
+// ErrFactorPoisoned so a broken factor can never be promoted into a
+// serving engine.
 func NewPreparedLSFromUpdatable(h *CSR, f UpdatableFactor, ridge float64) (*PreparedLS, error) {
 	if f == nil {
 		return nil, fmt.Errorf("matrix: nil factor")
@@ -218,7 +275,7 @@ func NewPreparedLSFromUpdatable(h *CSR, f UpdatableFactor, ridge float64) (*Prep
 	if !f.Valid() {
 		return nil, ErrFactorPoisoned
 	}
-	p := &PreparedLS{h: h, ridge: ridge}
+	p := &PreparedLS{h: h, ridge: ridge, stats: PrepareStats{Dim: f.N()}}
 	switch t := f.(type) {
 	case *Cholesky:
 		p.chol = t
@@ -231,21 +288,30 @@ func NewPreparedLSFromUpdatable(h *CSR, f UpdatableFactor, ridge float64) (*Prep
 }
 
 // Factor exposes the underlying dense Cholesky factorization of HᵀH,
-// or nil when the engine is sparse-backed; prefer CloneFactor for
-// backend-agnostic rank-one maintenance. Callers that need a modified
-// engine must Clone it first; mutating the returned factor corrupts the
-// prepared engine.
-func (p *PreparedLS) Factor() *Cholesky { return p.chol }
+// or nil when the engine is sparse-backed or dual; prefer CloneFactor
+// for backend-agnostic rank-one maintenance. Callers that need a
+// modified engine must Clone it first; mutating the returned factor
+// corrupts the prepared engine.
+func (p *PreparedLS) Factor() *Cholesky {
+	if p.stats.Dual {
+		return nil
+	}
+	return p.chol
+}
 
 // SparseBacked reports whether the sparse direct backend prepared this
 // engine.
 func (p *PreparedLS) SparseBacked() bool { return p.sp != nil }
 
 // CloneFactor returns an independently updatable copy of the prepared
-// factor (dense or sparse), or nil for engines without one. The clone
-// shares no mutable state with the serving engine.
+// factor of HᵀH (dense or sparse), or nil for engines without one —
+// which includes every dual engine: row updates of H are rank-one
+// changes to HᵀH but change the dimension of HHᵀ. The clone shares no
+// mutable state with the serving engine.
 func (p *PreparedLS) CloneFactor() UpdatableFactor {
 	switch {
+	case p.stats.Dual:
+		return nil
 	case p.sp != nil:
 		return p.sp.Clone()
 	case p.chol != nil:
@@ -282,40 +348,57 @@ func (p *PreparedLS) Solve(y []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// SolveInto computes x̂ = (HᵀH)⁻¹Hᵀy into dst without allocating.
+// factorSolve solves against the prepared factor (either backend) at
+// the factored dimension.
+func (p *PreparedLS) factorSolve(dst, b, scratch []float64) error {
+	if p.sp != nil {
+		return p.sp.SolveInto(dst, b, scratch)
+	}
+	return p.chol.SolveInto(dst, b, scratch)
+}
+
+// SolveInto computes x̂ = (HᵀH)⁻¹Hᵀy — on a dual engine the equal
+// Hᵀ(HHᵀ+εI)⁻¹y — into dst (length Cols()) without allocating.
 // workspace is scratch of length Cols() that must not alias dst or y.
 func (p *PreparedLS) SolveInto(dst, y, workspace []float64) error {
-	if len(y) != p.h.Rows() {
-		return fmt.Errorf("matrix: prepared solve dims %dx%d vs %d", p.h.Rows(), p.h.Cols(), len(y))
+	m, n := p.h.Rows(), p.h.Cols()
+	if len(y) != m {
+		return fmt.Errorf("matrix: prepared solve dims %dx%d vs %d", m, n, len(y))
+	}
+	if p.stats.Dual {
+		if len(dst) != n || len(workspace) != n {
+			return fmt.Errorf("matrix: prepared solve buffers %d/%d vs %d columns", len(dst), len(workspace), n)
+		}
+		// z = (HHᵀ+εI)⁻¹y lives in the head of the workspace; the head of
+		// dst is free until Hᵀz overwrites it, so it serves as the
+		// triangular-solve scratch.
+		z := workspace[:m]
+		if err := p.factorSolve(z, y, dst[:m]); err != nil {
+			return err
+		}
+		return p.h.TMulVecInto(dst, z)
 	}
 	if err := p.h.TMulVecInto(dst, y); err != nil {
 		return err
 	}
-	if p.sp != nil {
-		return p.sp.SolveInto(dst, dst, workspace)
-	}
-	return p.chol.SolveInto(dst, dst, workspace)
+	return p.factorSolve(dst, dst, workspace)
 }
 
-// SolveBatch computes x̂ for k observation vectors in one multi-RHS
-// triangular sweep, returning the solutions as the columns of a
-// Cols()×k matrix. Column r is bitwise identical to Solve(ys[r]) — the
-// dense batch amortizes factor memory traffic across the windows
-// without changing any result (see Cholesky.SolveManyInto); the sparse
-// backend loops per-window SolveInto, which is already the same
-// arithmetic.
+// SolveBatch computes x̂ for k observation vectors, returning the
+// solutions as the columns of a Cols()×k matrix. Column r is bitwise
+// identical to Solve(ys[r]): a primal dense engine runs one multi-RHS
+// triangular sweep, which amortizes factor memory traffic across the
+// windows without changing any result (see Cholesky.SolveManyInto);
+// sparse-backed and dual engines loop per-window SolveInto.
 func (p *PreparedLS) SolveBatch(ys [][]float64) (*Dense, error) {
 	n := p.Cols()
 	k := len(ys)
-	if p.sp != nil {
+	if p.sp != nil || p.stats.Dual {
 		x := NewDense(n, k)
 		tmp := make([]float64, n)
 		scratch := make([]float64, n)
 		for r, y := range ys {
-			if err := p.h.TMulVecInto(tmp, y); err != nil {
-				return nil, err
-			}
-			if err := p.sp.SolveInto(tmp, tmp, scratch); err != nil {
+			if err := p.SolveInto(tmp, y, scratch); err != nil {
 				return nil, err
 			}
 			for i, v := range tmp {

@@ -104,26 +104,37 @@ func TestPreparedLSRidgeFallback(t *testing.T) {
 	}
 }
 
+// TestPreparedLSSolveIntoAllocationFree: SolveInto works entirely inside
+// the caller's buffers, on primal and dual engines of both backends —
+// the dual form carves z and its triangular-solve scratch out of them
+// too.
 func TestPreparedLSSolveIntoAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	h := fcmShapedCSR(t, rng, 40, 12)
-	y := make([]float64, 40)
-	for i := range y {
-		y[i] = rng.Float64() * 1000
-	}
-	p, err := PrepareLS(h, LeastSquaresOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, p.Cols())
-	ws := make([]float64, p.Cols())
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := p.SolveInto(dst, y, ws); err != nil {
-			t.Fatal(err)
+	for _, h := range []*CSR{fcmShapedCSR(t, rng, 40, 12), fcmShapedCSR(t, rng, 12, 40)} {
+		y := make([]float64, h.Rows())
+		for i := range y {
+			y[i] = rng.Float64() * 1000
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SolveInto allocates %v times per run, want 0", allocs)
+		for _, mode := range []SparseMode{SparseNever, SparseAlways} {
+			p, err := PrepareLSOpts(h, LeastSquaresOptions{}, KernelOptions{Sparse: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := p.Stats()
+			if st.Dual != (h.Rows() < h.Cols()) || st.Sparse != (mode == SparseAlways) {
+				t.Fatalf("%dx%d under mode %v: stats %+v", h.Rows(), h.Cols(), mode, st)
+			}
+			dst := make([]float64, p.Cols())
+			ws := make([]float64, p.Cols())
+			allocs := testing.AllocsPerRun(50, func() {
+				if err := p.SolveInto(dst, y, ws); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%dx%d sparse=%v: SolveInto allocates %v times per run, want 0", h.Rows(), h.Cols(), st.Sparse, allocs)
+			}
+		}
 	}
 }
 
@@ -142,6 +153,24 @@ func TestPreparedLSValidation(t *testing.T) {
 	}
 	if p.Rows() != 10 || p.Cols() != 4 {
 		t.Fatalf("dims %dx%d", p.Rows(), p.Cols())
+	}
+	// A dual engine keeps the Cols()-length buffer contract, and never
+	// takes a factor handed back in as one of HᵀH.
+	wide, err := PrepareLS(h.transpose(), LeastSquaresOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.SolveInto(make([]float64, 10), make([]float64, 4), make([]float64, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.SolveInto(make([]float64, 10), make([]float64, 4), make([]float64, 4)); err == nil {
+		t.Fatal("short dual workspace must error")
+	}
+	if err := wide.SolveInto(make([]float64, 4), make([]float64, 4), make([]float64, 10)); err == nil {
+		t.Fatal("short dual dst must error")
+	}
+	if _, err := NewPreparedLSFromUpdatable(wide.H(), wide.chol, wide.Ridge()); err == nil {
+		t.Fatal("a dual engine's HHᵀ factor was wrapped as a factor of HᵀH")
 	}
 }
 

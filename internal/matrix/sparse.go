@@ -147,6 +147,36 @@ func (m *CSR) TMulVecInto(dst, x []float64) error {
 	return nil
 }
 
+// transpose returns mᵀ as a new CSR in O(nnz): one counting pass over
+// the columns, then a scatter that visits rows in ascending order so
+// every transposed row's column indices come out ascending.
+func (m *CSR) transpose() *CSR {
+	t := &CSR{
+		rows:   m.cols,
+		cols:   m.rows,
+		rowPtr: make([]int, m.cols+1),
+		colIdx: make([]int, len(m.val)),
+		val:    make([]float64, len(m.val)),
+	}
+	for _, c := range m.colIdx {
+		t.rowPtr[c+1]++
+	}
+	for c := 0; c < m.cols; c++ {
+		t.rowPtr[c+1] += t.rowPtr[c]
+	}
+	fill := make([]int, m.cols)
+	copy(fill, t.rowPtr[:m.cols])
+	for i := 0; i < m.rows; i++ {
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			p := fill[m.colIdx[k]]
+			t.colIdx[p] = i
+			t.val[p] = m.val[k]
+			fill[m.colIdx[k]]++
+		}
+	}
+	return t
+}
+
 // Gram computes mᵀ * m as a dense symmetric matrix. Large matrices are
 // assembled by the parallel row-partitioned kernel under the package
 // kernel defaults (see kernels.go); the result is bitwise identical to

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -189,5 +190,28 @@ func TestPropertyCSRGramSymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestCSRTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, sh := range [][2]int{{1, 1}, {3, 9}, {9, 3}, {30, 40}} {
+		h := fcmShapedCSR(t, rng, sh[0], sh[1])
+		ht := h.transpose()
+		if ht.Rows() != h.Cols() || ht.Cols() != h.Rows() || ht.NNZ() != h.NNZ() {
+			t.Fatalf("transpose of %dx%d (%d nnz) is %dx%d (%d nnz)", h.Rows(), h.Cols(), h.NNZ(), ht.Rows(), ht.Cols(), ht.NNZ())
+		}
+		for i := 0; i < h.Rows(); i++ {
+			for j := 0; j < h.Cols(); j++ {
+				if ht.At(j, i) != h.At(i, j) {
+					t.Fatalf("(%d,%d): %v, transposed %v", i, j, h.At(i, j), ht.At(j, i))
+				}
+			}
+		}
+		// At binary-searches each row, so ascending column order is part
+		// of what the loop above checked; a round trip restores h.
+		if !reflect.DeepEqual(ht.transpose(), h) {
+			t.Fatal("transposing twice did not restore the matrix")
+		}
 	}
 }

@@ -2,7 +2,7 @@ package matrix
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SymSparse is a symmetric sparse matrix stored as its lower triangle
@@ -61,7 +61,7 @@ func (m *CSR) SymGram() *SymSparse {
 				w[b] += va * m.val[q]
 			}
 		}
-		sort.Slice(pattern, func(i, j int) bool { return pattern[i] < pattern[j] })
+		slices.Sort(pattern)
 		for _, b := range pattern {
 			g.rowIdx = append(g.rowIdx, b)
 			g.val = append(g.val, w[b])
