@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet vet-metrics build test test-stress test-alloc bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke bench pprof-stream
+.PHONY: ci fmt vet vet-metrics build test test-stress test-alloc test-fuzz bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke bench pprof-stream
 
-ci: fmt vet vet-metrics build test-stress test-alloc bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke
+ci: fmt vet vet-metrics build test-stress test-alloc test-fuzz bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke
 
 fmt:
 	@files="$$(gofmt -l .)"; \
@@ -35,10 +35,12 @@ test-stress:
 	$(GO) test -race -count=2 -timeout 900s ./...
 
 # Allocation regression tests: AllocsPerRun budgets on the streaming
-# hot path (Serve allocs/window, wire frame round trip) and on the
-# symbolic walk (header-space operations, the candidate-first table
-# carve, TraceSource allocs per record) plus the pooled window release
-# contract, and on the prepared solve (PreparedLS.SolveInto 0,
+# hot path (Serve allocs/window, wire frame round trip), on the
+# collection plane (one flow-stats round trip client and agent together
+# over loopback TCP, one PollSnapshots round, push + completion +
+# release) and on the symbolic walk (header-space operations, the
+# candidate-first table carve, TraceSource allocs per record) plus the
+# pooled window release contract, and on the prepared solve (PreparedLS.SolveInto 0,
 # Detector.Detect 2, sliced detection flat). Run WITHOUT -race — the
 # race detector's instrumentation inflates MemStats allocation counts,
 # so the budget tests carry a !race build tag (or skip themselves) and
@@ -46,7 +48,16 @@ test-stress:
 # additionally ride along under `make test` and `make test-stress` with
 # -race.
 test-alloc:
-	$(GO) test -timeout 180s -run 'Alloc|WindowRelease|DoubleRelease|FrameRoundTrip' . ./internal/wire/ ./internal/collector/ ./internal/header/ ./internal/flowtable/ ./internal/fcm/ ./internal/matrix/ ./internal/core/
+	$(GO) test -timeout 180s -run 'Alloc|WindowRelease|DoubleRelease|FrameRoundTrip' . ./internal/wire/ ./internal/openflow/ ./internal/collector/ ./internal/header/ ./internal/flowtable/ ./internal/fcm/ ./internal/matrix/ ./internal/core/
+
+# Fuzz smoke over the control-channel parser, which decodes every frame
+# out of one reused read buffer: arbitrary bytes through Conn.Read, and
+# decode(append-encode(m)) == m for every payload type. The seed corpus
+# (internal/openflow/testdata/fuzz) also runs as plain tests everywhere
+# else. One -fuzz target per invocation is a go test rule.
+test-fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzConnRead$$' -fuzztime 5s ./internal/openflow/
+	$(GO) test -run '^$$' -fuzz '^FuzzPayloadRoundTrip$$' -fuzztime 5s ./internal/openflow/
 
 # Bench gate for the zero-allocation steady state: the alloc experiment
 # must keep pooled-path verdicts byte-identical to the polled map-era

@@ -27,12 +27,32 @@ import "foces/internal/topo"
 // advanceEpochInto, which accumulates deltas into a dense epoch-sized
 // scratch instead of returning a fresh map per snapshot.
 //
+// Internally a snapshot is a list of (rule, count) pairs — the form the
+// assembler queues its copies in. The map-taking entry points flatten
+// their argument into a scratch list first, so there is one advance.
+//
 // DeltaTracker is not safe for concurrent use; RobustCollector guards
 // it with its own mutex.
 type DeltaTracker struct {
 	prev      map[topo.SwitchID]map[int]uint64
 	prevEpoch map[topo.SwitchID]uint64
 	epoch     uint64
+	flat      []ruleCount // AdvanceEpoch's flattening scratch
+}
+
+// ruleCount is one entry of a cumulative counter snapshot. A snapshot
+// in this form lists each rule at most once.
+type ruleCount struct {
+	rule  int
+	count uint64
+}
+
+// appendSnapshot flattens a counter map onto dst.
+func appendSnapshot(dst []ruleCount, counters map[int]uint64) []ruleCount {
+	for rid, v := range counters {
+		dst = append(dst, ruleCount{rid, v})
+	}
+	return dst
 }
 
 // NewDeltaTracker returns an empty tracker; every switch's first
@@ -77,17 +97,19 @@ func (t *DeltaTracker) Advance(sw topo.SwitchID, cur map[int]uint64) (delta map[
 // rule generations and the rules changed in between must be masked out
 // of detection for this window.
 func (t *DeltaTracker) AdvanceEpoch(sw topo.SwitchID, cur map[int]uint64) (delta map[int]uint64, reset, primed bool, fromEpoch uint64, straddles bool) {
-	delta, reset, primed, fromEpoch, straddles = t.advance(sw, cur, nil, true)
+	t.flat = appendSnapshot(t.flat[:0], cur)
+	delta, reset, primed, fromEpoch, straddles = t.advance(sw, t.flat, nil, true)
 	return
 }
 
-// advanceEpochInto is AdvanceEpoch for the streaming hot path: instead
-// of returning a fresh delta map it accumulates the delta into acc
-// (only when the snapshot yields a usable delta — primed and not
-// reset). acc entries sum across calls, so consuming a queue of
-// snapshots through one accumulator telescopes to the single delta one
-// poll at the final snapshot would have produced.
-func (t *DeltaTracker) advanceEpochInto(sw topo.SwitchID, cur map[int]uint64, acc *denseDeltas) (reset, primed bool, fromEpoch uint64, straddles bool) {
+// advanceEpochInto is AdvanceEpoch for the streaming hot path: it takes
+// the snapshot already flattened, and instead of returning a fresh
+// delta map it accumulates the delta into acc (only when the snapshot
+// yields a usable delta — primed and not reset). acc entries sum across
+// calls, so consuming a queue of snapshots through one accumulator
+// telescopes to the single delta one poll at the final snapshot would
+// have produced.
+func (t *DeltaTracker) advanceEpochInto(sw topo.SwitchID, cur []ruleCount, acc *denseDeltas) (reset, primed bool, fromEpoch uint64, straddles bool) {
 	_, reset, primed, fromEpoch, straddles = t.advance(sw, cur, acc, false)
 	return
 }
@@ -96,11 +118,11 @@ func (t *DeltaTracker) advanceEpochInto(sw topo.SwitchID, cur map[int]uint64, ac
 // reset-checks cur against the baseline, produces the delta (as a
 // fresh map when wantMap, into acc otherwise), and folds cur into the
 // baseline in place.
-func (t *DeltaTracker) advance(sw topo.SwitchID, cur map[int]uint64, acc *denseDeltas, wantMap bool) (delta map[int]uint64, reset, primed bool, fromEpoch uint64, straddles bool) {
+func (t *DeltaTracker) advance(sw topo.SwitchID, cur []ruleCount, acc *denseDeltas, wantMap bool) (delta map[int]uint64, reset, primed bool, fromEpoch uint64, straddles bool) {
 	prev, ok := t.prev[sw]
 	if ok {
-		for rid, v := range cur {
-			if v < prev[rid] {
+		for _, c := range cur {
+			if c.count < prev[c.rule] {
 				reset = true
 				break
 			}
@@ -117,29 +139,29 @@ func (t *DeltaTracker) advance(sw topo.SwitchID, cur map[int]uint64, acc *denseD
 	}
 	before := len(prev)
 	added := 0
-	for rid, v := range cur {
-		old, existed := prev[rid]
+	for _, c := range cur {
+		old, existed := prev[c.rule]
 		if !existed {
 			added++
 		}
 		if usable {
 			if wantMap {
-				delta[rid] = v - old
+				delta[c.rule] = c.count - old
 			} else {
-				acc.add(rid, v-old)
+				acc.add(c.rule, c.count-old)
 			}
 		}
-		prev[rid] = v
+		prev[c.rule] = c.count
 	}
 	// Rules absent from cur were deleted since the previous snapshot;
-	// drop them from the baseline. In the steady state (same rule set
-	// every window) this branch never runs and advance is allocation
-	// free.
+	// drop them from the baseline, which by now holds cur's value for
+	// every rule cur lists: what must remain is exactly cur. In the
+	// steady state (same rule set every window) this branch never runs
+	// and advance is allocation free.
 	if before+added > len(cur) {
-		for rid := range prev {
-			if _, live := cur[rid]; !live {
-				delete(prev, rid)
-			}
+		clear(prev)
+		for _, c := range cur {
+			prev[c.rule] = c.count
 		}
 	}
 	t.prevEpoch[sw] = t.epoch

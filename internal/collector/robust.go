@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -133,7 +134,10 @@ type RobustMetrics struct {
 	LastElapsed time.Duration `json:"lastElapsedNs"`
 }
 
-// PollResult is one period's collection outcome.
+// PollResult is one period's collection outcome. Everything in it is
+// freshly allocated and the caller's to keep; but a Poll, like a
+// PollSnapshots, ends the validity of the maps an earlier
+// SnapshotResult handed out (see there).
 type PollResult struct {
 	// Deltas holds per-period counter deltas keyed by global rule ID,
 	// from switches that answered and had a valid one-period baseline.
@@ -165,11 +169,38 @@ type PollResult struct {
 	Elapsed time.Duration
 }
 
-// switchState is one switch's slot in the health state machine.
-type switchState struct {
+// switchSlot is everything the collector keeps for one switch, built
+// once in NewRobustFromStats and reused round after round: its place in
+// the health state machine, this round's assignment and raw outcome, and
+// the storage of its snapshot.
+type switchSlot struct {
+	sw     topo.SwitchID
+	client StatsClient
+	// run is rc.fetch(slot), built once so that `go slot.run()` allocates
+	// nothing.
+	run func()
+
+	// Health state machine; guarded by rc.mu.
 	health     SwitchHealth
 	fails      int // consecutive failed polls
 	sinceProbe int // periods spent waiting in quarantine
+
+	// This round's assignment, set by planLocked and read-only while the
+	// fetch goroutines run.
+	due     bool // considered this round (PollSnapshots' due subset)
+	planned bool // contacted this round
+	probe   bool // quarantined: echo first, poll only if it succeeds
+
+	// out is this round's raw outcome, written by the slot's own fetch
+	// goroutine and read once the round's WaitGroup has been waited on.
+	out pollOutcome
+
+	// This round's disposition, set by absorbLocked for due slots.
+	disp       switchDisposition
+	reinstated bool
+	// snap is the switch's cumulative snapshot (dispOK only), cleared
+	// and refilled every round: the map SnapshotResult.Snapshots lends.
+	snap map[int]uint64
 }
 
 // RobustCollector is a production-grade statistics collection plane:
@@ -182,18 +213,30 @@ type switchState struct {
 // in PollResult.Missing, which plugs straight into
 // foces.RunOptions.Missing.
 //
-// Safe for concurrent use, though polls are serialized by design: a
-// period's state transitions must observe the previous period's.
+// Safe for concurrent use. Rounds (Poll, PollSnapshots) are serialized
+// by roundMu: a period's state transitions must observe the previous
+// period's, and the per-switch slots are reused from round to round.
+// The collector owns no goroutine between rounds, so it needs no Close.
 type RobustCollector struct {
 	cfg RobustConfig
 
-	mu      sync.Mutex
-	clients map[topo.SwitchID]StatsClient
-	order   []topo.SwitchID
-	state   map[topo.SwitchID]*switchState
-	deltas  *DeltaTracker
-	metrics RobustMetrics
-	tel     *telemetry.CollectorMetrics // nil unless SetTelemetry wired a metric set
+	// roundMu is held for a whole round. It guards the round-scoped
+	// fields below, which are written before the round's fetch
+	// goroutines start and only read while they run.
+	roundMu   sync.Mutex
+	roundCtx  context.Context // the round caller's context: probes, retries and backoff waits derive from it
+	firstCtx  context.Context // roundCtx under one Deadline, shared by every first attempt
+	period    uint64
+	wg        sync.WaitGroup
+	plans     []*switchSlot
+	snapshots map[topo.SwitchID]map[int]uint64 // SnapshotResult.Snapshots, reused
+
+	mu       sync.Mutex
+	slots    []*switchSlot // ascending switch ID
+	bySwitch map[topo.SwitchID]*switchSlot
+	deltas   *DeltaTracker
+	metrics  RobustMetrics
+	tel      *telemetry.CollectorMetrics // nil unless SetTelemetry wired a metric set
 
 	sleep func(time.Duration) // test hook; nil = time.Sleep
 	now   func() time.Time    // test hook; nil = time.Now
@@ -222,17 +265,22 @@ func NewRobust(clients map[topo.SwitchID]*openflow.Client, cfg RobustConfig) *Ro
 // NewRobustFromStats is NewRobust over any StatsClient implementation.
 func NewRobustFromStats(clients map[topo.SwitchID]StatsClient, cfg RobustConfig) *RobustCollector {
 	rc := &RobustCollector{
-		cfg:     cfg.withDefaults(),
-		clients: make(map[topo.SwitchID]StatsClient, len(clients)),
-		state:   make(map[topo.SwitchID]*switchState, len(clients)),
-		deltas:  NewDeltaTracker(),
+		cfg:       cfg.withDefaults(),
+		snapshots: make(map[topo.SwitchID]map[int]uint64, len(clients)),
+		bySwitch:  make(map[topo.SwitchID]*switchSlot, len(clients)),
+		deltas:    NewDeltaTracker(),
 	}
-	for sw, c := range clients {
-		rc.clients[sw] = c
-		rc.state[sw] = &switchState{}
-		rc.order = append(rc.order, sw)
+	order := make([]topo.SwitchID, 0, len(clients))
+	for sw := range clients {
+		order = append(order, sw)
 	}
-	sort.Slice(rc.order, func(i, j int) bool { return rc.order[i] < rc.order[j] })
+	slices.Sort(order)
+	for _, sw := range order {
+		s := &switchSlot{sw: sw, client: clients[sw], snap: make(map[int]uint64)}
+		s.run = func() { rc.fetch(s) }
+		rc.slots = append(rc.slots, s)
+		rc.bySwitch[sw] = s
+	}
 	return rc
 }
 
@@ -264,9 +312,9 @@ func (rc *RobustCollector) Metrics() RobustMetrics {
 func (rc *RobustCollector) Health() map[topo.SwitchID]SwitchHealth {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	out := make(map[topo.SwitchID]SwitchHealth, len(rc.state))
-	for sw, st := range rc.state {
-		out[sw] = st.health
+	out := make(map[topo.SwitchID]SwitchHealth, len(rc.slots))
+	for _, s := range rc.slots {
+		out[s.sw] = s.health
 	}
 	return out
 }
@@ -276,9 +324,9 @@ func (rc *RobustCollector) Quarantined() []topo.SwitchID {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	var out []topo.SwitchID
-	for _, sw := range rc.order {
-		if rc.state[sw].health == Quarantined {
-			out = append(out, sw)
+	for _, s := range rc.slots {
+		if s.health == Quarantined {
+			out = append(out, s.sw)
 		}
 	}
 	return out
@@ -303,35 +351,37 @@ type pollOutcome struct {
 	probeOK  bool
 }
 
-// pollPlan is one switch's assignment for the concurrent fetch phase.
-type pollPlan struct {
-	sw     topo.SwitchID
-	client StatsClient
-	probe  bool // quarantined: echo first, poll only if it succeeds
-}
-
 // planLocked selects the switches to contact this period, advancing
 // quarantine probe cadence. due restricts the plan to a subset (nil =
-// every switch); switches outside due are untouched — no health
-// transition, no probe-cadence tick. Caller holds rc.mu.
-func (rc *RobustCollector) planLocked(due map[topo.SwitchID]bool) []pollPlan {
-	var plans []pollPlan
-	for _, sw := range rc.order {
-		if due != nil && !due[sw] {
-			continue
-		}
-		st := rc.state[sw]
-		if st.health == Quarantined {
-			st.sinceProbe++
-			if st.sinceProbe >= rc.cfg.ProbeEvery {
-				st.sinceProbe = 0
-				plans = append(plans, pollPlan{sw: sw, client: rc.clients[sw], probe: true})
-			}
-			continue
-		}
-		plans = append(plans, pollPlan{sw: sw, client: rc.clients[sw]})
+// every switch; unknown switches are ignored); switches outside due are
+// untouched — no health transition, no probe-cadence tick. Caller holds
+// rc.roundMu and rc.mu.
+func (rc *RobustCollector) planLocked(due []topo.SwitchID) {
+	for _, s := range rc.slots {
+		s.due = due == nil
 	}
-	return plans
+	for _, sw := range due {
+		if s, ok := rc.bySwitch[sw]; ok {
+			s.due = true
+		}
+	}
+	rc.plans = rc.plans[:0]
+	for _, s := range rc.slots {
+		s.planned, s.probe = false, false
+		if !s.due {
+			continue
+		}
+		if s.health == Quarantined {
+			s.sinceProbe++
+			if s.sinceProbe < rc.cfg.ProbeEvery {
+				continue
+			}
+			s.sinceProbe = 0
+			s.probe = true
+		}
+		s.planned = true
+		rc.plans = append(rc.plans, s)
+	}
 }
 
 // ctxSleep waits d before a retry, returning early (false) when ctx is
@@ -352,68 +402,99 @@ func ctxSleep(ctx context.Context, d time.Duration, hook func(time.Duration)) bo
 	}
 }
 
-// fetchOutcomes runs the concurrent phase: every planned switch is
-// probed/polled under per-request deadlines with bounded retries.
-// Backoff waits between retries abort promptly on ctx cancellation.
-func fetchOutcomes(ctx context.Context, cfg RobustConfig, plans []pollPlan, period uint64, sleep func(time.Duration)) map[topo.SwitchID]*pollOutcome {
-	outcomes := make(map[topo.SwitchID]*pollOutcome, len(plans))
-	var outMu sync.Mutex
-	var wg sync.WaitGroup
-	for _, p := range plans {
-		wg.Add(1)
-		go func(p pollPlan) {
-			defer wg.Done()
-			o := &pollOutcome{probed: p.probe}
-			// Per-goroutine jitter source: deterministic under the seed,
-			// race-free without locking the collector.
-			rng := rand.New(rand.NewSource(cfg.Seed ^ int64(p.sw)<<16 ^ int64(period)))
-			if p.probe {
-				probeCtx, cancel := context.WithTimeout(ctx, cfg.Deadline)
-				err := p.client.EchoContext(probeCtx)
-				cancel()
-				if err != nil {
-					o.err = err
-					if errors.Is(err, context.DeadlineExceeded) {
-						o.timeouts++
-					}
-					outMu.Lock()
-					outcomes[p.sw] = o
-					outMu.Unlock()
-					return
-				}
-				o.probeOK = true
-			}
-			for attempt := 0; attempt < cfg.Attempts; attempt++ {
-				if attempt > 0 {
-					if !ctxSleep(ctx, backoff(cfg, attempt-1, rng), sleep) {
-						o.err = ctx.Err()
-						break // cancelled mid-backoff; stop retrying
-					}
-					o.retries++
-				}
-				reqCtx, cancel := context.WithTimeout(ctx, cfg.Deadline)
-				reply, err := p.client.FlowStatsContext(reqCtx)
-				cancel()
-				o.requests++
-				if err == nil {
-					o.reply, o.err = reply, nil
-					break
-				}
-				o.err = err
-				if errors.Is(err, context.DeadlineExceeded) {
-					o.timeouts++
-				}
-				if ctx.Err() != nil {
-					break // the whole poll was cancelled; stop retrying
-				}
-			}
-			outMu.Lock()
-			outcomes[p.sw] = o
-			outMu.Unlock()
-		}(p)
+// fetchRound plans one round over the due switches (nil = all) and runs
+// its concurrent phase: every planned switch is probed/polled under
+// per-request deadlines with bounded retries, each on its own goroutine,
+// and all of them have finished when it returns — the outcomes sit in
+// the slots. Caller holds rc.roundMu.
+//
+// Every first attempt shares one deadline context: they start within
+// microseconds of each other, so one timer serves them all. A retry
+// starts later and a probed switch's poll follows its probe, so those
+// (and the probes) each get a full Deadline of their own.
+func (rc *RobustCollector) fetchRound(ctx context.Context, due []topo.SwitchID) (start time.Time, err error) {
+	rc.mu.Lock()
+	if len(rc.slots) == 0 {
+		rc.mu.Unlock()
+		return start, errors.New("collector: no switches to poll")
 	}
-	wg.Wait()
-	return outcomes
+	rc.metrics.Periods++
+	rc.period = rc.metrics.Periods
+	rc.planLocked(due)
+	rc.mu.Unlock()
+
+	start = rc.clock()
+	first, cancel := context.WithTimeout(ctx, rc.cfg.Deadline)
+	rc.roundCtx, rc.firstCtx = ctx, first
+	rc.wg.Add(len(rc.plans))
+	for _, s := range rc.plans {
+		go s.run()
+	}
+	rc.wg.Wait()
+	cancel()
+	rc.roundCtx, rc.firstCtx = nil, nil
+	if err := ctx.Err(); err != nil {
+		return start, fmt.Errorf("collector: poll cancelled: %w", err)
+	}
+	return start, nil
+}
+
+// fetch is one planned switch's share of the concurrent phase. Backoff
+// waits between retries abort promptly on cancellation of the round.
+func (rc *RobustCollector) fetch(s *switchSlot) {
+	defer rc.wg.Done()
+	cfg, ctx := rc.cfg, rc.roundCtx
+	o := &s.out
+	*o = pollOutcome{probed: s.probe}
+	if s.probe {
+		probeCtx, cancel := context.WithTimeout(ctx, cfg.Deadline)
+		err := s.client.EchoContext(probeCtx)
+		cancel()
+		if err != nil {
+			o.err = err
+			if errors.Is(err, context.DeadlineExceeded) {
+				o.timeouts++
+			}
+			return
+		}
+		o.probeOK = true
+	}
+	// The jitter source exists only once a retry draws from it: seeding
+	// one costs ~5 KiB. Per switch and period, so deterministic under
+	// the seed and race-free without locking the collector.
+	var rng *rand.Rand
+	for attempt := 0; attempt < cfg.Attempts; attempt++ {
+		if attempt > 0 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(cfg.Seed ^ int64(s.sw)<<16 ^ int64(rc.period)))
+			}
+			if !ctxSleep(ctx, backoff(cfg, attempt-1, rng), rc.sleep) {
+				o.err = ctx.Err()
+				break // cancelled mid-backoff; stop retrying
+			}
+			o.retries++
+		}
+		reqCtx, cancel := rc.firstCtx, context.CancelFunc(nil)
+		if attempt > 0 || s.probe {
+			reqCtx, cancel = context.WithTimeout(ctx, cfg.Deadline)
+		}
+		reply, err := s.client.FlowStatsContext(reqCtx)
+		if cancel != nil {
+			cancel()
+		}
+		o.requests++
+		if err == nil {
+			o.reply, o.err = reply, nil
+			break
+		}
+		o.err = err
+		if errors.Is(err, context.DeadlineExceeded) {
+			o.timeouts++
+		}
+		if ctx.Err() != nil {
+			break // the whole poll was cancelled; stop retrying
+		}
+	}
 }
 
 // switchDisposition classifies one switch's round outcome after health
@@ -431,93 +512,115 @@ const (
 	dispOK
 )
 
-// absorbed is one switch's post-bookkeeping round outcome.
-type absorbed struct {
-	sw         topo.SwitchID
-	disp       switchDisposition
-	reinstated bool
-	counters   map[int]uint64 // cumulative snapshot, dispOK only
+// absorbLocked folds the round's fetch outcomes into the health state
+// machine and operational metrics, in ascending switch order, leaving
+// each due slot's disposition and — for dispOK — its cumulative
+// snapshot in the slot. Caller holds rc.roundMu and rc.mu.
+func (rc *RobustCollector) absorbLocked() {
+	for _, s := range rc.slots {
+		if !s.due {
+			continue
+		}
+		s.disp, s.reinstated = rc.absorbSlotLocked(s)
+		// The reply has been copied out (or there is none); do not keep
+		// it alive until the next round.
+		s.out.reply = nil
+	}
 }
 
-// absorbLocked folds fetch outcomes into the health state machine and
-// operational metrics, in ascending switch order, and returns each
-// considered switch's disposition plus its raw cumulative snapshot.
-// due restricts the walk (nil = every switch). Caller holds rc.mu.
-func (rc *RobustCollector) absorbLocked(outcomes map[topo.SwitchID]*pollOutcome, due map[topo.SwitchID]bool) []absorbed {
-	var out []absorbed
-	for _, sw := range rc.order {
-		if due != nil && !due[sw] {
-			continue
-		}
-		st := rc.state[sw]
-		o, polled := outcomes[sw]
-		if !polled {
-			// Quarantined and not due for a probe this period.
-			out = append(out, absorbed{sw: sw, disp: dispSkipped})
-			continue
-		}
-		rc.metrics.Requests += o.requests
-		rc.metrics.Retries += o.retries
-		rc.metrics.Timeouts += o.timeouts
-		if o.probed {
-			rc.metrics.Probes++
-			if !o.probeOK {
-				// Probe failed; stay quarantined, wait out another window.
-				out = append(out, absorbed{sw: sw, disp: dispFailed})
-				continue
-			}
-		}
-		if o.err != nil {
-			// Poll exhausted its attempts (or the probe succeeded but the
-			// full poll did not). The switch's baseline is now stale — a
-			// delta across the gap would span several periods of traffic
-			// and read as a false anomaly — so the next successful poll
-			// must re-prime rather than difference.
-			rc.metrics.Failures++
-			rc.deltas.Forget(sw)
-			st.fails++
-			if st.health == Quarantined {
-				// Probe passed but the poll failed: not reinstated.
-				out = append(out, absorbed{sw: sw, disp: dispFailed})
-				continue
-			}
-			if st.fails >= rc.cfg.QuarantineAfter {
-				st.health = Quarantined
-				st.sinceProbe = 0
-				rc.metrics.Quarantines++
-			} else {
-				st.health = Degraded
-			}
-			out = append(out, absorbed{sw: sw, disp: dispFailed})
-			continue
-		}
-		a := absorbed{sw: sw, disp: dispOK}
-		if st.health == Quarantined {
-			st.health = Degraded
-			rc.metrics.Reinstatements++
-			a.reinstated = true
-		} else {
-			st.health = Healthy
-		}
-		st.fails = 0
-		a.counters = make(map[int]uint64, len(o.reply.Stats))
-		for _, s := range o.reply.Stats {
-			a.counters[s.RuleID] = s.Packets
-		}
-		out = append(out, a)
+func (rc *RobustCollector) absorbSlotLocked(s *switchSlot) (disp switchDisposition, reinstated bool) {
+	if !s.planned {
+		// Quarantined and not due for a probe this period.
+		return dispSkipped, false
 	}
-	return out
+	o := &s.out
+	rc.metrics.Requests += o.requests
+	rc.metrics.Retries += o.retries
+	rc.metrics.Timeouts += o.timeouts
+	if o.probed {
+		rc.metrics.Probes++
+		if !o.probeOK {
+			// Probe failed; stay quarantined, wait out another window.
+			return dispFailed, false
+		}
+	}
+	if o.err != nil {
+		// Poll exhausted its attempts (or the probe succeeded but the
+		// full poll did not). The switch's baseline is now stale — a
+		// delta across the gap would span several periods of traffic
+		// and read as a false anomaly — so the next successful poll
+		// must re-prime rather than difference.
+		rc.metrics.Failures++
+		rc.deltas.Forget(s.sw)
+		s.fails++
+		if s.health == Quarantined {
+			// Probe passed but the poll failed: not reinstated.
+			return dispFailed, false
+		}
+		if s.fails >= rc.cfg.QuarantineAfter {
+			s.health = Quarantined
+			s.sinceProbe = 0
+			rc.metrics.Quarantines++
+		} else {
+			s.health = Degraded
+		}
+		return dispFailed, false
+	}
+	if s.health == Quarantined {
+		s.health = Degraded
+		rc.metrics.Reinstatements++
+		reinstated = true
+	} else {
+		s.health = Healthy
+	}
+	s.fails = 0
+	clear(s.snap)
+	for _, st := range o.reply.Stats {
+		s.snap[st.RuleID] = st.Packets
+	}
+	return dispOK, reinstated
 }
 
 // quarantinedLocked counts quarantined switches. Caller holds rc.mu.
 func (rc *RobustCollector) quarantinedLocked() int {
 	n := 0
-	for _, sw := range rc.order {
-		if rc.state[sw].health == Quarantined {
+	for _, s := range rc.slots {
+		if s.health == Quarantined {
 			n++
 		}
 	}
 	return n
+}
+
+func (rc *RobustCollector) clock() time.Time {
+	if rc.now != nil {
+		return rc.now()
+	}
+	return time.Now()
+}
+
+// finishRoundLocked closes a round's books: its elapsed time, and the
+// round's metric movement (rc.metrics against prev, its value before the
+// absorb) mirrored into telemetry. Caller holds rc.mu.
+func (rc *RobustCollector) finishRoundLocked(prev RobustMetrics, start time.Time, missing int) time.Duration {
+	elapsed := rc.clock().Sub(start)
+	rc.metrics.LastElapsed = elapsed
+	if tel := rc.tel; tel != nil {
+		cur := rc.metrics
+		tel.PollSeconds.Observe(elapsed.Seconds())
+		tel.Requests.Add(cur.Requests - prev.Requests)
+		tel.Retries.Add(cur.Retries - prev.Retries)
+		tel.Timeouts.Add(cur.Timeouts - prev.Timeouts)
+		tel.Failures.Add(cur.Failures - prev.Failures)
+		tel.Probes.Add(cur.Probes - prev.Probes)
+		tel.Quarantines.Add(cur.Quarantines - prev.Quarantines)
+		tel.Reinstatements.Add(cur.Reinstatements - prev.Reinstatements)
+		tel.Resets.Add(cur.Resets - prev.Resets)
+		tel.DuplicateRules.Add(cur.DuplicateRules - prev.DuplicateRules)
+		tel.MissingSwitches.Set(float64(missing))
+		tel.QuarantinedSwitches.Set(float64(rc.quarantinedLocked()))
+	}
+	return elapsed
 }
 
 // Poll runs one collection period: probes, polls, retries, state
@@ -525,60 +628,46 @@ func (rc *RobustCollector) quarantinedLocked() int {
 // cancelled or the collector has no switches; per-switch failures are
 // reported through PollResult.Missing.
 func (rc *RobustCollector) Poll(ctx context.Context) (PollResult, error) {
-	rc.mu.Lock()
-	if len(rc.clients) == 0 {
-		rc.mu.Unlock()
-		return PollResult{}, errors.New("collector: no switches to poll")
-	}
-	rc.metrics.Periods++
-	period := rc.metrics.Periods
-	plans := rc.planLocked(nil)
-	cfg := rc.cfg
-	sleep := rc.sleep
-	now := rc.now
-	if now == nil {
-		now = time.Now
-	}
-	rc.mu.Unlock()
-
-	start := now()
-	outcomes := fetchOutcomes(ctx, cfg, plans, period, sleep)
-	if err := ctx.Err(); err != nil {
-		return PollResult{}, fmt.Errorf("collector: poll cancelled: %w", err)
+	rc.roundMu.Lock()
+	defer rc.roundMu.Unlock()
+	start, err := rc.fetchRound(ctx, nil)
+	if err != nil {
+		return PollResult{}, err
 	}
 
 	// Merge phase: deterministic, in ascending switch order.
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	prev := rc.metrics // diffed into telemetry after the merge
+	rc.absorbLocked()
 	res := PollResult{Deltas: make(map[int]uint64), Epoch: rc.deltas.Epoch()}
 	owner := make(map[int]topo.SwitchID)
 	dupSeen := make(map[int]bool)
-	for _, a := range rc.absorbLocked(outcomes, nil) {
-		if a.disp != dispOK {
-			res.Missing = append(res.Missing, a.sw)
+	for _, s := range rc.slots {
+		if s.disp != dispOK {
+			res.Missing = append(res.Missing, s.sw)
 			continue
 		}
-		if a.reinstated {
-			res.Reinstated = append(res.Reinstated, a.sw)
+		if s.reinstated {
+			res.Reinstated = append(res.Reinstated, s.sw)
 		}
-		delta, reset, primed, fromEpoch, straddles := rc.deltas.AdvanceEpoch(a.sw, a.counters)
+		delta, reset, primed, fromEpoch, straddles := rc.deltas.AdvanceEpoch(s.sw, s.snap)
 		if straddles {
 			if res.Straddled == nil {
 				res.Straddled = make(map[topo.SwitchID]uint64)
 			}
-			res.Straddled[a.sw] = fromEpoch
+			res.Straddled[s.sw] = fromEpoch
 		}
 		if reset {
 			rc.metrics.Resets++
-			res.Resets = append(res.Resets, a.sw)
-			res.Missing = append(res.Missing, a.sw)
+			res.Resets = append(res.Resets, s.sw)
+			res.Missing = append(res.Missing, s.sw)
 			continue
 		}
 		if !primed {
 			// First observation (startup or post-quarantine): baseline
 			// only; usable deltas start next period.
-			res.Missing = append(res.Missing, a.sw)
+			res.Missing = append(res.Missing, s.sw)
 			continue
 		}
 		for rid, v := range delta {
@@ -592,28 +681,12 @@ func (rc *RobustCollector) Poll(ctx context.Context) (PollResult, error) {
 				}
 				continue
 			}
-			owner[rid] = a.sw
+			owner[rid] = s.sw
 			res.Deltas[rid] = v
 		}
 	}
 	sort.Ints(res.DuplicateRules)
-	res.Elapsed = now().Sub(start)
-	rc.metrics.LastElapsed = res.Elapsed
-	if tel := rc.tel; tel != nil {
-		cur := rc.metrics
-		tel.PollSeconds.Observe(res.Elapsed.Seconds())
-		tel.Requests.Add(cur.Requests - prev.Requests)
-		tel.Retries.Add(cur.Retries - prev.Retries)
-		tel.Timeouts.Add(cur.Timeouts - prev.Timeouts)
-		tel.Failures.Add(cur.Failures - prev.Failures)
-		tel.Probes.Add(cur.Probes - prev.Probes)
-		tel.Quarantines.Add(cur.Quarantines - prev.Quarantines)
-		tel.Reinstatements.Add(cur.Reinstatements - prev.Reinstatements)
-		tel.Resets.Add(cur.Resets - prev.Resets)
-		tel.DuplicateRules.Add(cur.DuplicateRules - prev.DuplicateRules)
-		tel.MissingSwitches.Set(float64(len(res.Missing)))
-		tel.QuarantinedSwitches.Set(float64(rc.quarantinedLocked()))
-	}
+	res.Elapsed = rc.finishRoundLocked(prev, start, len(res.Missing))
 	return res, nil
 }
 
@@ -622,6 +695,11 @@ func (rc *RobustCollector) Poll(ctx context.Context) (PollResult, error) {
 // epoch layer left to the WindowAssembler that consumes them.
 type SnapshotResult struct {
 	// Snapshots holds each answering switch's cumulative rule counters.
+	// The maps — outer and inner — belong to the collector, which
+	// refills them in place: they are valid, and unchanging, until the
+	// next Poll or PollSnapshots call on it starts. Push them
+	// (WindowAssembler.Push copies) and read what you need before
+	// polling again; copy whatever must outlive that.
 	Snapshots map[topo.SwitchID]map[int]uint64
 	// Failed lists (sorted) switches whose probe or poll failed this
 	// round: their delta baseline now has a gap, so the assembler must
@@ -646,69 +724,36 @@ type SnapshotResult struct {
 // left untouched: no health transition and no probe-cadence tick, so an
 // adaptive sampler backing off a switch does not distort its health.
 func (rc *RobustCollector) PollSnapshots(ctx context.Context, due []topo.SwitchID) (SnapshotResult, error) {
-	rc.mu.Lock()
-	if len(rc.clients) == 0 {
-		rc.mu.Unlock()
-		return SnapshotResult{}, errors.New("collector: no switches to poll")
-	}
-	var dueSet map[topo.SwitchID]bool
-	if due != nil {
-		dueSet = make(map[topo.SwitchID]bool, len(due))
-		for _, sw := range due {
-			if _, ok := rc.clients[sw]; ok {
-				dueSet[sw] = true
-			}
-		}
-	}
-	rc.metrics.Periods++
-	period := rc.metrics.Periods
-	plans := rc.planLocked(dueSet)
-	cfg := rc.cfg
-	sleep := rc.sleep
-	now := rc.now
-	if now == nil {
-		now = time.Now
-	}
-	rc.mu.Unlock()
-
-	start := now()
-	outcomes := fetchOutcomes(ctx, cfg, plans, period, sleep)
-	if err := ctx.Err(); err != nil {
-		return SnapshotResult{}, fmt.Errorf("collector: poll cancelled: %w", err)
+	rc.roundMu.Lock()
+	defer rc.roundMu.Unlock()
+	clear(rc.snapshots) // the previous round's loan ends here
+	start, err := rc.fetchRound(ctx, due)
+	if err != nil {
+		return SnapshotResult{}, err
 	}
 
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	prev := rc.metrics
-	res := SnapshotResult{Snapshots: make(map[topo.SwitchID]map[int]uint64)}
-	for _, a := range rc.absorbLocked(outcomes, dueSet) {
-		switch a.disp {
+	rc.absorbLocked()
+	res := SnapshotResult{Snapshots: rc.snapshots}
+	for _, s := range rc.slots {
+		if !s.due {
+			continue
+		}
+		switch s.disp {
 		case dispSkipped:
-			res.Skipped = append(res.Skipped, a.sw)
+			res.Skipped = append(res.Skipped, s.sw)
 		case dispFailed:
-			res.Failed = append(res.Failed, a.sw)
+			res.Failed = append(res.Failed, s.sw)
 		case dispOK:
-			if a.reinstated {
-				res.Reinstated = append(res.Reinstated, a.sw)
+			if s.reinstated {
+				res.Reinstated = append(res.Reinstated, s.sw)
 			}
-			res.Snapshots[a.sw] = a.counters
+			res.Snapshots[s.sw] = s.snap
 		}
 	}
-	res.Elapsed = now().Sub(start)
-	rc.metrics.LastElapsed = res.Elapsed
-	if tel := rc.tel; tel != nil {
-		cur := rc.metrics
-		tel.PollSeconds.Observe(res.Elapsed.Seconds())
-		tel.Requests.Add(cur.Requests - prev.Requests)
-		tel.Retries.Add(cur.Retries - prev.Retries)
-		tel.Timeouts.Add(cur.Timeouts - prev.Timeouts)
-		tel.Failures.Add(cur.Failures - prev.Failures)
-		tel.Probes.Add(cur.Probes - prev.Probes)
-		tel.Quarantines.Add(cur.Quarantines - prev.Quarantines)
-		tel.Reinstatements.Add(cur.Reinstatements - prev.Reinstatements)
-		tel.MissingSwitches.Set(float64(len(res.Failed) + len(res.Skipped)))
-		tel.QuarantinedSwitches.Set(float64(rc.quarantinedLocked()))
-	}
+	res.Elapsed = rc.finishRoundLocked(prev, start, len(res.Failed)+len(res.Skipped))
 	return res, nil
 }
 

@@ -15,8 +15,8 @@ import (
 var ErrAssemblerClosed = errors.New("collector: window assembler closed")
 
 // Update is one pushed cumulative counter snapshot from a switch agent.
-// Ownership of Counters passes to the assembler; the pusher must not
-// mutate the map afterwards.
+// Push copies Counters: the pusher keeps its map and may change or reuse
+// it as soon as Push returns.
 type Update struct {
 	Switch   topo.SwitchID
 	Counters map[int]uint64 // cumulative per-rule packet counts
@@ -156,7 +156,8 @@ type WindowAssembler struct {
 	cfg          StreamConfig
 	deltas       *DeltaTracker
 	order        []topo.SwitchID
-	queues       map[topo.SwitchID][]Update
+	queues       map[topo.SwitchID][][]ruleCount // pending snapshots, each the assembler's own copy
+	spare        [][]ruleCount                   // recycled snapshot storage for Push to copy into
 	missing      map[topo.SwitchID]bool
 	due          map[topo.SwitchID]bool
 	lastConsumed map[topo.SwitchID]uint64 // seq of last consumed snapshot
@@ -186,7 +187,7 @@ func NewWindowAssembler(switches []topo.SwitchID, cfg StreamConfig) *WindowAssem
 	a := &WindowAssembler{
 		cfg:          cfg,
 		deltas:       NewDeltaTracker(),
-		queues:       make(map[topo.SwitchID][]Update, len(switches)),
+		queues:       make(map[topo.SwitchID][][]ruleCount, len(switches)),
 		missing:      make(map[topo.SwitchID]bool),
 		due:          make(map[topo.SwitchID]bool, len(switches)),
 		lastConsumed: make(map[topo.SwitchID]uint64, len(switches)),
@@ -272,9 +273,12 @@ func (a *WindowAssembler) Epoch() uint64 {
 	return a.deltas.Epoch()
 }
 
-// Push enqueues one cumulative snapshot, completing the open window if
-// this was the last due contribution. Unknown switches are rejected;
-// a full queue coalesces by replacing its newest pending snapshot.
+// Push enqueues a copy of one cumulative snapshot, completing the open
+// window if this was the last due contribution. Unknown switches are
+// rejected; a full queue coalesces by replacing its newest pending
+// snapshot. The copy goes into recycled storage the assembler owns
+// (handed back when the snapshot is consumed, forgotten or coalesced
+// over), so steady pushing allocates nothing.
 func (a *WindowAssembler) Push(u Update) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -291,13 +295,18 @@ func (a *WindowAssembler) Push(u Update) error {
 	a.stats.Pushes++
 	a.stats.Updates += uint64(len(u.Counters))
 	if len(q) >= a.cfg.QueueCapacity {
-		q[len(q)-1] = u
+		q[len(q)-1] = appendSnapshot(q[len(q)-1][:0], u.Counters)
 		a.stats.Coalesced++
 		if a.tel != nil {
 			a.tel.Coalesced.Add(1)
 		}
 	} else {
-		a.queues[u.Switch] = append(q, u)
+		var store []ruleCount
+		if n := len(a.spare); n > 0 {
+			store, a.spare[n-1] = a.spare[n-1], nil
+			a.spare = a.spare[:n-1]
+		}
+		a.queues[u.Switch] = append(q, appendSnapshot(store, u.Counters))
 		a.depth++
 		if a.depth > a.stats.MaxQueueDepth {
 			a.stats.MaxQueueDepth = a.depth
@@ -313,6 +322,18 @@ func (a *WindowAssembler) Push(u Update) error {
 	}
 	a.tryCompleteLocked()
 	return nil
+}
+
+// recycleLocked empties a switch's queue, handing every queued
+// snapshot's storage back for Push to reuse. The queue keeps its own
+// backing array but no reference into it. Caller holds a.mu.
+func (a *WindowAssembler) recycleLocked(sw topo.SwitchID) {
+	q := a.queues[sw]
+	for i, snap := range q {
+		a.spare = append(a.spare, snap[:0])
+		q[i] = nil
+	}
+	a.queues[sw] = q[:0]
 }
 
 // MarkMissing records that a switch cannot contribute to the open
@@ -347,7 +368,7 @@ func (a *WindowAssembler) Forget(sw topo.SwitchID) {
 			a.tel.DroppedUpdates.Add(uint64(len(q)))
 		}
 		a.depth -= len(q)
-		a.queues[sw] = nil
+		a.recycleLocked(sw)
 	}
 }
 
@@ -466,8 +487,8 @@ func (a *WindowAssembler) completeLocked() {
 			sawStraddle bool
 			firstFrom   uint64
 		)
-		for _, u := range consumed {
-			reset, primed, fromEpoch, straddles := a.deltas.advanceEpochInto(sw, u.Counters, a.acc)
+		for _, snap := range consumed {
+			reset, primed, fromEpoch, straddles := a.deltas.advanceEpochInto(sw, snap, a.acc)
 			if straddles && !sawStraddle {
 				sawStraddle, firstFrom = true, fromEpoch
 			}
@@ -485,7 +506,7 @@ func (a *WindowAssembler) completeLocked() {
 			}
 			usable = true
 		}
-		a.queues[sw] = consumed[:0]
+		a.recycleLocked(sw)
 		span := a.seq - a.lastConsumed[sw]
 		a.lastConsumed[sw] = a.seq
 		if sawReset {

@@ -297,7 +297,7 @@ func allocCheck(cfg AllocBenchConfig, env *Env, switches []topo.SwitchID, res *A
 				asm.MarkMissing(sw)
 				continue
 			}
-			if err := asm.Push(collector.Update{Switch: sw, Counters: copyCounters(per[sw])}); err != nil {
+			if err := asm.Push(collector.Update{Switch: sw, Counters: per[sw]}); err != nil {
 				return err
 			}
 		}

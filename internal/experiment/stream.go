@@ -172,14 +172,6 @@ func collectPerSwitch(env *Env, switches []topo.SwitchID) (map[topo.SwitchID]map
 	return per, nil
 }
 
-func copyCounters(m map[int]uint64) map[int]uint64 {
-	out := make(map[int]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // normalizeReport strips wall-time fields and encodes the Report so
 // two Reports produced by different code paths can be compared byte
 // for byte. Gob rather than JSON: anomaly indices can be +Inf (zero
@@ -296,7 +288,7 @@ func streamCheck(cfg StreamBenchConfig, env *Env, switches []topo.SwitchID, res 
 					asm.MarkMissing(sw)
 					continue
 				}
-				if err := asm.Push(collector.Update{Switch: sw, Counters: copyCounters(seq[w][sw])}); err != nil {
+				if err := asm.Push(collector.Update{Switch: sw, Counters: seq[w][sw]}); err != nil {
 					pushErr <- err
 					return
 				}

@@ -202,13 +202,31 @@ func (t *Table) Counters() map[int]uint64 {
 	defer t.mu.RUnlock()
 	out := make(map[int]uint64, len(t.counters))
 	for id := range t.byID {
-		if v, lied := t.spoofed[id]; lied {
-			out[id] = v
-			continue
-		}
-		out[id] = t.counters[id]
+		out[id] = t.reportedLocked(id)
 	}
 	return out
+}
+
+// EachCounter calls fn once per installed rule, in no particular order,
+// with the counter Counters reports for it, without building the map.
+// fn runs under the table's read lock: it must not call back into the
+// table, and packets counted meanwhile wait for the walk to finish.
+func (t *Table) EachCounter(fn func(id int, packets uint64)) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for id := range t.byID {
+		fn(id, t.reportedLocked(id))
+	}
+}
+
+// reportedLocked is the counter the switch reports for an installed
+// rule: the spoofed value on a lying switch, the real one otherwise.
+// Caller holds t.mu.
+func (t *Table) reportedLocked(id int) uint64 {
+	if v, lied := t.spoofed[id]; lied {
+		return v
+	}
+	return t.counters[id]
 }
 
 // TrueCounters returns the real match counts, bypassing spoofing (test

@@ -205,12 +205,9 @@ func (a *Agent) handle(conn *Conn, msg Message) error {
 		if err != nil {
 			return a.sendError(conn, msg.XID, ErrCodeBadRequest, err.Error())
 		}
-		counters := tbl.Counters()
-		reply := &FlowStatsReply{Switch: a.sw, Stats: make([]FlowStat, 0, len(counters))}
-		for id, v := range counters {
-			reply.Stats = append(reply.Stats, FlowStat{RuleID: id, Packets: v})
-		}
-		return conn.Write(Message{Type: TypeFlowStatsReply, XID: msg.XID, Payload: reply})
+		return conn.w.WriteFrameFunc(byte(TypeFlowStatsReply), msg.XID, func(dst []byte) ([]byte, error) {
+			return appendTableFlowStats(dst, a.sw, tbl), nil
+		})
 	case TypePacketOut:
 		a.mu.Lock()
 		done, ok := a.piWaiters[msg.XID]

@@ -17,20 +17,49 @@ const DefaultTimeout = 5 * time.Second
 // Client is the controller/collector-side endpoint: synchronous typed
 // requests over one control connection, with XID matching. Safe for
 // concurrent use.
+//
+// Requests are written by one long-lived writer goroutine, started
+// beside the reader and stopped by Close. A caller hands its request
+// over and waits for the reply; both waits race its context, so a peer
+// that stopped reading (dead agent behind a live pipe) cannot stall the
+// caller past its deadline. A request whose caller gave up is either
+// never written or written whole: the writer sets no deadline, so a
+// timeout never leaves half a frame on a connection that stays in use,
+// and the late reply is dropped as an abandoned XID. A write that fails
+// is reported to its caller; a failed transport also ends the reader,
+// which fails every request still pending.
 type Client struct {
 	conn    *Conn
 	timeout time.Duration
 
 	mu      sync.Mutex
 	nextXID uint32
-	pending map[uint32]chan Message
+	// pending maps each awaited XID to the slot its outcome is delivered
+	// on: a channel of capacity 1, sent to exactly once per registration
+	// by whoever removed the XID — the reader (reply, or transport
+	// failure) or the writer (write error) — so the send never blocks.
+	pending map[uint32]chan result
+	// free holds slots whose result was received: nothing else can still
+	// refer to them, so the next request reuses one. A slot abandoned on a
+	// context error is dropped instead — the reader may already have
+	// claimed it for a late reply.
+	free []chan result
 
-	readErr  error
-	readDone chan struct{}
-	closed   bool
+	writeq chan Message   // hand-off to writeLoop; unbuffered, so a request is either taken or never sent
+	stop   chan struct{}  // closed by Close
+	loops  sync.WaitGroup // readLoop and writeLoop
+
+	readErr error
+	closed  bool
 
 	packetInHandler func(*PacketIn, uint32)
 	handlerWG       sync.WaitGroup
+}
+
+// result is one request's outcome: the reply, or why there is none.
+type result struct {
+	msg Message
+	err error
 }
 
 // SetPacketInHandler registers a callback for unsolicited packet-in
@@ -50,41 +79,61 @@ func (c *Client) SendPacketOut(xid uint32) error {
 	return c.conn.Write(Message{Type: TypePacketOut, XID: xid})
 }
 
-// NewClient wraps a transport connection and starts the reader.
+// NewClient wraps a transport connection and starts the reader and the
+// writer.
 func NewClient(raw net.Conn, timeout time.Duration) *Client {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
 	c := &Client{
-		conn:     NewConn(raw),
-		timeout:  timeout,
-		pending:  make(map[uint32]chan Message),
-		readDone: make(chan struct{}),
+		conn:    NewConn(raw),
+		timeout: timeout,
+		pending: make(map[uint32]chan result),
+		writeq:  make(chan Message),
+		stop:    make(chan struct{}),
 	}
+	c.loops.Add(2)
 	go c.readLoop()
+	go c.writeLoop()
 	return c
 }
 
-// Close terminates the connection; in-flight requests fail.
+// Close terminates the connection and waits for the reader, the writer
+// and any packet-in handlers; in-flight requests fail.
 func (c *Client) Close() error {
 	c.mu.Lock()
+	first := !c.closed
 	c.closed = true
 	c.mu.Unlock()
 	err := c.conn.Close()
-	<-c.readDone
+	if first {
+		close(c.stop)
+	}
+	c.loops.Wait()
 	c.handlerWG.Wait()
 	return err
 }
 
+// claim removes xid from pending and returns its slot, or nil when the
+// request was abandoned (or already answered).
+func (c *Client) claim(xid uint32) chan result {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	slot := c.pending[xid]
+	delete(c.pending, xid)
+	return slot
+}
+
 func (c *Client) readLoop() {
-	defer close(c.readDone)
+	defer c.loops.Done()
 	for {
 		msg, err := c.conn.Read()
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err
-			for xid, ch := range c.pending {
-				close(ch)
+			failed := result{err: fmt.Errorf("openflow: connection failed: %w", err)}
+			for xid, slot := range c.pending {
+				slot <- failed
 				delete(c.pending, xid)
 			}
 			c.mu.Unlock()
@@ -107,16 +156,30 @@ func (c *Client) readLoop() {
 			}
 			continue
 		}
-		c.mu.Lock()
-		ch, ok := c.pending[msg.XID]
-		if ok {
-			delete(c.pending, msg.XID)
-		}
-		c.mu.Unlock()
-		if ok {
-			ch <- msg
+		if slot := c.claim(msg.XID); slot != nil {
+			slot <- result{msg: msg}
 		}
 		// Other unsolicited messages are dropped.
+	}
+}
+
+// writeLoop writes handed-over requests until Close. A write error goes
+// to the request's caller, if it is still waiting.
+func (c *Client) writeLoop() {
+	defer c.loops.Done()
+	for {
+		select {
+		case req := <-c.writeq:
+			err := c.conn.Write(req)
+			if err == nil {
+				continue
+			}
+			if slot := c.claim(req.XID); slot != nil {
+				slot <- result{err: err}
+			}
+		case <-c.stop:
+			return
+		}
 	}
 }
 
@@ -129,55 +192,54 @@ func (c *Client) roundTrip(t MsgType, payload Payload) (Message, error) {
 }
 
 // roundTripCtx sends a request and waits for its matching reply until
-// the context expires. The write itself also races the context: a peer
-// that stopped reading (dead agent behind a live pipe) cannot stall the
-// caller past its deadline — the frame writer is left behind on its own
-// goroutine and unblocks when the connection closes.
+// the context expires. It starts no goroutine and, once the free list
+// is warm, allocates nothing of its own.
 func (c *Client) roundTripCtx(ctx context.Context, t MsgType, payload Payload) (Message, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return Message{}, errors.New("openflow: client closed")
 	}
+	if err := c.readErr; err != nil {
+		// The reader is gone: no reply could ever be matched.
+		c.mu.Unlock()
+		return Message{}, fmt.Errorf("openflow: connection failed: %w", err)
+	}
 	c.nextXID++
 	xid := c.nextXID
-	ch := make(chan Message, 1)
-	c.pending[xid] = ch
+	var slot chan result
+	if n := len(c.free); n > 0 {
+		slot, c.free[n-1] = c.free[n-1], nil
+		c.free = c.free[:n-1]
+	} else {
+		slot = make(chan result, 1)
+	}
+	c.pending[xid] = slot
 	c.mu.Unlock()
 
-	abandon := func() {
-		c.mu.Lock()
-		delete(c.pending, xid)
-		c.mu.Unlock()
-	}
-	written := make(chan error, 1)
-	go func() {
-		written <- c.conn.Write(Message{Type: t, XID: xid, Payload: payload})
-	}()
 	select {
-	case err := <-written:
-		if err != nil {
-			abandon()
-			return Message{}, err
-		}
+	case c.writeq <- Message{Type: t, XID: xid, Payload: payload}:
 	case <-ctx.Done():
-		abandon()
+		c.claim(xid)
 		return Message{}, fmt.Errorf("openflow: %v request: %w", t, ctx.Err())
+	case <-c.stop:
+		c.claim(xid)
+		return Message{}, errors.New("openflow: client closed")
 	}
 	select {
-	case reply, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.readErr
-			c.mu.Unlock()
-			return Message{}, fmt.Errorf("openflow: connection failed: %w", err)
+	case res := <-slot:
+		c.mu.Lock()
+		c.free = append(c.free, slot)
+		c.mu.Unlock()
+		if res.err != nil {
+			return Message{}, res.err
 		}
-		if em, isErr := reply.Payload.(*ErrorMsg); isErr {
+		if em, isErr := res.msg.Payload.(*ErrorMsg); isErr {
 			return Message{}, em
 		}
-		return reply, nil
+		return res.msg, nil
 	case <-ctx.Done():
-		abandon()
+		c.claim(xid)
 		return Message{}, fmt.Errorf("openflow: %v reply: %w", t, ctx.Err())
 	}
 }

@@ -16,6 +16,10 @@ const maxMessageSize = 16 << 20
 // expected.
 type Conn struct {
 	w *wire.Conn
+	// rbuf is the read side's body buffer, reused frame after frame
+	// (single reader). Nothing Read returns aliases it: see
+	// decodePayload.
+	rbuf []byte
 }
 
 // NewConn wraps a transport connection.
@@ -26,27 +30,24 @@ func NewConn(raw net.Conn) *Conn {
 // Close closes the underlying transport.
 func (c *Conn) Close() error { return c.w.Close() }
 
-// Write sends one message. A body that would exceed the frame cap is
+// Write sends one message, its payload encoded straight into the
+// connection's frame buffer. A body that would exceed the frame cap is
 // refused with a *wire.SizeError.
 func (c *Conn) Write(m Message) error {
-	var body []byte
-	if m.Payload != nil {
-		var err error
-		body, err = m.Payload.encode()
-		if err != nil {
-			return err
-		}
+	if m.Payload == nil {
+		return c.w.WriteFrame(byte(m.Type), m.XID, nil)
 	}
-	return c.w.WriteFrame(byte(m.Type), m.XID, body)
+	return c.w.WriteFrameFunc(byte(m.Type), m.XID, m.Payload.appendTo)
 }
 
 // Read receives the next message, blocking until one arrives or the
-// transport fails.
+// transport fails. The returned message owns all of its memory.
 func (c *Conn) Read() (Message, error) {
-	t, xid, body, err := c.w.ReadFrame()
+	t, xid, body, err := c.w.ReadFrameInto(c.rbuf)
 	if err != nil {
 		return Message{}, err
 	}
+	c.rbuf = body[:cap(body)]
 	m := Message{Type: MsgType(t), XID: xid}
 	payload, err := decodePayload(m.Type, body)
 	if err != nil {

@@ -10,6 +10,7 @@ package openflow
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"foces/internal/flowtable"
 	"foces/internal/header"
@@ -44,24 +45,27 @@ const (
 	TypePacketOut
 )
 
+// msgTypeNames is indexed by MsgType; String is on every error path's
+// %v, so the table is built once.
+var msgTypeNames = [...]string{
+	TypeHello:            "hello",
+	TypeEchoRequest:      "echo-request",
+	TypeEchoReply:        "echo-reply",
+	TypeFeaturesRequest:  "features-request",
+	TypeFeaturesReply:    "features-reply",
+	TypeFlowMod:          "flow-mod",
+	TypeFlowStatsRequest: "flow-stats-request",
+	TypeFlowStatsReply:   "flow-stats-reply",
+	TypePortStatsRequest: "port-stats-request",
+	TypePortStatsReply:   "port-stats-reply",
+	TypeError:            "error",
+	TypePacketIn:         "packet-in",
+	TypePacketOut:        "packet-out",
+}
+
 func (t MsgType) String() string {
-	names := map[MsgType]string{
-		TypeHello:            "hello",
-		TypeEchoRequest:      "echo-request",
-		TypeEchoReply:        "echo-reply",
-		TypeFeaturesRequest:  "features-request",
-		TypeFeaturesReply:    "features-reply",
-		TypeFlowMod:          "flow-mod",
-		TypeFlowStatsRequest: "flow-stats-request",
-		TypeFlowStatsReply:   "flow-stats-reply",
-		TypePortStatsRequest: "port-stats-request",
-		TypePortStatsReply:   "port-stats-reply",
-		TypeError:            "error",
-		TypePacketIn:         "packet-in",
-		TypePacketOut:        "packet-out",
-	}
-	if n, ok := names[t]; ok {
-		return n
+	if int(t) < len(msgTypeNames) && msgTypeNames[t] != "" {
+		return msgTypeNames[t]
 	}
 	return fmt.Sprintf("type-%d", uint8(t))
 }
@@ -74,9 +78,11 @@ type Message struct {
 	Payload Payload
 }
 
-// Payload is a typed message body.
+// Payload is a typed message body. appendTo encodes it onto dst — in
+// practice the connection's frame buffer, so no payload is built
+// anywhere else first — and returns the extended slice.
 type Payload interface {
-	encode() ([]byte, error)
+	appendTo(dst []byte) ([]byte, error)
 }
 
 // FeaturesReply describes a switch.
@@ -86,12 +92,10 @@ type FeaturesReply struct {
 	NumRules uint32
 }
 
-func (p *FeaturesReply) encode() ([]byte, error) {
-	buf := make([]byte, 12)
-	binary.BigEndian.PutUint32(buf, uint32(p.Switch))
-	binary.BigEndian.PutUint32(buf[4:], p.NumPorts)
-	binary.BigEndian.PutUint32(buf[8:], p.NumRules)
-	return buf, nil
+func (p *FeaturesReply) appendTo(dst []byte) ([]byte, error) {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(p.Switch))
+	dst = binary.BigEndian.AppendUint32(dst, p.NumPorts)
+	return binary.BigEndian.AppendUint32(dst, p.NumRules), nil
 }
 
 func decodeFeaturesReply(b []byte) (*FeaturesReply, error) {
@@ -120,22 +124,21 @@ type FlowMod struct {
 	Rule    flowtable.Rule
 }
 
-func (p *FlowMod) encode() ([]byte, error) {
-	match, err := p.Rule.Match.MarshalBinary()
-	if err != nil && p.Command == FlowAdd {
-		return nil, fmt.Errorf("openflow: flow-mod match: %w", err)
+func (p *FlowMod) appendTo(dst []byte) ([]byte, error) {
+	var match []byte
+	if p.Command != FlowDelete {
+		var err error
+		match, err = p.Rule.Match.MarshalBinary()
+		if err != nil && p.Command == FlowAdd {
+			return nil, fmt.Errorf("openflow: flow-mod match: %w", err)
+		}
 	}
-	if p.Command == FlowDelete {
-		match = nil
-	}
-	buf := make([]byte, 0, 18+len(match))
-	buf = append(buf, byte(p.Command))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(p.Rule.ID)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(p.Rule.Priority)))
-	buf = append(buf, byte(p.Rule.Action.Type))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(p.Rule.Action.Port)))
-	buf = append(buf, match...)
-	return buf, nil
+	dst = append(dst, byte(p.Command))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(p.Rule.ID)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(p.Rule.Priority)))
+	dst = append(dst, byte(p.Rule.Action.Type))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(p.Rule.Action.Port)))
+	return append(dst, match...), nil
 }
 
 func decodeFlowMod(b []byte) (*FlowMod, error) {
@@ -175,15 +178,38 @@ type FlowStatsReply struct {
 	Stats  []FlowStat
 }
 
-func (p *FlowStatsReply) encode() ([]byte, error) {
-	buf := make([]byte, 0, 8+12*len(p.Stats))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(p.Switch)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Stats)))
+func (p *FlowStatsReply) appendTo(dst []byte) ([]byte, error) {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(p.Switch)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Stats)))
 	for _, s := range p.Stats {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(s.RuleID)))
-		buf = binary.BigEndian.AppendUint64(buf, s.Packets)
+		dst = appendFlowStat(dst, s.RuleID, s.Packets)
 	}
-	return buf, nil
+	return dst, nil
+}
+
+func appendFlowStat(dst []byte, ruleID int, packets uint64) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(ruleID)))
+	return binary.BigEndian.AppendUint64(dst, packets)
+}
+
+// appendTableFlowStats encodes the FlowStatsReply body an agent sends:
+// the same bytes as a FlowStatsReply holding tbl.Counters() (up to
+// entry order), but written by walking the table under its read lock
+// straight into dst, with no map or []FlowStat in between.
+func appendTableFlowStats(dst []byte, sw topo.SwitchID, tbl *flowtable.Table) []byte {
+	dst = slices.Grow(dst, 8+12*tbl.Len()) // a capacity hint only
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(sw)))
+	countAt := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, 0)
+	n := uint32(0)
+	tbl.EachCounter(func(id int, packets uint64) {
+		dst = appendFlowStat(dst, id, packets)
+		n++
+	})
+	// The count written is the walk's own: Len() is a separate lock
+	// acquisition, and an Install could slip in between.
+	binary.BigEndian.PutUint32(dst[countAt:], n)
+	return dst
 }
 
 func decodeFlowStatsReply(b []byte) (*FlowStatsReply, error) {
@@ -216,16 +242,15 @@ type PortStatsReply struct {
 	Stats  []PortStat
 }
 
-func (p *PortStatsReply) encode() ([]byte, error) {
-	buf := make([]byte, 0, 8+20*len(p.Stats))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(p.Switch)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Stats)))
+func (p *PortStatsReply) appendTo(dst []byte) ([]byte, error) {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(p.Switch)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Stats)))
 	for _, s := range p.Stats {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(s.Port)))
-		buf = binary.BigEndian.AppendUint64(buf, s.Rx)
-		buf = binary.BigEndian.AppendUint64(buf, s.Tx)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(s.Port)))
+		dst = binary.BigEndian.AppendUint64(dst, s.Rx)
+		dst = binary.BigEndian.AppendUint64(dst, s.Tx)
 	}
-	return buf, nil
+	return dst, nil
 }
 
 func decodePortStatsReply(b []byte) (*PortStatsReply, error) {
@@ -254,15 +279,14 @@ type PacketIn struct {
 	Packet header.Packet
 }
 
-func (p *PacketIn) encode() ([]byte, error) {
+func (p *PacketIn) appendTo(dst []byte) ([]byte, error) {
 	pkt, err := p.Packet.MarshalBinary()
 	if err != nil {
 		return nil, fmt.Errorf("openflow: packet-in: %w", err)
 	}
-	buf := make([]byte, 0, 8+len(pkt))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(p.Switch)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(p.InPort)))
-	return append(buf, pkt...), nil
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(p.Switch)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(p.InPort)))
+	return append(dst, pkt...), nil
 }
 
 func decodePacketIn(b []byte) (*PacketIn, error) {
@@ -296,10 +320,9 @@ const (
 	ErrCodeFlowModFailed
 )
 
-func (p *ErrorMsg) encode() ([]byte, error) {
-	buf := make([]byte, 0, 2+len(p.Text))
-	buf = binary.BigEndian.AppendUint16(buf, p.Code)
-	return append(buf, p.Text...), nil
+func (p *ErrorMsg) appendTo(dst []byte) ([]byte, error) {
+	dst = binary.BigEndian.AppendUint16(dst, p.Code)
+	return append(dst, p.Text...), nil
 }
 
 func decodeErrorMsg(b []byte) (*ErrorMsg, error) {
@@ -315,7 +338,10 @@ func (p *ErrorMsg) Error() string {
 }
 
 // decodePayload decodes a message body by type. Bodyless types return
-// nil.
+// nil. b is the connection's reused read buffer: every decoder copies
+// what it keeps (integers by value, ErrorMsg.Text through string(),
+// matches and packets through header.Unmarshal*), so no payload may
+// alias b past this call.
 func decodePayload(t MsgType, b []byte) (Payload, error) {
 	switch t {
 	case TypeHello, TypeEchoRequest, TypeEchoReply, TypeFeaturesRequest,

@@ -7,26 +7,8 @@ package wire
 
 import (
 	"bytes"
-	"net"
 	"testing"
-	"time"
 )
-
-// bufConn is an in-memory net.Conn over a single bytes.Buffer: frames
-// written with WriteFrame are read back by ReadFrameInto on the same
-// goroutine, so the round trip is deterministic and AllocsPerRun sees
-// only the frame layer's own allocations.
-type bufConn struct{ buf bytes.Buffer }
-
-func (c *bufConn) Read(p []byte) (int, error)  { return c.buf.Read(p) }
-func (c *bufConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
-func (c *bufConn) Close() error                { return nil }
-func (c *bufConn) LocalAddr() net.Addr         { return nil }
-func (c *bufConn) RemoteAddr() net.Addr        { return nil }
-func (c *bufConn) SetDeadline(time.Time) error { return nil }
-
-func (c *bufConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *bufConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestFrameRoundTripAllocs pins the steady-state cost of the framing
 // hot path: after the first round trip grows the write buffer and the
@@ -50,5 +32,24 @@ func TestFrameRoundTripAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
 		t.Errorf("frame round trip allocated %.1f times per frame; want 0", allocs)
+	}
+	// The append form: a closure over the caller's locals, encoding
+	// straight into the frame buffer, costs nothing either.
+	appendTrip := func() {
+		n := 0
+		if err := c.WriteFrameFunc(3, 42, func(dst []byte) ([]byte, error) {
+			n = len(payload)
+			return append(dst, payload...), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		_, _, body, err := c.ReadFrameInto(buf)
+		if err != nil || len(body) != n {
+			t.Fatalf("round trip corrupted frame: len=%d err=%v", len(body), err)
+		}
+		buf = body[:cap(body)]
+	}
+	if allocs := testing.AllocsPerRun(100, appendTrip); allocs != 0 {
+		t.Errorf("append-form frame round trip allocated %.1f times per frame; want 0", allocs)
 	}
 }

@@ -14,11 +14,16 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 )
 
 // HeaderSize is version(1) + type(1) + length(4) + xid(4).
 const HeaderSize = 10
+
+// minBodyChunk is the first read of a body that outgrows the reader's
+// buffer; later reads double what has arrived so far.
+const minBodyChunk = 4096
 
 // SizeError reports a frame that exceeds the connection's frame cap —
 // on write, a body too large to frame; on read, a length prefix
@@ -77,21 +82,48 @@ func (c *Conn) Close() error { return c.raw.Close() }
 // across calls (the body is copied; the caller keeps ownership), so a
 // steady stream of frames allocates nothing after the first.
 func (c *Conn) WriteFrame(msgType byte, xid uint32, body []byte) error {
-	total := HeaderSize + len(body)
-	if total > c.maxFrame {
+	if total := HeaderSize + len(body); total > c.maxFrame {
 		return &SizeError{Proto: c.proto, Size: total, Limit: c.maxFrame}
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if cap(c.writeBuf) < total {
-		c.writeBuf = make([]byte, total)
+	return c.sendLocked(msgType, xid, append(c.frameLocked(), body...))
+}
+
+// WriteFrameFunc sends one frame whose body appendBody encodes straight
+// into the connection's frame buffer: it is handed the buffer (header
+// space already reserved) and returns it with the body appended, so an
+// encoder never builds the body anywhere else first. appendBody runs
+// under the write lock and must not write to this connection. An error
+// from it, or a frame past the cap (*SizeError), sends nothing.
+func (c *Conn) WriteFrameFunc(msgType byte, xid uint32, appendBody func(dst []byte) ([]byte, error)) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	frame, err := appendBody(c.frameLocked())
+	if err != nil {
+		return err
 	}
-	frame := c.writeBuf[:total]
+	return c.sendLocked(msgType, xid, frame)
+}
+
+// frameLocked returns the reused frame buffer with the header's bytes
+// reserved. Caller holds writeMu.
+func (c *Conn) frameLocked() []byte {
+	var reserved [HeaderSize]byte
+	return append(c.writeBuf[:0], reserved[:]...)
+}
+
+// sendLocked fills in the header of an assembled frame and writes it,
+// keeping whatever capacity assembling it grew. Caller holds writeMu.
+func (c *Conn) sendLocked(msgType byte, xid uint32, frame []byte) error {
+	c.writeBuf = frame[:0]
+	if len(frame) > c.maxFrame {
+		return &SizeError{Proto: c.proto, Size: len(frame), Limit: c.maxFrame}
+	}
 	frame[0] = c.version
 	frame[1] = msgType
-	binary.BigEndian.PutUint32(frame[2:], uint32(total))
+	binary.BigEndian.PutUint32(frame[2:], uint32(len(frame)))
 	binary.BigEndian.PutUint32(frame[6:], xid)
-	copy(frame[HeaderSize:], body)
 	_, err := c.raw.Write(frame)
 	return err
 }
@@ -102,7 +134,7 @@ func (c *Conn) WriteFrame(msgType byte, xid uint32, body []byte) error {
 // The body is freshly allocated and owned by the caller; hot read
 // loops should prefer ReadFrameInto.
 func (c *Conn) ReadFrame() (msgType byte, xid uint32, body []byte, err error) {
-	return c.readFrame(nil, false)
+	return c.readFrame(nil)
 }
 
 // ReadFrameInto is ReadFrame into caller-provided storage: the body is
@@ -124,10 +156,10 @@ func (c *Conn) ReadFrame() (msgType byte, xid uint32, body []byte, err error) {
 // Handlers that retain frame bytes past the next read (e.g. queueing
 // raw messages) must copy them out, or use ReadFrame instead.
 func (c *Conn) ReadFrameInto(buf []byte) (msgType byte, xid uint32, body []byte, err error) {
-	return c.readFrame(buf, true)
+	return c.readFrame(buf)
 }
 
-func (c *Conn) readFrame(buf []byte, reuse bool) (msgType byte, xid uint32, body []byte, err error) {
+func (c *Conn) readFrame(buf []byte) (msgType byte, xid uint32, body []byte, err error) {
 	hdr := c.hdr[:]
 	if _, err := io.ReadFull(c.raw, hdr); err != nil {
 		return 0, 0, nil, err
@@ -139,14 +171,30 @@ func (c *Conn) readFrame(buf []byte, reuse bool) (msgType byte, xid uint32, body
 	if total < HeaderSize || int64(total) > int64(c.maxFrame) {
 		return 0, 0, nil, &SizeError{Proto: c.proto, Size: int(total), Limit: c.maxFrame}
 	}
-	n := int(total - HeaderSize)
-	if !reuse || cap(buf) < n {
-		body = make([]byte, n)
-	} else {
-		body = buf[:n]
-	}
-	if _, err := io.ReadFull(c.raw, body); err != nil {
+	body, err = c.readBody(buf, int(total-HeaderSize))
+	if err != nil {
 		return 0, 0, nil, fmt.Errorf("%s: short body: %w", c.proto, err)
 	}
 	return hdr[1], binary.BigEndian.Uint32(hdr[6:]), body, nil
+}
+
+// readBody reads an n-byte body into buf's storage when it fits.
+// Otherwise the storage grows geometrically as bytes actually arrive,
+// so a length prefix the peer does not back with data costs a small
+// multiple of what it did send, never the advertised n up front.
+func (c *Conn) readBody(buf []byte, n int) ([]byte, error) {
+	if cap(buf) >= n {
+		_, err := io.ReadFull(c.raw, buf[:n])
+		return buf[:n], err
+	}
+	body := buf[:0]
+	for len(body) < n {
+		have := len(body)
+		step := min(n-have, max(have, minBodyChunk))
+		body = slices.Grow(body, step)[:have+step]
+		if _, err := io.ReadFull(c.raw, body[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
 }
