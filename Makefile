@@ -115,7 +115,9 @@ bench-stream:
 # Bench smoke for the kernel layer: run the kernels experiment on a
 # small fabric with -check (fails if the parallel kernels regress past
 # serial x1.25 or any equivalence check trips) and require the
-# kernels.json trajectory to land.
+# kernels.json trajectory to land. Both arms pin the dense backend
+# (SparseNever): the pair-exact Grams it prepares are sparse, and
+# SparseAuto would factor them without the dense kernels it gates.
 bench-kernels:
 	$(GO) run ./cmd/focesbench -exp kernels -topo fattree4 -runs 3 -check
 	@test -f results/kernels.json || { echo "bench-kernels: results/kernels.json missing"; exit 1; }

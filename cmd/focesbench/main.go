@@ -522,7 +522,8 @@ func runTelemetry(opts options, out io.Writer) error {
 // runKernels compares the parallel blocked linear-algebra kernels
 // against the serial reference path: baseline preparation (Gram,
 // Cholesky factor, slice build) under both kernel defaults, plus
-// batched multi-RHS detection vs a per-window loop. The trajectory is
+// batched multi-RHS detection vs a per-window loop, both arms pinned
+// to the dense backend so the dense kernels are what runs. The trajectory is
 // always archived as results/kernels.json; with -check the run fails
 // if the parallel kernels regress past serial x1.25 (the slack keeps
 // GOMAXPROCS=1 runs, where both arms do the same work, from flapping)

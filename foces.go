@@ -176,11 +176,11 @@ type (
 	// Solver selects the least-squares backend.
 	Solver = core.Solver
 	// KernelOptions tunes the parallel blocked linear-algebra kernels
-	// (Gram assembly, blocked Cholesky, slice-build fan-out) and the
+	// (blocked Cholesky, slice-build fan-out) and can force the
 	// sparse-vs-dense solver selection.
 	KernelOptions = matrix.KernelOptions
 	// SparseMode selects the normal-equations backend: automatic
-	// density-based selection, forced sparse, or forced dense.
+	// selection from the Gram's density, forced sparse, or forced dense.
 	SparseMode = matrix.SparseMode
 
 	// RuleChange is one controller rule mutation event.
@@ -210,7 +210,7 @@ const (
 
 // Sparse solver modes for KernelOptions.Sparse.
 const (
-	// SparseAuto picks sparse or dense from the Gram's size and density.
+	// SparseAuto picks sparse or dense from the Gram's density alone.
 	SparseAuto = matrix.SparseAuto
 	// SparseAlways forces the sparse Cholesky path.
 	SparseAlways = matrix.SparseAlways

@@ -7,6 +7,7 @@ package collector
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"foces/internal/openflow"
@@ -90,5 +91,21 @@ func TestPushCompleteReleaseAllocs(t *testing.T) {
 	window() // prime
 	if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
 		t.Errorf("push x%d + completion + release allocated %.1f times per window; want 0", switches, allocs)
+	}
+	// Released stores wait on the assembler's own free list, which no
+	// garbage collection empties. Two collections between windows would
+	// drop a sync.Pool's entries and its victim cache alike; what the
+	// collections allocate on their own (the runtime's cleanup of the
+	// unique package's maps) is measured and set aside.
+	collect := func() {
+		runtime.GC()
+		runtime.GC()
+	}
+	gcAllocs := testing.AllocsPerRun(20, collect)
+	if allocs := testing.AllocsPerRun(20, func() {
+		collect()
+		window()
+	}); allocs != gcAllocs {
+		t.Errorf("with two collections before each window, push + completion + release allocated %.1f times per window beyond the collections' own %.1f; want 0", allocs-gcAllocs, gcAllocs)
 	}
 }

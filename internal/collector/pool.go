@@ -8,12 +8,12 @@ import (
 
 // windowStore is the reusable backing storage behind a pooled Window:
 // the delta map and the missing/resets/duplicate slices plus the lazy
-// straddled/contributed/probes maps, all cleared and recycled through
-// a sync.Pool when the consumer calls Window.Release. A generation
-// counter pairs each loan with the Window copy it was attached to so a
-// double release (or a release of a stale copy after the store moved
-// on to a later window) panics instead of silently corrupting a live
-// window.
+// straddled/contributed/probes maps, all cleared and put back on the
+// assembler's free list when the consumer calls Window.Release. A
+// generation counter pairs each loan with the Window copy it was
+// attached to so a double release (or a release of a stale copy after
+// the store moved on to a later window) panics instead of silently
+// corrupting a live window.
 type windowStore struct {
 	deltas      map[int]uint64
 	missing     []topo.SwitchID
@@ -23,22 +23,50 @@ type windowStore struct {
 	contributed map[topo.SwitchID]uint64
 	probes      map[topo.SwitchID]ProbeSample
 	gen         uint32
-	pool        *sync.Pool
+	free        *windowFree
 }
 
-// newWindowPool builds the assembler's window-store recycle pool.
-func newWindowPool() *sync.Pool {
-	p := &sync.Pool{}
-	p.New = func() any {
-		return &windowStore{
+// windowFree is an assembler's list of released window stores. Unlike
+// a sync.Pool it is not emptied by garbage collection, so a steady
+// stream of windows recycles the same few stores however often the
+// collector runs. It keeps at most max stores (the completed-window
+// buffer plus the one a consumer holds); stores released beyond that
+// fall through to the garbage collector.
+type windowFree struct {
+	mu     sync.Mutex
+	stores []*windowStore
+	max    int
+}
+
+// get pops a released store, or builds one.
+func (f *windowFree) get() *windowStore {
+	f.mu.Lock()
+	var s *windowStore
+	if k := len(f.stores); k > 0 {
+		s = f.stores[k-1]
+		f.stores[k-1] = nil
+		f.stores = f.stores[:k-1]
+	}
+	f.mu.Unlock()
+	if s == nil {
+		s = &windowStore{
 			deltas:      make(map[int]uint64),
 			straddled:   make(map[topo.SwitchID]uint64),
 			contributed: make(map[topo.SwitchID]uint64),
 			probes:      make(map[topo.SwitchID]ProbeSample),
-			pool:        p,
+			free:        f,
 		}
 	}
-	return p
+	return s
+}
+
+// put returns a cleared store to the list.
+func (f *windowFree) put(s *windowStore) {
+	f.mu.Lock()
+	if len(f.stores) < f.max {
+		f.stores = append(f.stores, s)
+	}
+	f.mu.Unlock()
 }
 
 // attach hands the store's storage to a freshly completing window. The
@@ -83,5 +111,5 @@ func (w *Window) Release() {
 	clear(s.contributed)
 	clear(s.probes)
 	*w = Window{}
-	s.pool.Put(s)
+	s.free.put(s)
 }

@@ -132,8 +132,8 @@ type Window struct {
 	Completed time.Time
 
 	// store backs the window's maps and slices when it was assembled
-	// from the recycle pool; Release hands them back. Nil for zero
-	// values and hand-built windows, on which Release is a no-op.
+	// from the assembler's free list; Release hands them back. Nil for
+	// zero values and hand-built windows, on which Release is a no-op.
 	store    *windowStore
 	storeGen uint32
 }
@@ -178,7 +178,7 @@ type WindowAssembler struct {
 	ownerStamp []uint32
 	dupStamp   []uint32
 	wgen       uint32
-	pool       *sync.Pool // windowStore recycle pool
+	free       *windowFree // released window stores
 }
 
 // NewWindowAssembler builds an assembler over the given switch set.
@@ -196,7 +196,7 @@ func NewWindowAssembler(switches []topo.SwitchID, cfg StreamConfig) *WindowAssem
 		ownerStamp:   make([]uint32, cfg.RuleSpace),
 		dupStamp:     make([]uint32, cfg.RuleSpace),
 		wgen:         1,
-		pool:         newWindowPool(),
+		free:         &windowFree{max: cfg.WindowBuffer + 1},
 	}
 	for _, sw := range switches {
 		if _, dup := a.queues[sw]; dup {
@@ -447,13 +447,13 @@ func (a *WindowAssembler) tryCompleteLocked() {
 // completeLocked assembles the open window from every queued snapshot,
 // emits it, and opens the next window. Caller holds a.mu.
 //
-// The window's storage comes from the recycle pool and all merge
-// scratch (the per-switch accumulator and the owner/duplicate stamps)
-// is reused across windows, so in the steady state — stable switch and
-// rule sets, a consumer that Releases windows — completion performs no
-// per-window allocation.
+// The window's storage comes from the free list of released stores and
+// all merge scratch (the per-switch accumulator and the owner/duplicate
+// stamps) is reused across windows, so in the steady state — stable
+// switch and rule sets, a consumer that Releases windows — completion
+// performs no per-window allocation.
 func (a *WindowAssembler) completeLocked() {
-	s := a.pool.Get().(*windowStore)
+	s := a.free.get()
 	w := Window{
 		Seq:    a.seq,
 		Epoch:  a.deltas.Epoch(),

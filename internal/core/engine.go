@@ -28,12 +28,16 @@ type Detector struct {
 	h    *matrix.CSR
 	opts Options
 	ls   *matrix.PreparedLS // nil when H is degenerate or the solver is not Cholesky
-	pool sync.Pool          // *detectScratch
+	pool sync.Pool          // *detectScratch for the public Detect* calls
 	tel  *detTelemetry      // nil unless SetTelemetry wired a metric set
 }
 
-// detectScratch is the per-call reusable workspace; pooled so
-// concurrent Detect calls never share buffers.
+// detectScratch is one call's solve and median workspace, so concurrent
+// calls never share buffers. The public Detect* calls draw it from the
+// engine's sync.Pool: a standalone engine (FatTree(16)'s full engine
+// needs 31,744 floats) should not pin it between windows. A
+// SlicedDetector instead hands every slice engine its own from the run
+// scratch it keeps (see slicedScratch).
 type detectScratch struct {
 	ws  []float64 // triangular-solve workspace, len = Cols
 	med []float64 // quickselect median scratch, len = Rows
@@ -99,6 +103,14 @@ func (d *Detector) Detect(y []float64) (Result, error) {
 // Cholesky; selecting SolverCG falls back to a per-call iterative
 // solve.
 func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) {
+	sc := d.pool.Get().(*detectScratch)
+	defer d.pool.Put(sc)
+	return d.detectMasked(y, nil, opts, sc)
+}
+
+// detectAll is Algorithm 1 over every row of H, with sc as the solve
+// and median workspace.
+func (d *Detector) detectAll(y []float64, opts Options, sc *detectScratch) (Result, error) {
 	h := d.h
 	if h.Rows() != len(y) {
 		return Result{}, fmt.Errorf("core: H is %dx%d but y has %d entries", h.Rows(), h.Cols(), len(y))
@@ -132,8 +144,6 @@ func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) 
 		tel.outcome(t0, res)
 		return res, nil
 	}
-	sc := d.pool.Get().(*detectScratch)
-	defer d.pool.Put(sc)
 	var xHat []float64
 	var err error
 	if opts.Solver == SolverCholesky && d.ls != nil {
@@ -172,12 +182,14 @@ func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) 
 // SlicedDetector is the prepared form of Algorithm 2: one Detector per
 // per-switch slice (each slice's sub-FCM factored once), the row-gather
 // indices validated at build time, and the per-slice counter gathers,
-// result and error buffers drawn from a pooled workspace so
-// steady-state periods are allocation-flat apart from the returned
-// outcome. Detect fans the slices out over a persistent worker pool
-// sized by GOMAXPROCS (goroutines start on the first parallel run and
-// idle on a buffered job channel between periods); the outcome
-// (including Suspects order) is identical to a sequential run.
+// solve and median workspaces, result and error buffers drawn from run
+// scratch the detector keeps on a free list, so steady-state periods
+// are allocation-flat apart from the returned outcome — however often
+// the garbage collector runs. Detect fans the slices out over a
+// persistent worker pool sized by GOMAXPROCS (goroutines start on the
+// first parallel run and idle on a buffered job channel between
+// periods); the outcome (including Suspects order) is identical to a
+// sequential run.
 //
 // A SlicedDetector is safe for concurrent Detect calls.
 type SlicedDetector struct {
@@ -186,13 +198,20 @@ type SlicedDetector struct {
 	numRules int
 	opts     Options
 	workers  int
-	pool     sync.Pool        // *slicedScratch
 	tel      *slicedTelemetry // nil unless SetTelemetry wired a metric set
+
+	scratchMu sync.Mutex
+	free      []*slicedScratch // run scratch not in use, at most maxFreeScratch
 
 	poolOnce sync.Once       // starts the persistent workers
 	jobs     chan *slicedJob // buffered dispatch to the persistent workers
 	stop     *poolStop       // its finalizer ends the pool once sd is collected
 }
+
+// maxFreeScratch caps a sliced detector's run-scratch free list: one
+// entry per concurrent run, beyond which released scratch falls
+// through to the garbage collector.
+const maxFreeScratch = 4
 
 // poolStop carries the finalizer that stops a detector's workers. It is
 // its own small object, referenced only by the detector, because an
@@ -203,18 +222,83 @@ type SlicedDetector struct {
 // generation's detector starts one.
 type poolStop struct{ ch chan struct{} }
 
-// slicedScratch holds one run's per-slice gather buffers, slice-local
-// masks and the result/error/skip slots, plus the dispatch job itself.
-// A run owns the whole set; each slice index is touched by exactly one
-// worker, and every slot is overwritten each run so nothing needs
-// clearing on reuse.
+// slicedScratch holds one run's per-slice gather buffers, solve and
+// median workspaces, slice-local masks and the result/error/skip
+// slots, plus the dispatch job itself. A run owns the whole set; each
+// slice index is touched by exactly one worker, and every slot is
+// overwritten each run, so nothing needs clearing for correctness.
 type slicedScratch struct {
 	subs    [][]float64
+	engine  []detectScratch
 	locals  [][]int
 	results []Result
 	errs    []error
 	skipped []bool
 	job     slicedJob
+}
+
+// newScratch builds one run's scratch in a fixed number of allocations
+// whatever the slice count: every slice's gather buffer and its
+// engine's workspaces are carved from one array, each capped at its
+// own length so no append can grow into a neighbour. Under churn every
+// rule generation builds a detector and then its first scratch, so a
+// per-slice allocation here would be paid per slice per generation.
+func (sd *SlicedDetector) newScratch() *slicedScratch {
+	n := len(sd.slices)
+	size := 0
+	for i, sl := range sd.slices {
+		size += len(sl.RuleRows) + sd.engines[i].h.Rows() + sd.engines[i].h.Cols()
+	}
+	buf := make([]float64, size)
+	carve := func(k int) []float64 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	sc := &slicedScratch{
+		subs:    make([][]float64, n),
+		engine:  make([]detectScratch, n),
+		locals:  make([][]int, n),
+		results: make([]Result, n),
+		errs:    make([]error, n),
+		skipped: make([]bool, n),
+	}
+	for i, sl := range sd.slices {
+		sc.subs[i] = carve(len(sl.RuleRows))
+		sc.engine[i] = detectScratch{med: carve(sd.engines[i].h.Rows()), ws: carve(sd.engines[i].h.Cols())}
+	}
+	sc.job.sd = sd
+	return sc
+}
+
+// getScratch pops free run scratch, or builds it.
+func (sd *SlicedDetector) getScratch() *slicedScratch {
+	sd.scratchMu.Lock()
+	var sc *slicedScratch
+	if k := len(sd.free); k > 0 {
+		sc = sd.free[k-1]
+		sd.free[k-1] = nil
+		sd.free = sd.free[:k-1]
+	}
+	sd.scratchMu.Unlock()
+	if sc == nil {
+		sc = sd.newScratch()
+	}
+	return sc
+}
+
+// putScratch returns run scratch to the free list, first dropping the
+// run's results and errors so the list never keeps a returned outcome's
+// vectors alive. The scratch points back at sd only, so a retired
+// detector and everything it kept are collected together.
+func (sd *SlicedDetector) putScratch(sc *slicedScratch) {
+	clear(sc.results)
+	clear(sc.errs)
+	sd.scratchMu.Lock()
+	if len(sd.free) < maxFreeScratch {
+		sd.free = append(sd.free, sc)
+	}
+	sd.scratchMu.Unlock()
 }
 
 // slicedJob is one Detect call's unit of dispatch: workers pull it from
@@ -280,7 +364,7 @@ func (j *slicedJob) runChunk(lo, hi int) {
 			sc.results[i], sc.errs[i] = Result{}, nil
 			continue
 		}
-		sc.results[i], sc.errs[i] = sd.engines[i].DetectMasked(sc.subs[i], local, j.opts)
+		sc.results[i], sc.errs[i] = sd.engines[i].detectMasked(sc.subs[i], local, j.opts, &sc.engine[i])
 	}
 }
 
@@ -342,8 +426,8 @@ func NewSlicedDetector(slices []Slice, numRules int, opts Options) (*SlicedDetec
 	return newSlicedDetector(slices, engines, numRules, opts), nil
 }
 
-// newSlicedDetector wires the shared detector state (worker bound,
-// pooled scratch) around validated slices and engines.
+// newSlicedDetector wires the shared detector state (worker bound) around
+// validated slices and engines; run scratch is built on first use.
 func newSlicedDetector(slices []Slice, engines []*Detector, numRules int, opts Options) *SlicedDetector {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(slices) {
@@ -352,28 +436,13 @@ func newSlicedDetector(slices []Slice, engines []*Detector, numRules int, opts O
 	if workers < 1 {
 		workers = 1
 	}
-	sd := &SlicedDetector{
+	return &SlicedDetector{
 		slices:   slices,
 		engines:  engines,
 		numRules: numRules,
 		opts:     opts,
 		workers:  workers,
 	}
-	sd.pool.New = func() any {
-		sc := &slicedScratch{
-			subs:    make([][]float64, len(slices)),
-			locals:  make([][]int, len(slices)),
-			results: make([]Result, len(slices)),
-			errs:    make([]error, len(slices)),
-			skipped: make([]bool, len(slices)),
-		}
-		for i, sl := range slices {
-			sc.subs[i] = make([]float64, len(sl.RuleRows))
-		}
-		sc.job.sd = sd
-		return sc
-	}
-	return sd
 }
 
 // NumSlices reports the number of prepared slices.
@@ -424,8 +493,8 @@ func (sd *SlicedDetector) detect(y []float64, masked []int, opts Options, worker
 	if tel != nil {
 		t0 = time.Now()
 	}
-	sc := sd.pool.Get().(*slicedScratch)
-	defer sd.pool.Put(sc)
+	sc := sd.getScratch()
+	defer sd.putScratch(sc)
 	results := sc.results
 	errs := sc.errs
 	j := &sc.job

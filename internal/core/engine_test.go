@@ -220,13 +220,17 @@ func TestSlicedDetectorBuildTimeValidation(t *testing.T) {
 	}
 }
 
-// TestRetiredSlicedDetectorFreesEngines: the finalizer that
-// stops a detector's worker pool must not sit on the detector itself —
-// an object with a finalizer survives the collection that finds it
-// unreachable, and would keep every slice engine (the factors) live for
-// that extra cycle. Under rule churn each generation's detector runs a
-// masked window on the pool and is then retired, so that extra cycle is
-// a standing megabytes-sized tax on the live heap.
+// TestRetiredSlicedDetectorFreesEngines: one collection after a sliced
+// detector is dropped, its slice engines (the factors) are unreachable.
+// Under rule churn each generation's detector runs a masked window on
+// the worker pool and is then retired, so anything that keeps a retired
+// detector for an extra cycle is a standing tax on the live heap. Two
+// things must not: the finalizer that stops the worker pool, which sits
+// on a small object of its own because an object with a finalizer
+// survives the collection that finds it unreachable; and the run
+// scratch, which points back at its detector and so is kept on the
+// detector's own free list — a sync.Pool would hand it to its victim
+// cache and keep the detector live one collection longer.
 func TestRetiredSlicedDetectorFreesEngines(t *testing.T) {
 	slices, numRules, clean, _ := engineFixture(t)
 	sd, err := NewSlicedDetector(slices, numRules, Options{})
@@ -245,15 +249,10 @@ func TestRetiredSlicedDetectorFreesEngines(t *testing.T) {
 	freed := make(chan struct{})
 	runtime.SetFinalizer(sd.engines[0], func(*Detector) { close(freed) })
 	sd = nil
-	// Two cycles, as the benchmark's heap reading takes: the first only
-	// retires the detector's pooled scratch (which points back at it) to
-	// sync.Pool's victim cache, the second finds the detector unreachable
-	// and queues the finalizers of everything it owned.
-	runtime.GC()
 	runtime.GC()
 	select {
 	case <-freed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("slice engines still live two collections after the detector was dropped")
+		t.Fatal("slice engines still live one collection after the detector was dropped")
 	}
 }

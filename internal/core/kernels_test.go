@@ -173,9 +173,10 @@ func TestKernelSlicedPersistentPool(t *testing.T) {
 }
 
 // TestKernelSlicedDetectAllocationFlat asserts steady-state sliced
-// detection allocates only its returned outcome: the pooled scratch
-// (gathers, results, errors, dispatch job) plus the persistent workers
-// leave nothing per-run beyond the per-slice result vectors.
+// detection allocates only its returned outcome: the recycled run
+// scratch (gathers, workspaces, results, errors, dispatch job) plus the
+// persistent workers leave nothing per-run beyond the per-slice result
+// vectors.
 func TestKernelSlicedDetectAllocationFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -185,7 +186,7 @@ func TestKernelSlicedDetectAllocationFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ { // warm the scratch pool and worker pool
+	for i := 0; i < 3; i++ { // warm the run scratch and the worker pool
 		if _, err := sd.Detect(clean); err != nil {
 			t.Fatal(err)
 		}
@@ -196,8 +197,8 @@ func TestKernelSlicedDetectAllocationFlat(t *testing.T) {
 		}
 	})
 	// Each slice's Result carries 2 fresh arrays (XHat, and one shared by
-	// YHat and Delta) plus outcome assembly; everything else must come
-	// from the pools.
+	// YHat and Delta) plus outcome assembly; everything else must be
+	// recycled.
 	bound := float64(3*len(slices) + 32)
 	if allocs > bound {
 		t.Fatalf("sliced detect allocates %.0f per run, want <= %.0f (slices=%d)", allocs, bound, len(slices))

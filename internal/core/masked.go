@@ -87,8 +87,18 @@ func RowMask(n int, masked []int) ([]bool, error) {
 // with the full row space (masked entries read 0 in Delta). Masking
 // every row is an error: a blind window must not read as a clean one.
 func (d *Detector) DetectMasked(y []float64, masked []int, opts Options) (Result, error) {
+	sc := d.pool.Get().(*detectScratch)
+	defer d.pool.Put(sc)
+	return d.detectMasked(y, masked, opts, sc)
+}
+
+// detectMasked is the one detection body every caller reaches —
+// DetectWithOptions and DetectMasked with the engine's pooled scratch,
+// a SlicedDetector run with the slice's share of its run scratch. sc
+// is the solve and median workspace, sized for this engine's H.
+func (d *Detector) detectMasked(y []float64, masked []int, opts Options, sc *detectScratch) (Result, error) {
 	if len(masked) == 0 {
-		return d.DetectWithOptions(y, opts)
+		return d.detectAll(y, opts, sc)
 	}
 	h := d.h
 	if h.Rows() != len(y) {
@@ -131,8 +141,6 @@ func (d *Detector) DetectMasked(y []float64, masked []int, opts Options) (Result
 		tel.outcome(t0, res)
 		return res, nil
 	}
-	sc := d.pool.Get().(*detectScratch)
-	defer d.pool.Put(sc)
 	var xHat []float64
 	solved := false
 	// CloneFactor works for dense- and sparse-backed engines alike; a

@@ -82,7 +82,12 @@ type KernelsResult struct {
 }
 
 // Kernels measures the parallel kernel layer against the serial
-// reference path on one environment.
+// reference path on one environment. Both arms pin the dense backend
+// (Sparse: SparseNever): left to SparseAuto, the sparse Grams of a
+// pair-exact system — diagonal slices, a sparse full engine — would
+// build no dense factor at all, and the experiment would time the
+// sparse factor under two names instead of the blocked dense Cholesky
+// and the multi-RHS batch solve it exists to gate.
 func Kernels(cfg KernelsConfig) (KernelsResult, error) {
 	cfg = cfg.withDefaults()
 	t, err := topo.ByName(cfg.Topology)
@@ -143,11 +148,11 @@ func Kernels(cfg KernelsConfig) (KernelsResult, error) {
 		}
 		return a, nil
 	}
-	serial, err := measure(matrix.KernelOptions{Serial: true})
+	serial, err := measure(matrix.KernelOptions{Serial: true, Sparse: matrix.SparseNever})
 	if err != nil {
 		return KernelsResult{}, err
 	}
-	parallel, err := measure(matrix.KernelOptions{})
+	parallel, err := measure(matrix.KernelOptions{Sparse: matrix.SparseNever})
 	if err != nil {
 		return KernelsResult{}, err
 	}

@@ -45,28 +45,21 @@ type KernelOptions struct {
 	// for benchmarking and equivalence testing.
 	Serial bool
 	// Sparse selects the normal-equations factorization backend used by
-	// PrepareLS: SparseAuto (density-gated), SparseAlways, or
-	// SparseNever. The zero value (SparseAuto) inherits the package
-	// default.
+	// PrepareLS: SparseAuto (chosen from the structure of the Gram),
+	// SparseAlways, or SparseNever. The zero value (SparseAuto) inherits
+	// the package default.
 	Sparse SparseMode
-	// SparseDensity is the Gram-density threshold at or below which
-	// SparseAuto picks the sparse path. 0 inherits the package default
-	// (0.125).
-	SparseDensity float64
-	// SparseMinCols is the minimum system width before SparseAuto even
-	// considers the sparse path; below it the dense kernels win outright.
-	// 0 inherits the package default (512).
-	SparseMinCols int
 }
 
-// SparseMode selects the PrepareLS factorization backend.
+// SparseMode selects the PrepareLS factorization backend. PrepareLS
+// always assembles the Gram it factors in sparse form; the mode decides
+// only whether that Gram is factored sparsely or scattered to dense.
 type SparseMode int
 
 const (
-	// SparseAuto assembles the sparse Gram for wide systems and picks the
-	// sparse factorization when its density is at or below the
-	// SparseDensity threshold; otherwise the Gram is scattered to dense
-	// and the dense kernels run exactly as before.
+	// SparseAuto factors sparsely when the assembled Gram's density is
+	// at or below a fixed 12.5%, whatever its size: a diagonal Gram of 8
+	// or more columns goes sparse, a Gram that fills in goes dense.
 	SparseAuto SparseMode = iota
 	// SparseAlways forces the sparse direct path.
 	SparseAlways
@@ -85,11 +78,7 @@ func (m SparseMode) String() string {
 	}
 }
 
-const (
-	defaultBlockSize     = 64
-	defaultSparseDensity = 0.125
-	defaultSparseMinCols = 512
-)
+const defaultBlockSize = 64
 
 // kernelDefaults holds the package-wide KernelOptions. Access is atomic
 // so tests and daemons may flip defaults without racing hot paths.
@@ -136,31 +125,6 @@ func resolveKernel(o KernelOptions) (workers, blockSize int, serial bool) {
 		blockSize = defaultBlockSize
 	}
 	return workers, blockSize, serial
-}
-
-// resolveSparse fills the sparse-selection fields of o from the package
-// defaults and then from the hard-coded fallbacks.
-func resolveSparse(o KernelOptions) (mode SparseMode, minCols int, density float64) {
-	d := KernelDefaults()
-	mode = o.Sparse
-	if mode == SparseAuto {
-		mode = d.Sparse
-	}
-	minCols = o.SparseMinCols
-	if minCols == 0 {
-		minCols = d.SparseMinCols
-	}
-	if minCols <= 0 {
-		minCols = defaultSparseMinCols
-	}
-	density = o.SparseDensity
-	if density == 0 {
-		density = d.SparseDensity
-	}
-	if density <= 0 {
-		density = defaultSparseDensity
-	}
-	return mode, minCols, density
 }
 
 // KernelWorkers reports the worker count the default kernel options

@@ -30,11 +30,12 @@ import (
 // updates take the refactor path they already have for factor-less
 // engines.
 //
-// The factorization backend is selected per KernelOptions.Sparse,
-// applied to the factored dimension: the default SparseAuto assembles
-// the Gram sparsely for large systems and keeps it sparse when its
-// density is at or below the threshold, breaking the O(n²) dense-Gram
-// memory wall; small or dense systems scatter to the dense kernels.
+// The factorization backend is chosen from the structure of the Gram
+// that gets factored, not from its width. That Gram is always assembled
+// sparsely first (O(nnz)); under the default SparseAuto it is factored
+// sparsely when its density is at or below sparseMaxDensity, and only
+// a Gram that fills in is scattered to the dense kernels.
+// KernelOptions.Sparse can force either backend.
 type PreparedLS struct {
 	h     *CSR
 	chol  *Cholesky       // dense backend (nil when sparse)
@@ -114,40 +115,39 @@ func PrepareLSReusing(h *CSR, opts LeastSquaresOptions, ko KernelOptions, prev *
 	return prepareLS(h, opts, ko, sym)
 }
 
+// sparseMaxDensity is the Gram density at or below which SparseAuto
+// factors sparsely. A diagonal Gram — a pair-exact FCM slice, where
+// every rule matches one flow — has density 1/n and goes sparse from
+// n = 8 columns up; a Gram whose rules aggregate many flows fills in
+// past it and is factored dense.
+const sparseMaxDensity = 0.125
+
 func prepareLS(h *CSR, opts LeastSquaresOptions, ko KernelOptions, prevSym *SparseSymbolic) (*PreparedLS, error) {
 	// a is the matrix whose Gram aᵀa gets factored: h itself, or hᵀ when
 	// h is wide and the small side is HHᵀ.
+	t0 := time.Now()
 	a := h
-	var tGram time.Duration
 	if h.Rows() < h.Cols() {
-		t0 := time.Now()
 		a = h.transpose()
-		tGram = time.Since(t0)
 	}
-	mode, minCols, density := resolveSparse(ko)
-	n := a.Cols()
+	g := a.SymGram()
+	tGram := time.Since(t0)
+	mode := ko.Sparse
+	if mode == SparseAuto {
+		mode = KernelDefaults().Sparse
+	}
 	var p *PreparedLS
 	var err error
-	if mode == SparseNever || (mode == SparseAuto && n < minCols) {
-		p, err = prepareDense(h, a, opts, ko, nil, tGram)
+	if mode == SparseAlways || mode == SparseAuto && g.Density() <= sparseMaxDensity {
+		p, err = prepareSparse(h, a, opts, ko, g, tGram, prevSym)
 	} else {
-		t0 := time.Now()
-		g := a.SymGram()
-		tGram += time.Since(t0)
-		if mode != SparseAlways && g.Density() > density {
-			// Too dense for the sparse factor to pay off: scatter the
-			// already assembled Gram (entry-for-entry equal to the serial
-			// dense assembly) and run the dense path.
-			p, err = prepareDense(h, a, opts, ko, g, tGram)
-		} else {
-			p, err = prepareSparse(h, a, opts, ko, g, tGram, prevSym)
-		}
+		p, err = prepareDense(h, a, opts, ko, g, tGram)
 	}
 	if err != nil {
 		return nil, err
 	}
 	p.h = h
-	p.stats.Dual, p.stats.Dim = a != h, n
+	p.stats.Dual, p.stats.Dim = a != h, a.Cols()
 	return p, nil
 }
 
@@ -162,18 +162,13 @@ func ridgeFor(opts LeastSquaresOptions, trace float64, cols int) float64 {
 	return 1e-9 * (trace/float64(cols) + 1)
 }
 
-// prepareDense is the dense backend: Gram of a (reusing a sparse
-// assembly when one was already built for the density probe), blocked
-// Cholesky, ridge retry — or, when a is hᵀ, the ridge up front and one
-// factorization.
+// prepareDense is the dense backend: the sparse Gram g of a scattered
+// to dense (entry-for-entry equal to the serial dense assembly),
+// blocked Cholesky, ridge retry — or, when a is hᵀ, the ridge up front
+// and one factorization.
 func prepareDense(h, a *CSR, opts LeastSquaresOptions, ko KernelOptions, g *SymSparse, tGram time.Duration) (*PreparedLS, error) {
-	var gram *Dense
 	t0 := time.Now()
-	if g != nil {
-		gram = g.ToDense()
-	} else {
-		gram = a.GramOpts(ko)
-	}
+	gram := g.ToDense()
 	tGram += time.Since(t0)
 	t1 := time.Now()
 	if dual := a != h; !dual {

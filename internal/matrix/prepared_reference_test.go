@@ -9,13 +9,116 @@ import (
 	"time"
 )
 
+// The width gate PrepareLS chose its backend by before the choice moved
+// to the structure of the Gram: SparseAuto considered the sparse factor
+// only from referenceSparseMinCols columns up, and then only at a Gram
+// density at or below referenceSparseDensity. The two constants are the
+// removed KernelOptions fields' defaults; referenceResolveSparse is the
+// removed resolveSparse with those fields gone, so a forced mode still
+// resolves as it did.
+const (
+	referenceSparseDensity = 0.125
+	referenceSparseMinCols = 512
+)
+
+func referenceResolveSparse(o KernelOptions) (mode SparseMode, minCols int, density float64) {
+	d := KernelDefaults()
+	mode = o.Sparse
+	if mode == SparseAuto {
+		mode = d.Sparse
+	}
+	return mode, referenceSparseMinCols, referenceSparseDensity
+}
+
+// widthGatedPrepareLS and widthGatedPrepareDense are prepareLS and its
+// dense backend as they stood with the width gate: below 512 factored
+// columns the Gram was assembled dense (GramOpts) and factored dense,
+// whatever its structure. Only the names changed. They are the
+// reference the structure-chosen dispatch must agree with.
+func widthGatedPrepareLS(h *CSR, opts LeastSquaresOptions, ko KernelOptions, prevSym *SparseSymbolic) (*PreparedLS, error) {
+	// a is the matrix whose Gram aᵀa gets factored: h itself, or hᵀ when
+	// h is wide and the small side is HHᵀ.
+	a := h
+	var tGram time.Duration
+	if h.Rows() < h.Cols() {
+		t0 := time.Now()
+		a = h.transpose()
+		tGram = time.Since(t0)
+	}
+	mode, minCols, density := referenceResolveSparse(ko)
+	n := a.Cols()
+	var p *PreparedLS
+	var err error
+	if mode == SparseNever || (mode == SparseAuto && n < minCols) {
+		p, err = widthGatedPrepareDense(h, a, opts, ko, nil, tGram)
+	} else {
+		t0 := time.Now()
+		g := a.SymGram()
+		tGram += time.Since(t0)
+		if mode != SparseAlways && g.Density() > density {
+			// Too dense for the sparse factor to pay off: scatter the
+			// already assembled Gram (entry-for-entry equal to the serial
+			// dense assembly) and run the dense path.
+			p, err = widthGatedPrepareDense(h, a, opts, ko, g, tGram)
+		} else {
+			p, err = prepareSparse(h, a, opts, ko, g, tGram, prevSym)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	p.h = h
+	p.stats.Dual, p.stats.Dim = a != h, n
+	return p, nil
+}
+
+func widthGatedPrepareDense(h, a *CSR, opts LeastSquaresOptions, ko KernelOptions, g *SymSparse, tGram time.Duration) (*PreparedLS, error) {
+	var gram *Dense
+	t0 := time.Now()
+	if g != nil {
+		gram = g.ToDense()
+	} else {
+		gram = a.GramOpts(ko)
+	}
+	tGram += time.Since(t0)
+	t1 := time.Now()
+	if dual := a != h; !dual {
+		chol, err := NewCholeskyOpts(gram, ko)
+		if err == nil {
+			return &PreparedLS{chol: chol, stats: PrepareStats{Gram: tGram, Factor: time.Since(t1)}}, nil
+		}
+		if !errors.Is(err, ErrNotPositiveDefinite) {
+			return nil, err
+		}
+	}
+	trace := 0.0
+	for i := 0; i < gram.Rows(); i++ {
+		trace += gram.At(i, i)
+	}
+	ridge := ridgeFor(opts, trace, h.Cols())
+	for i := 0; i < gram.Rows(); i++ {
+		gram.Add(i, i, ridge)
+	}
+	chol, err := NewCholeskyOpts(gram, ko)
+	if err != nil {
+		return nil, fmt.Errorf("matrix: ridge-regularized normal equations: %w", err)
+	}
+	return &PreparedLS{chol: chol, ridge: ridge, stats: PrepareStats{Gram: tGram, Factor: time.Since(t1)}}, nil
+}
+
+// WidthGatedPrepareLS exposes the width-gated reference to the external
+// test package, which drives it and PrepareLS through core's engines.
+var WidthGatedPrepareLS = func(h *CSR) (*PreparedLS, error) {
+	return widthGatedPrepareLS(h, LeastSquaresOptions{}, KernelOptions{}, nil)
+}
+
 // referencePrepareLS, referencePrepareDense and referencePrepareSparse
 // are prepareLS and its two backends as they stood before wide systems
 // learned to factor HHᵀ+εI: always the primal Gram HᵀH, a plain
 // factorization first, the ridge retry when it fails. Only the names
 // changed. They are the reference the dual engine must agree with.
 func referencePrepareLS(h *CSR, opts LeastSquaresOptions, ko KernelOptions, prevSym *SparseSymbolic) (*PreparedLS, error) {
-	mode, minCols, density := resolveSparse(ko)
+	mode, minCols, density := referenceResolveSparse(ko)
 	n := h.Cols()
 	if mode == SparseNever || (mode == SparseAuto && n < minCols) {
 		return referencePrepareDense(h, opts, ko, nil, 0)

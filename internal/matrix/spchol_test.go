@@ -468,34 +468,42 @@ func residualNorm(t *testing.T, h *CSR, x, y []float64) float64 {
 	return Norm2(d)
 }
 
+// TestPreparedLSAutoSelection: SparseAuto reads the structure of the
+// Gram, not its width — a narrow diagonal Gram (a pair-exact slice,
+// one flow per rule) is factored sparsely, and a Gram that fills in is
+// factored dense at any width.
 func TestPreparedLSAutoSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	// Wide and sparse: auto must pick the sparse backend.
-	hs := randomSparseH(rng, 1200, 600, 0.004)
-	ps, err := PrepareLSOpts(hs, LeastSquaresOptions{}, KernelOptions{})
-	if err != nil {
-		t.Fatal(err)
+	// diagonalH gives every row one entry and every column at least one:
+	// HᵀH is diagonal and positive definite.
+	diagonalH := func(rows, cols int) *CSR {
+		var trips []Triplet
+		for i := 0; i < rows; i++ {
+			trips = append(trips, Triplet{Row: i, Col: i % cols, Val: 1})
+		}
+		h, err := NewCSR(rows, cols, trips)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
-	if !ps.SparseBacked() {
-		t.Fatalf("auto did not pick sparse for density %g", hs.SymGram().Density())
-	}
-	// Narrow: auto must stay dense regardless of density.
-	hn := randomSparseH(rng, 100, 50, 0.01)
-	pn, err := PrepareLSOpts(hn, LeastSquaresOptions{}, KernelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pn.SparseBacked() {
-		t.Fatal("auto picked sparse below SparseMinCols")
-	}
-	// Wide but dense: auto must scatter to the dense kernels.
-	hd := randomSparseH(rng, 1200, 600, 0.5)
-	pd, err := PrepareLSOpts(hd, LeastSquaresOptions{}, KernelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pd.SparseBacked() {
-		t.Fatal("auto picked sparse for a dense Gram")
+	for _, c := range []struct {
+		name   string
+		h      *CSR
+		sparse bool
+	}{
+		{"narrow diagonal goes sparse", diagonalH(100, 50), true},
+		{"narrow dense stays dense", randomSparseH(rng, 100, 50, 0.5), false},
+		{"wide sparse", randomSparseH(rng, 1200, 600, 0.004), true},
+		{"wide dense", randomSparseH(rng, 1200, 600, 0.5), false},
+	} {
+		p, err := PrepareLSOpts(c.h, LeastSquaresOptions{}, KernelOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p.SparseBacked() != c.sparse || p.Stats().Sparse != c.sparse {
+			t.Errorf("%s: %dx%d with Gram density %.3g prepared sparse=%v", c.name, c.h.Rows(), c.h.Cols(), c.h.SymGram().Density(), p.SparseBacked())
+		}
 	}
 }
 
