@@ -64,7 +64,7 @@ func serveSteadyState(tb testing.TB, windows int) (step func(), close func()) {
 // TestServeSteadyStateAllocs is the allocation regression gate on the
 // streaming hot path: after warmup, one full window through
 // WindowAssembler + System.Serve (dense delta accumulation, pooled
-// window, pooled counter vector, batch scratch) must stay under the
+// window, pooled counter vector) must stay under the
 // per-window allocation budget.
 func TestServeSteadyStateAllocs(t *testing.T) {
 	const (

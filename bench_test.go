@@ -322,43 +322,6 @@ func BenchmarkDetectSlicedColdVsPreparedParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkDetectBatchVsLoop measures the batched multi-RHS detection
-// path against the equivalent per-window loop on the same prepared
-// engine: a backlog of windows solved as columns of one triangular
-// solve versus one solve per window.
-func BenchmarkDetectBatchVsLoop(b *testing.B) {
-	env := getEnv(b, experiment.Config{Topology: "fattree4", Seed: 23})
-	const windows = 16
-	ys := make([][]float64, windows)
-	for i := range ys {
-		y, err := env.Observe(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ys[i] = y
-	}
-	d, err := core.NewDetector(env.FCM.H, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, y := range ys {
-				if _, err := d.Detect(y); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := d.DetectBatch(ys); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkDetectPrepareSerialVsParallel measures baseline preparation
 // (full Gram + Cholesky plus all per-slice engines) under the serial
 // reference kernels and the parallel blocked kernels.

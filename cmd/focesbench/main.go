@@ -521,9 +521,8 @@ func runTelemetry(opts options, out io.Writer) error {
 
 // runKernels compares the parallel blocked linear-algebra kernels
 // against the serial reference path: baseline preparation (Gram,
-// Cholesky factor, slice build) under both kernel defaults, plus
-// batched multi-RHS detection vs a per-window loop, both arms pinned
-// to the dense backend so the dense kernels are what runs. The trajectory is
+// Cholesky factor, slice build) under both kernel defaults, both arms
+// pinned to the dense backend so the dense kernels are what runs. The trajectory is
 // always archived as results/kernels.json; with -check the run fails
 // if the parallel kernels regress past serial x1.25 (the slack keeps
 // GOMAXPROCS=1 runs, where both arms do the same work, from flapping)
@@ -554,8 +553,6 @@ func runKernels(opts options, out io.Writer) error {
 		res.Topology, res.Flows, res.Rules, res.Slices, res.GoMaxProcs)
 	fmt.Fprint(out, experiment.FormatTable(headers, cells))
 	fmt.Fprintf(out, "prepare speedup %.2fx; verdicts match: %v\n", res.PrepareSpeedup, res.VerdictsMatch)
-	fmt.Fprintf(out, "detect: loop %.0f ns/window, batch %.0f ns/window (%.2fx, %d windows, identical: %v)\n",
-		minOf(res.LoopNsPerWindow), minOf(res.BatchNsPerWindow), res.BatchSpeedup, res.BatchWindows, res.BatchMatchesLoop)
 	if err := os.MkdirAll("results", 0o755); err != nil {
 		return err
 	}
@@ -572,9 +569,6 @@ func runKernels(opts options, out io.Writer) error {
 	if opts.check {
 		if !res.VerdictsMatch {
 			return fmt.Errorf("kernels check: serial and parallel engines disagree on probe verdicts")
-		}
-		if !res.BatchMatchesLoop {
-			return fmt.Errorf("kernels check: DetectBatch diverged from the per-window loop")
 		}
 		if res.Parallel.BestTotalSecs > res.Serial.BestTotalSecs*1.25 {
 			return fmt.Errorf("kernels check: parallel prepare %.3fms exceeds serial %.3fms x1.25",
@@ -960,19 +954,6 @@ func runLocalize(opts options, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func minOf(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // sortCells orders rows lexicographically for deterministic output

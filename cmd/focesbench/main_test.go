@@ -106,7 +106,7 @@ func TestRunKernelsWritesTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"topology": "fattree4"`, `"serialPrepare"`, `"parallelPrepare"`, `"verdictsMatch": true`, `"batchMatchesLoop": true`} {
+	for _, want := range []string{`"topology": "fattree4"`, `"serialPrepare"`, `"parallelPrepare"`, `"verdictsMatch": true`} {
 		if !strings.Contains(string(blob), want) {
 			t.Errorf("kernels.json missing %s:\n%s", want, blob)
 		}

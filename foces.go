@@ -30,11 +30,8 @@
 //
 // Most applications start with NewSystem and drive detection through
 // System.Run — the single supported entry point: one Observation in,
-// one Report out. Backlogs of windows (catch-up after an outage,
-// offline replay) can go through System.RunBatch, which amortizes the
-// triangular solves across the batch via a multi-RHS kernel while
-// returning exactly the Reports the equivalent Run loop would; Run
-// remains the right call for live period-at-a-time monitoring.
+// one Report out, for a live period and a replayed backlog alike.
+// System.Serve runs every window of a push-driven stream through it.
 //
 //	top, _ := foces.FatTree(4)
 //	sys, _ := foces.NewSystem(top, foces.PairExact)
@@ -173,8 +170,6 @@ type (
 	SlicedOutcome = core.SlicedOutcome
 	// Detectability is a Theorem 1/2 detectability verdict.
 	Detectability = core.Detectability
-	// Solver selects the least-squares backend.
-	Solver = core.Solver
 	// KernelOptions tunes the parallel blocked linear-algebra kernels
 	// (blocked Cholesky, slice-build fan-out) and can force the
 	// sparse-vs-dense solver selection.
@@ -242,15 +237,6 @@ const (
 	AttackPortSwap = dataplane.AttackPortSwap
 	// AttackDrop silently discards matched packets.
 	AttackDrop = dataplane.AttackDrop
-)
-
-// Solvers.
-const (
-	// SolverCholesky solves the normal equations by Cholesky
-	// factorization (the paper's approach).
-	SolverCholesky = core.SolverCholesky
-	// SolverCG uses conjugate gradient without materializing HᵀH.
-	SolverCG = core.SolverCG
 )
 
 // DefaultThreshold is the paper's default anomaly-index threshold

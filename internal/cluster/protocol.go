@@ -19,7 +19,7 @@ import (
 // FatTree(16)-scale slices while still bounding a corrupt length
 // prefix.
 const (
-	Version  = 2
+	Version  = 3
 	maxFrame = 64 << 20
 )
 
@@ -45,8 +45,8 @@ const protoName = "foces-cluster"
 
 // helloMsg opens a coordinator→node session: protocol check plus the
 // detection options every replicated engine must be constructed with
-// (the solver choice decides whether an engine holds a prepared factor,
-// so the two sides must agree on them or verdicts diverge).
+// (thresholds and the index denominator shape every verdict, so the
+// two sides must agree on them or verdicts diverge).
 type helloMsg struct {
 	Proto string
 	Space int // rule space (full counter-vector length), informative
@@ -305,7 +305,6 @@ func encodeWindow(w *windowMsg) []byte {
 	var bw bwriter
 	bw.u64(w.Seq)
 	bw.f64(w.Opts.Threshold)
-	bw.u32(uint32(w.Opts.Solver))
 	bw.f64(w.Opts.ZeroTol)
 	bw.u32(uint32(w.Opts.Denominator))
 	bw.u32(uint32(len(w.Shards)))
@@ -321,7 +320,6 @@ func decodeWindow(body []byte) (*windowMsg, error) {
 	r := breader{b: body}
 	w := &windowMsg{Seq: r.u64()}
 	w.Opts.Threshold = r.f64()
-	w.Opts.Solver = core.Solver(r.u32())
 	w.Opts.ZeroTol = r.f64()
 	w.Opts.Denominator = core.Denominator(r.u32())
 	n := int(r.u32())

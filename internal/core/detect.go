@@ -13,30 +13,6 @@ import (
 	"foces/internal/stats"
 )
 
-// Solver selects the least-squares backend for Eq. 4.
-type Solver int
-
-// Solver backends.
-const (
-	// SolverCholesky solves the normal equations (HᵀH)x = Hᵀy by
-	// Cholesky factorization — the paper's (NumPy) approach.
-	SolverCholesky Solver = iota + 1
-	// SolverCG uses conjugate gradient on the normal equations without
-	// materializing HᵀH (memory-lean ablation alternative).
-	SolverCG
-)
-
-func (s Solver) String() string {
-	switch s {
-	case SolverCholesky:
-		return "cholesky"
-	case SolverCG:
-		return "cg"
-	default:
-		return "unknown"
-	}
-}
-
 // Denominator selects the anomaly-index denominator statistic.
 type Denominator int
 
@@ -69,8 +45,6 @@ type Options struct {
 	// Threshold is the anomaly-index threshold T; zero selects the
 	// paper's default 4.5.
 	Threshold float64
-	// Solver selects the least-squares backend; zero selects Cholesky.
-	Solver Solver
 	// ZeroTol is the absolute tolerance below which an error-vector
 	// entry counts as zero; zero selects 1e-6·(1 + max|y|).
 	ZeroTol float64
@@ -82,9 +56,6 @@ type Options struct {
 func (o Options) withDefaults(y []float64) Options {
 	if o.Threshold == 0 {
 		o.Threshold = stats.DefaultThreshold
-	}
-	if o.Solver == 0 {
-		o.Solver = SolverCholesky
 	}
 	if o.ZeroTol == 0 {
 		maxAbs := 0.0
@@ -160,15 +131,4 @@ func anomalyIndex(errMax, errMed, zeroTol float64) float64 {
 		return math.Inf(1)
 	}
 	return errMax / errMed
-}
-
-func solve(h *matrix.CSR, y []float64, s Solver) ([]float64, error) {
-	switch s {
-	case SolverCholesky:
-		return matrix.SolveNormalEquations(h, y, matrix.LeastSquaresOptions{})
-	case SolverCG:
-		return matrix.SolveNormalEquationsCG(h, y, matrix.CGOptions{})
-	default:
-		return nil, fmt.Errorf("core: unknown solver %d", s)
-	}
 }

@@ -27,7 +27,7 @@ import (
 type Detector struct {
 	h    *matrix.CSR
 	opts Options
-	ls   *matrix.PreparedLS // nil when H is degenerate or the solver is not Cholesky
+	ls   *matrix.PreparedLS // nil exactly when H is degenerate (no rows or no columns)
 	pool sync.Pool          // *detectScratch for the public Detect* calls
 	tel  *detTelemetry      // nil unless SetTelemetry wired a metric set
 }
@@ -74,11 +74,7 @@ func NewDetector(h *matrix.CSR, opts Options) (*Detector, error) {
 // numeric factorization.
 func NewDetectorReusing(h *matrix.CSR, opts Options, prev *matrix.PreparedLS) (*Detector, error) {
 	d := &Detector{h: h, opts: opts}
-	solver := opts.Solver
-	if solver == 0 {
-		solver = SolverCholesky
-	}
-	if solver == SolverCholesky && h.Rows() > 0 && h.Cols() > 0 {
+	if h.Rows() > 0 && h.Cols() > 0 {
 		ls, err := matrix.PrepareLSReusing(h, matrix.LeastSquaresOptions{}, matrix.KernelOptions{}, prev)
 		if err != nil {
 			return nil, fmt.Errorf("core: prepare detector: %w", err)
@@ -92,16 +88,25 @@ func NewDetectorReusing(h *matrix.CSR, opts Options, prev *matrix.PreparedLS) (*
 // H returns the flow-counter matrix the engine was prepared for.
 func (d *Detector) H() *matrix.CSR { return d.h }
 
+// PrepareStats reports where this engine's prepare time went (Gram
+// assembly vs Cholesky factorization). Zero for engines without a
+// prepared factorization (degenerate H) and for engines assembled from
+// an externally maintained factor.
+func (d *Detector) PrepareStats() matrix.PrepareStats {
+	if d.ls == nil {
+		return matrix.PrepareStats{}
+	}
+	return d.ls.Stats()
+}
+
 // Detect runs Algorithm 1 on one period's counter vector using the
 // options fixed at construction.
 func (d *Detector) Detect(y []float64) (Result, error) {
 	return d.DetectWithOptions(y, d.opts)
 }
 
-// DetectWithOptions runs Algorithm 1 with per-call options. The
-// prepared factorization is used whenever the (resolved) solver is
-// Cholesky; selecting SolverCG falls back to a per-call iterative
-// solve.
+// DetectWithOptions runs Algorithm 1 with per-call options; the
+// prepared factorization is reused.
 func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) {
 	sc := d.pool.Get().(*detectScratch)
 	defer d.pool.Put(sc)
@@ -144,15 +149,8 @@ func (d *Detector) detectAll(y []float64, opts Options, sc *detectScratch) (Resu
 		tel.outcome(t0, res)
 		return res, nil
 	}
-	var xHat []float64
-	var err error
-	if opts.Solver == SolverCholesky && d.ls != nil {
-		xHat = make([]float64, h.Cols())
-		err = d.ls.SolveInto(xHat, y, sc.ws)
-	} else {
-		xHat, err = solve(h, y, opts.Solver)
-	}
-	if err != nil {
+	xHat := make([]float64, h.Cols())
+	if err := d.ls.SolveInto(xHat, y, sc.ws); err != nil {
 		return Result{}, fmt.Errorf("core: volume estimate: %w", err)
 	}
 	var tResid time.Time

@@ -9,9 +9,9 @@ import (
 
 // TestKernelPrepareDeterminism is the tentpole equivalence gate:
 // preparing the baseline with 1 kernel worker and with many must yield
-// byte-identical Detector outcomes, because parallel Gram is bitwise
-// equal to serial and blocked-Cholesky dispatch never consults the
-// worker count. Run under -race -count=2 by make test-kernels.
+// byte-identical Detector outcomes, because the Gram is assembled
+// serially and blocked-Cholesky dispatch never consults the worker
+// count.
 func TestKernelPrepareDeterminism(t *testing.T) {
 	f, clean, attacked := runAttackScenario(t, "fattree4", 3)
 	slices, err := BuildSlices(f)
@@ -71,75 +71,6 @@ func TestKernelPrepareDeterminism(t *testing.T) {
 		if refFull.Anomalous != wantFull.Anomalous {
 			t.Fatalf("%s: serial reference verdict %v vs kernel verdict %v", name, refFull.Anomalous, wantFull.Anomalous)
 		}
-	}
-}
-
-// TestKernelDetectBatchMatchesLoop checks the batched multi-RHS path
-// returns results byte-identical to per-window Detect calls.
-func TestKernelDetectBatchMatchesLoop(t *testing.T) {
-	f, clean, attacked := runAttackScenario(t, "fattree4", 5)
-	d, err := NewDetector(f.H, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaled := make([]float64, len(clean))
-	for i, v := range clean {
-		scaled[i] = v * 1.5
-	}
-	ys := [][]float64{clean, attacked, scaled, clean}
-	batch, err := d.DetectBatch(ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(ys) {
-		t.Fatalf("batch returned %d results for %d windows", len(batch), len(ys))
-	}
-	for r, y := range ys {
-		want, err := d.Detect(y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, batch[r]) {
-			t.Fatalf("window %d: batch result diverged from loop:\n got %+v\nwant %+v", r, batch[r], want)
-		}
-	}
-	// The batch must not have perturbed the engine for later singles.
-	again, err := d.Detect(attacked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.Anomalous {
-		t.Fatal("attacked window no longer anomalous after batch")
-	}
-}
-
-// TestKernelDetectBatchFallbacks covers the windows that cannot take
-// the multi-RHS solve: empty batches, CG solver, and dimension errors.
-func TestKernelDetectBatchFallbacks(t *testing.T) {
-	f, clean, attacked := runAttackScenario(t, "fattree4", 7)
-	d, err := NewDetector(f.H, Options{Solver: SolverCG})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := d.DetectBatch(nil); err != nil || res != nil {
-		t.Fatalf("empty batch: %v, %v", res, err)
-	}
-	ys := [][]float64{clean, attacked}
-	batch, err := d.DetectBatch(ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, y := range ys {
-		want, err := d.Detect(y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, batch[r]) {
-			t.Fatalf("CG window %d: batch diverged from loop", r)
-		}
-	}
-	if _, err := d.DetectBatch([][]float64{clean[:3]}); err == nil {
-		t.Fatal("short window accepted")
 	}
 }
 

@@ -27,7 +27,7 @@ func NewDetectorFromPrepared(ls *matrix.PreparedLS, opts Options) *Detector {
 }
 
 // Prepared exposes the engine's prepared least-squares solver (nil when
-// H is degenerate or the solver is not Cholesky). Callers deriving a
+// H is degenerate). Callers deriving a
 // modified factor must Clone it.
 func (d *Detector) Prepared() *matrix.PreparedLS { return d.ls }
 
@@ -146,7 +146,7 @@ func (d *Detector) detectMasked(y []float64, masked []int, opts Options, sc *det
 	// CloneFactor works for dense- and sparse-backed engines alike; a
 	// nil clone (degenerate or dual engine) falls through to the
 	// one-shot solve.
-	if chol := d.cloneFactorForMask(opts); chol != nil {
+	if chol := d.cloneFactorForMask(); chol != nil {
 		row := make([]float64, h.Cols())
 		ok := true
 		for i := range mask {
@@ -201,7 +201,7 @@ func (d *Detector) detectMasked(y []float64, masked []int, opts Options, sc *det
 		if err != nil {
 			return Result{}, err
 		}
-		xHat, err = solve(sub, yKept, opts.Solver)
+		xHat, err = matrix.SolveNormalEquations(sub, yKept, matrix.LeastSquaresOptions{})
 		if err != nil {
 			return Result{}, fmt.Errorf("core: masked volume estimate: %w", err)
 		}
@@ -226,9 +226,9 @@ func (d *Detector) detectMasked(y []float64, masked []int, opts Options, sc *det
 
 // cloneFactorForMask returns an independently downdatable copy of the
 // engine's HᵀH factor for the masked path, or nil when the engine has
-// none to downdate (non-Cholesky solver, degenerate H, dual engine).
-func (d *Detector) cloneFactorForMask(opts Options) matrix.UpdatableFactor {
-	if opts.Solver != SolverCholesky || d.ls == nil {
+// none to downdate (degenerate H, dual engine).
+func (d *Detector) cloneFactorForMask() matrix.UpdatableFactor {
+	if d.ls == nil {
 		return nil
 	}
 	return d.ls.CloneFactor()

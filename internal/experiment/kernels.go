@@ -14,8 +14,7 @@ import (
 // KernelsConfig drives the kernel-layer experiment: the same baseline
 // (full Gram + Cholesky + per-slice engines) is prepared with the
 // serial reference kernels and with the parallel blocked kernels, and
-// the same detector then checks a batch of observation windows one by
-// one and through the multi-RHS batch path.
+// both must reach the same verdicts.
 type KernelsConfig struct {
 	// Topology is a topo.ByName name; zero selects "fattree8".
 	Topology string
@@ -23,8 +22,6 @@ type KernelsConfig struct {
 	// (keeping the dense Gram affordable on FatTree(8)); zero selects
 	// min(960, all pairs).
 	Flows int
-	// Windows is the detect-batch width; zero selects 16.
-	Windows int
 	// Repeats is the number of timing samples per arm (the fastest is
 	// kept); zero selects 3.
 	Repeats int
@@ -35,9 +32,6 @@ type KernelsConfig struct {
 func (c KernelsConfig) withDefaults() KernelsConfig {
 	if c.Topology == "" {
 		c.Topology = "fattree8"
-	}
-	if c.Windows == 0 {
-		c.Windows = 16
 	}
 	if c.Repeats == 0 {
 		c.Repeats = 3
@@ -55,8 +49,8 @@ type KernelsPrepare struct {
 	SliceBuildSecs float64   `json:"sliceBuildSecs"`
 }
 
-// KernelsResult reports the serial-vs-parallel prepare and
-// batch-vs-loop detect trajectories (results/kernels.json).
+// KernelsResult reports the serial-vs-parallel prepare trajectories
+// (results/kernels.json).
 type KernelsResult struct {
 	Topology   string `json:"topology"`
 	Flows      int    `json:"flows"`
@@ -71,14 +65,6 @@ type KernelsResult struct {
 	// engines agreed on every probe window (clean and attacked, full and
 	// sliced).
 	VerdictsMatch bool `json:"verdictsMatch"`
-
-	BatchWindows     int       `json:"batchWindows"`
-	LoopNsPerWindow  []float64 `json:"loopNsPerWindow"`
-	BatchNsPerWindow []float64 `json:"batchNsPerWindow"`
-	BatchSpeedup     float64   `json:"batchSpeedup"`
-	// BatchMatchesLoop reports whether DetectBatch returned results
-	// byte-identical to the per-window loop.
-	BatchMatchesLoop bool `json:"batchMatchesLoop"`
 }
 
 // Kernels measures the parallel kernel layer against the serial
@@ -87,7 +73,7 @@ type KernelsResult struct {
 // pair-exact system — diagonal slices, a sparse full engine — would
 // build no dense factor at all, and the experiment would time the
 // sparse factor under two names instead of the blocked dense Cholesky
-// and the multi-RHS batch solve it exists to gate.
+// it exists to gate.
 func Kernels(cfg KernelsConfig) (KernelsResult, error) {
 	cfg = cfg.withDefaults()
 	t, err := topo.ByName(cfg.Topology)
@@ -217,46 +203,5 @@ func Kernels(cfg KernelsConfig) (KernelsResult, error) {
 		return KernelsResult{}, err
 	}
 
-	// Batch-vs-loop detect on the parallel-prepared full engine.
-	ys := make([][]float64, cfg.Windows)
-	for i := range ys {
-		y, err := env.Observe(0)
-		if err != nil {
-			return KernelsResult{}, err
-		}
-		ys[i] = y
-	}
-	res.BatchWindows = cfg.Windows
-	d := parallel.d
-	var loopResults, batchResults []core.Result
-	for rep := 0; rep < cfg.Repeats; rep++ {
-		l0 := time.Now()
-		loopResults = loopResults[:0]
-		for _, y := range ys {
-			r, err := d.Detect(y)
-			if err != nil {
-				return KernelsResult{}, err
-			}
-			loopResults = append(loopResults, r)
-		}
-		res.LoopNsPerWindow = append(res.LoopNsPerWindow, float64(time.Since(l0).Nanoseconds())/float64(cfg.Windows))
-		b0 := time.Now()
-		batchResults, err = d.DetectBatch(ys)
-		if err != nil {
-			return KernelsResult{}, err
-		}
-		res.BatchNsPerWindow = append(res.BatchNsPerWindow, float64(time.Since(b0).Nanoseconds())/float64(cfg.Windows))
-	}
-	res.BatchMatchesLoop = reflect.DeepEqual(loopResults, batchResults)
-	bestLoop, bestBatch := math.Inf(1), math.Inf(1)
-	for _, v := range res.LoopNsPerWindow {
-		bestLoop = math.Min(bestLoop, v)
-	}
-	for _, v := range res.BatchNsPerWindow {
-		bestBatch = math.Min(bestBatch, v)
-	}
-	if bestBatch > 0 {
-		res.BatchSpeedup = bestLoop / bestBatch
-	}
 	return res, nil
 }

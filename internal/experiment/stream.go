@@ -270,12 +270,12 @@ func streamCheck(cfg StreamBenchConfig, env *Env, switches []topo.SwitchID, res 
 	}
 
 	// Streaming arm: the same snapshots pushed through the assembler,
-	// verdicts emitted by Serve (exercising the RunBatch grouping).
+	// verdicts emitted by Serve.
 	asm := collector.NewWindowAssembler(switches, collector.StreamConfig{WindowBuffer: cfg.CheckWindows + 2})
 	asm.SetEpoch(sys.Epoch())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	reports, err := sys.Serve(ctx, foces.StreamConfig{Windows: asm.Windows(), BatchMax: 4, Buffer: cfg.CheckWindows + 2})
+	reports, err := sys.Serve(ctx, foces.StreamConfig{Windows: asm.Windows(), Buffer: cfg.CheckWindows + 2})
 	if err != nil {
 		return err
 	}

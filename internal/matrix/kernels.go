@@ -1,8 +1,8 @@
 package matrix
 
 // Parallel, cache-blocked kernels for the heavy baseline-preparation
-// linear algebra: sparse Gram assembly (HᵀH), blocked right-looking
-// Cholesky, and multi-RHS triangular solves. The kernels are exact
+// linear algebra: sparse Gram assembly (HᵀH), and blocked right-looking
+// Cholesky. The kernels are exact
 // drop-in replacements for the serial reference paths:
 //
 //   - parallel Gram is bitwise identical to GramSerial for any worker
@@ -369,59 +369,4 @@ func newCholeskyBlocked(a *Dense, blockSize, workers int) (*Cholesky, error) {
 		})
 	}
 	return &Cholesky{n: n, l: l, lt: l.Transpose()}, nil
-}
-
-// SolveManyInto solves A X = B for k right-hand sides given as the
-// columns of the n×k matrix b, writing the solutions into the columns
-// of dst. scratch is an n×k workspace for the forward-substitution
-// intermediate; it must not alias dst or b (dst may alias b). Each
-// column's arithmetic matches SolveInto operation-for-operation, so
-// column r of dst is bitwise identical to a single SolveInto on column
-// r — batching changes memory traffic, never results.
-func (c *Cholesky) SolveManyInto(dst, b, scratch *Dense) error {
-	k := b.Cols()
-	if b.Rows() != c.n || dst.Rows() != c.n || scratch.Rows() != c.n {
-		return fmt.Errorf("matrix: cholesky solve-many rows %d/%d/%d vs %d", dst.Rows(), b.Rows(), scratch.Rows(), c.n)
-	}
-	if dst.Cols() != k || scratch.Cols() != k {
-		return fmt.Errorf("matrix: cholesky solve-many cols %d/%d vs %d", dst.Cols(), scratch.Cols(), k)
-	}
-	if c.poisoned {
-		return ErrFactorPoisoned
-	}
-	// Forward substitution: L Y = B, streaming rows of L.
-	for i := 0; i < c.n; i++ {
-		row := c.l.Row(i)
-		yi := scratch.Row(i)
-		copy(yi, b.Row(i))
-		for j := 0; j < i; j++ {
-			lij := row[j]
-			yj := scratch.Row(j)
-			for r := range yi {
-				yi[r] -= lij * yj[r]
-			}
-		}
-		d := row[i]
-		for r := range yi {
-			yi[r] /= d
-		}
-	}
-	// Back substitution: Lᵀ X = Y, streaming rows of Lᵀ.
-	for i := c.n - 1; i >= 0; i-- {
-		row := c.lt.Row(i)
-		xi := dst.Row(i)
-		copy(xi, scratch.Row(i))
-		for j := i + 1; j < c.n; j++ {
-			lij := row[j]
-			xj := dst.Row(j)
-			for r := range xi {
-				xi[r] -= lij * xj[r]
-			}
-		}
-		d := row[i]
-		for r := range xi {
-			xi[r] /= d
-		}
-	}
-	return nil
 }

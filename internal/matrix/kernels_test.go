@@ -193,76 +193,6 @@ func TestKernelCholeskyPivotFailureIdentical(t *testing.T) {
 	}
 }
 
-func TestKernelSolveManyMatchesSolveBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for _, n := range []int{5, 64, 170} {
-		a := spdDense(t, rng, n)
-		c, err := NewCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := 7
-		b := NewDense(n, k)
-		for i := 0; i < n; i++ {
-			for r := 0; r < k; r++ {
-				b.Set(i, r, rng.NormFloat64()*100)
-			}
-		}
-		x := NewDense(n, k)
-		if err := c.SolveManyInto(x, b, NewDense(n, k)); err != nil {
-			t.Fatal(err)
-		}
-		col := make([]float64, n)
-		single := make([]float64, n)
-		scratch := make([]float64, n)
-		for r := 0; r < k; r++ {
-			for i := 0; i < n; i++ {
-				col[i] = b.At(i, r)
-			}
-			if err := c.SolveInto(single, col, scratch); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				if math.Float64bits(single[i]) != math.Float64bits(x.At(i, r)) {
-					t.Fatalf("n=%d rhs %d row %d: batch %g vs single %g", n, r, i, x.At(i, r), single[i])
-				}
-			}
-		}
-	}
-}
-
-func TestKernelSolveBatchMatchesSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	h := randomFCMCSR(t, rng, 240, 120, 6)
-	p, err := PrepareLS(h, LeastSquaresOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ys := make([][]float64, 5)
-	for r := range ys {
-		y := make([]float64, h.Rows())
-		for i := range y {
-			y[i] = rng.Float64() * 1000
-		}
-		ys[r] = y
-	}
-	x, err := p.SolveBatch(ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, y := range ys {
-		want, err := p.Solve(y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if math.Float64bits(want[i]) != math.Float64bits(x.At(i, r)) {
-				t.Fatalf("rhs %d row %d: batch %g vs single %g", r, i, x.At(i, r), want[i])
-			}
-		}
-	}
-}
-
 func TestKernelDefaultsRoundTrip(t *testing.T) {
 	prev := SetKernelDefaults(KernelOptions{Workers: 3, BlockSize: 48})
 	defer SetKernelDefaults(prev)

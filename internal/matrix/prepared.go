@@ -378,43 +378,3 @@ func (p *PreparedLS) SolveInto(dst, y, workspace []float64) error {
 	}
 	return p.factorSolve(dst, dst, workspace)
 }
-
-// SolveBatch computes x̂ for k observation vectors, returning the
-// solutions as the columns of a Cols()×k matrix. Column r is bitwise
-// identical to Solve(ys[r]): a primal dense engine runs one multi-RHS
-// triangular sweep, which amortizes factor memory traffic across the
-// windows without changing any result (see Cholesky.SolveManyInto);
-// sparse-backed and dual engines loop per-window SolveInto.
-func (p *PreparedLS) SolveBatch(ys [][]float64) (*Dense, error) {
-	n := p.Cols()
-	k := len(ys)
-	if p.sp != nil || p.stats.Dual {
-		x := NewDense(n, k)
-		tmp := make([]float64, n)
-		scratch := make([]float64, n)
-		for r, y := range ys {
-			if err := p.SolveInto(tmp, y, scratch); err != nil {
-				return nil, err
-			}
-			for i, v := range tmp {
-				x.Set(i, r, v)
-			}
-		}
-		return x, nil
-	}
-	b := NewDense(n, k)
-	tmp := make([]float64, n)
-	for r, y := range ys {
-		if err := p.h.TMulVecInto(tmp, y); err != nil {
-			return nil, err
-		}
-		for i, v := range tmp {
-			b.Set(i, r, v)
-		}
-	}
-	x := NewDense(n, k)
-	if err := p.chol.SolveManyInto(x, b, NewDense(n, k)); err != nil {
-		return nil, err
-	}
-	return x, nil
-}

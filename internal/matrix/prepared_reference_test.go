@@ -417,39 +417,6 @@ func maxAbsDiff(a, b []float64) float64 {
 	return maxAbs(d)
 }
 
-// TestDualSolveBatchBitwiseEqualsSolve: SolveBatch's promise — column r
-// is Solve(ys[r]) to the bit — holds on dual engines of both backends.
-func TestDualSolveBatchBitwiseEqualsSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, c := range WideCases(t, rng) {
-		for _, be := range WideBackends {
-			p, err := PrepareLSOpts(c.H, LeastSquaresOptions{}, be.KO)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ys := WideWindows(t, rng, c.H)
-			x, err := p.SolveBatch(ys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r, y := range ys {
-				want, err := p.Solve(y)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, v := range want {
-					if math.Float64bits(x.At(i, r)) != math.Float64bits(v) {
-						t.Fatalf("%s/%s: batch column %d row %d = %v, Solve = %v", c.Name, be.Name, r, i, x.At(i, r), v)
-					}
-				}
-			}
-			if _, err := p.SolveBatch([][]float64{make([]float64, c.H.Rows()+1)}); err == nil {
-				t.Fatalf("%s/%s: SolveBatch took a window of the wrong length", c.Name, be.Name)
-			}
-		}
-	}
-}
-
 // TestPrepareReusesDualSymbolic: PrepareLSReusing keeps its promise on
 // the dual side — an unchanged HHᵀ pattern skips ordering and symbolic
 // analysis — and a primal engine's analysis is never mistaken for one.

@@ -506,34 +506,3 @@ func TestPreparedLSAutoSelection(t *testing.T) {
 		}
 	}
 }
-
-func TestSolveBatchSparseMatchesLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	h := randomSparseH(rng, 300, 150, 0.03)
-	p, err := PrepareLSOpts(h, LeastSquaresOptions{}, KernelOptions{Sparse: SparseAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ys := make([][]float64, 5)
-	for r := range ys {
-		ys[r] = make([]float64, h.Rows())
-		for i := range ys[r] {
-			ys[r][i] = rng.NormFloat64()
-		}
-	}
-	batch, err := p.SolveBatch(ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, y := range ys {
-		x, err := p.Solve(y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range x {
-			if batch.At(i, r) != v {
-				t.Fatalf("batch column %d differs from loop at %d", r, i)
-			}
-		}
-	}
-}

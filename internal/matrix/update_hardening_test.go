@@ -56,7 +56,7 @@ func TestUpdateNaNInputErrors(t *testing.T) {
 // non-atomic Downdate failure: the pass used to return mid-loop with
 // c.l partially rotated and c.lt stale, and a caller ignoring the error
 // would silently solve against the inconsistent L/Lᵀ pair. Failure must
-// now poison the factor so SolveInto and SolveManyInto refuse to run.
+// now poison the factor so SolveInto refuses to run.
 func TestDowndateFailurePoisonsFactor(t *testing.T) {
 	// A = diag(4, 0.01): downdating by x = (1,1) succeeds at column 0
 	// (mutating L) and then fails at column 1, exercising the partially
@@ -77,10 +77,6 @@ func TestDowndateFailurePoisonsFactor(t *testing.T) {
 	}
 	if err := chol.SolveInto(make([]float64, 2), []float64{1, 1}, make([]float64, 2)); !errors.Is(err, ErrFactorPoisoned) {
 		t.Fatalf("want ErrFactorPoisoned from SolveInto, got %v", err)
-	}
-	b := NewDense(2, 1)
-	if err := chol.SolveManyInto(NewDense(2, 1), b, NewDense(2, 1)); !errors.Is(err, ErrFactorPoisoned) {
-		t.Fatalf("want ErrFactorPoisoned from SolveManyInto, got %v", err)
 	}
 	if err := chol.Update([]float64{1, 0}); !errors.Is(err, ErrFactorPoisoned) {
 		t.Fatalf("want ErrFactorPoisoned from Update, got %v", err)

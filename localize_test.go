@@ -106,9 +106,10 @@ func TestRunWithoutLocalizeConfigIsDetectionOnly(t *testing.T) {
 	}
 }
 
-// RunBatch routes localization exactly like Run, on both the batched
-// clean path and the per-window fallback path.
-func TestRunBatchLocalizes(t *testing.T) {
+// Localization follows the verdict whichever engines run: a ModeAuto
+// window and a sliced-only window are both localized to the injected
+// rule.
+func TestRunLocalizesAcrossModes(t *testing.T) {
 	sys := newSystem(t, "fattree4", foces.PairExact)
 	rng := rand.New(rand.NewSource(45))
 	atk, err := sys.InjectRandomAttack(rng, foces.AttackDrop)
@@ -120,25 +121,20 @@ func TestRunBatchLocalizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := &foces.LocalizeConfig{Seed: 45}
-	obs := []foces.Observation{
-		{Vector: y, RunOptions: foces.RunOptions{Localize: cfg}},                         // batched (ModeAuto, clean path)
-		{Vector: y, RunOptions: foces.RunOptions{Mode: foces.ModeSliced, Localize: cfg}}, // fallback (not batchable)
-	}
-	reports, err := sys.RunBatch(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rep := range reports {
+	for _, mode := range []foces.Mode{foces.ModeAuto, foces.ModeSliced} {
+		rep, err := sys.Run(foces.Observation{Vector: y, RunOptions: foces.RunOptions{Mode: mode, Localize: cfg}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !rep.Anomalous {
-			t.Fatalf("window %d: attack not detected", i)
+			t.Fatalf("%v: attack not detected", mode)
 		}
 		loc := rep.Localization
 		if loc == nil || !loc.Localized {
-			t.Fatalf("window %d: not localized: %+v", i, loc)
+			t.Fatalf("%v: not localized: %+v", mode, loc)
 		}
-		top, _ := loc.TopCulprit()
-		if top.RuleID != atk.RuleID {
-			t.Fatalf("window %d: accused rule %d, want %d", i, top.RuleID, atk.RuleID)
+		if top, _ := loc.TopCulprit(); top.RuleID != atk.RuleID {
+			t.Fatalf("%v: accused rule %d, want %d", mode, top.RuleID, atk.RuleID)
 		}
 	}
 }

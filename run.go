@@ -18,7 +18,8 @@ import (
 // switches ∪ rows changed since the window's epoch), asks the prepared
 // engines the paper's question on the rows that are left, and returns a
 // single Report. A clean window is the empty mask; there is no other
-// path. Detect, DetectSliced and DetectReconciled survive as thin
+// path, and System.Serve runs every streamed window through Run too.
+// Detect, DetectSliced and DetectReconciled survive as thin
 // deprecated wrappers over Run.
 
 // Mode selects which detection engines a Run executes.
@@ -526,210 +527,6 @@ func (s *System) windowMask(churned []int, missing []SwitchID) ([]int, error) {
 		return nil, fmt.Errorf("foces: every installed rule row is masked (%d switches missing, %d rows changed mid-window); nothing to check", len(missing), len(churned))
 	}
 	return mask, nil
-}
-
-// RunBatch executes a batch of observation windows against the same
-// baseline in one call — the multi-tenant / replayed-window entry
-// point. Clean windows that run the full engine (ModeAuto or ModeFull,
-// no missing switches, current epoch) share one batched
-// Algorithm-1 multi-RHS solve per distinct option set
-// (Detector.DetectBatch), which amortizes the triangular-factor memory
-// traffic across the batch; every other window simply dispatches
-// through Run. Reports come back in input order and each matches what
-// a standalone Run of that window would produce — batching never
-// changes a verdict, an index or a report field other than Timings
-// (batched windows report their amortized share of the shared full
-// stage). Any window error fails the whole batch, identifying the
-// window. Migration from a Run loop is mechanical: collect the windows
-// and switch the call; there is nothing to deprecate and no behavior
-// to re-tune.
-func (s *System) RunBatch(obs []Observation) ([]Report, error) {
-	if len(obs) == 0 {
-		return nil, nil
-	}
-	s.baselineMu.RLock()
-	defer s.baselineMu.RUnlock()
-	epoch := s.Epoch()
-	// Per-call scratch (group tables, vector index, full-stage results)
-	// is recycled across calls; only the returned reports slice is
-	// allocated. Pooled counter vectors are released with it.
-	sc := s.getBatchScratch(len(obs))
-	defer s.putBatchScratch(sc)
-	// Pass 1: gather the batchable clean-path windows, grouped by their
-	// resolved options (ZeroTol defaults are per-window, applied inside
-	// DetectBatchWithOptions exactly as DetectWithOptions would). The
-	// group table is a linear-scanned slice: real batches carry one or
-	// two distinct option sets, and the steady-state single-group case
-	// must not pay a map allocation per call.
-	for i, o := range obs {
-		if len(o.Missing) > 0 || o.Epoch != epoch || (o.Mode != ModeAuto && o.Mode != ModeFull) {
-			continue
-		}
-		y, pooled, err := s.observationVector(o)
-		if err != nil {
-			return nil, fmt.Errorf("foces: batch window %d: %w", i, err)
-		}
-		if pooled {
-			sc.pooled = append(sc.pooled, y)
-		}
-		opts := o.Options
-		if opts == (DetectOptions{}) {
-			opts = s.opts
-		}
-		g := sc.group(opts)
-		g.idxs = append(g.idxs, i)
-		g.ys = append(g.ys, y)
-		sc.batchable[i] = true
-		sc.vectors[i] = y
-	}
-	// Shared full-engine stage: one multi-RHS solve per option group.
-	if len(sc.groups) > 0 {
-		d, err := s.fullDetector()
-		if err != nil {
-			return nil, err
-		}
-		for k := range sc.groups {
-			g := &sc.groups[k]
-			t0 := time.Now()
-			results, err := d.DetectBatchWithOptions(g.ys, g.opts)
-			if err != nil {
-				return nil, fmt.Errorf("foces: batch window %d: %w", g.idxs[0], err)
-			}
-			share := time.Since(t0) / time.Duration(len(g.idxs))
-			for k, i := range g.idxs {
-				sc.fullRes[i] = results[k]
-				sc.fullDur[i] = share
-			}
-		}
-	}
-	// Pass 2, in input order (so the recent-verdict ring and telemetry
-	// see the windows in the order the caller supplied them): assemble
-	// batched reports, run the sliced stage per window, and dispatch
-	// everything else through Run.
-	reports := make([]Report, len(obs))
-	for i, o := range obs {
-		if !sc.batchable[i] {
-			rep, err := s.runLocked(o, nil) // already under the read lock
-			if err != nil {
-				return nil, fmt.Errorf("foces: batch window %d: %w", i, err)
-			}
-			reports[i] = rep
-			continue
-		}
-		start := time.Now()
-		rep := Report{Mode: o.Mode, Epoch: epoch, Path: PathClean}
-		res := sc.fullRes[i]
-		rep.Timings.Full = sc.fullDur[i]
-		rep.Full = &res
-		rep.Index = res.Index
-		rep.Anomalous = res.Anomalous
-		if o.Mode == ModeAuto {
-			opts := o.Options
-			if opts == (DetectOptions{}) {
-				opts = s.opts
-			}
-			t0 := time.Now()
-			so, err := s.sliced.DetectWithOptions(sc.vectors[i], opts)
-			if err != nil {
-				return nil, fmt.Errorf("foces: batch window %d: %w", i, err)
-			}
-			rep.Timings.Sliced = time.Since(t0)
-			rep.Sliced = &so
-			rep.SlicedIndex = so.MaxIndex()
-			rep.Suspects = so.Suspects
-			rep.Anomalous = rep.Anomalous || so.Anomalous
-		}
-		s.maybeLocalize(o, &rep)
-		rep.Timings.Total = sc.fullDur[i] + time.Since(start)
-		s.recordRun(&rep)
-		reports[i] = rep
-	}
-	return reports, nil
-}
-
-// optGroup is one distinct option set's slice of a batch.
-type optGroup struct {
-	opts DetectOptions
-	idxs []int
-	ys   [][]float64
-}
-
-// batchScratch is RunBatch's recycled per-call working set.
-type batchScratch struct {
-	groups    []optGroup
-	batchable []bool
-	vectors   [][]float64
-	fullRes   []Result
-	fullDur   []time.Duration
-	pooled    [][]float64 // counter vectors to release after the call
-}
-
-// group finds or claims the group for an option set, reusing retired
-// entries' index/vector capacity.
-func (sc *batchScratch) group(opts DetectOptions) *optGroup {
-	for k := range sc.groups {
-		if sc.groups[k].opts == opts {
-			return &sc.groups[k]
-		}
-	}
-	if cap(sc.groups) > len(sc.groups) {
-		sc.groups = sc.groups[:len(sc.groups)+1]
-	} else {
-		sc.groups = append(sc.groups, optGroup{})
-	}
-	g := &sc.groups[len(sc.groups)-1]
-	g.opts = opts
-	g.idxs = g.idxs[:0]
-	g.ys = g.ys[:0]
-	return g
-}
-
-// getBatchScratch pops (or builds) a scratch sized for n windows.
-func (s *System) getBatchScratch(n int) *batchScratch {
-	s.scratchMu.Lock()
-	var sc *batchScratch
-	if k := len(s.batchFree); k > 0 {
-		sc = s.batchFree[k-1]
-		s.batchFree[k-1] = nil
-		s.batchFree = s.batchFree[:k-1]
-	}
-	s.scratchMu.Unlock()
-	if sc == nil {
-		sc = &batchScratch{}
-	}
-	if cap(sc.batchable) < n {
-		sc.batchable = make([]bool, n)
-		sc.vectors = make([][]float64, n)
-		sc.fullRes = make([]Result, n)
-		sc.fullDur = make([]time.Duration, n)
-	} else {
-		sc.batchable = sc.batchable[:n]
-		clear(sc.batchable)
-		sc.vectors = sc.vectors[:n]
-		clear(sc.vectors)
-		sc.fullRes = sc.fullRes[:n]
-		clear(sc.fullRes)
-		sc.fullDur = sc.fullDur[:n]
-		clear(sc.fullDur)
-	}
-	sc.groups = sc.groups[:0]
-	sc.pooled = sc.pooled[:0]
-	return sc
-}
-
-// putBatchScratch releases the call's pooled counter vectors and
-// returns the scratch to the free list.
-func (s *System) putBatchScratch(sc *batchScratch) {
-	for i, y := range sc.pooled {
-		s.putVector(y)
-		sc.pooled[i] = nil
-	}
-	sc.pooled = sc.pooled[:0]
-	s.scratchMu.Lock()
-	if len(s.batchFree) < 4 {
-		s.batchFree = append(s.batchFree, sc)
-	}
-	s.scratchMu.Unlock()
 }
 
 // observationVector resolves the dense counter vector from an

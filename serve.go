@@ -15,8 +15,8 @@ import (
 // every layer assume one full poll per period. System.Serve inverts
 // it: a collector.WindowAssembler turns pushed counter snapshots into
 // completed windows on its own clock, and Serve consumes those windows
-// continuously, grouping batchable ones through RunBatch and emitting
-// verdicts on a channel. Health states and churn epochs flow through
+// continuously, running each through Run and emitting verdicts on a
+// channel. Health states and churn epochs flow through
 // unchanged: a streaming window straddling an ApplyUpdate carries the
 // same epoch/straddle metadata a polled window would, so it is masked
 // exactly the same way.
@@ -73,11 +73,6 @@ type StreamConfig struct {
 	// Windows is the completed-window stream, normally
 	// WindowAssembler.Windows(). Required.
 	Windows <-chan StreamWindow
-	// BatchMax caps how many pending windows are grouped into one
-	// RunBatch call when the consumer has fallen behind the assembler;
-	// batched windows share one multi-RHS full-engine solve. Zero
-	// selects 8, one disables batching.
-	BatchMax int
 	// Buffer sizes the emitted report channel; zero selects 16.
 	Buffer int
 	// Mode selects the engines per window (default ModeAuto).
@@ -98,16 +93,6 @@ type StreamConfig struct {
 	Telemetry *StreamTelemetry
 }
 
-func (c StreamConfig) withDefaults() StreamConfig {
-	if c.BatchMax <= 0 {
-		c.BatchMax = 8
-	}
-	if c.Buffer <= 0 {
-		c.Buffer = 16
-	}
-	return c
-}
-
 // StreamReport is one streamed window's detection outcome.
 type StreamReport struct {
 	// Report is the detection outcome; zero-valued when Err is set.
@@ -117,8 +102,10 @@ type StreamReport struct {
 	// Latency is first-push-to-verdict wall time (zero when the window
 	// carried no push timestamp).
 	Latency time.Duration
-	// Batched is how many windows shared this report's RunBatch call
-	// (1 = ran alone).
+	// Batched is always 1: Serve detects every window alone.
+	//
+	// Deprecated: the field survives only because the frozen benchmark
+	// (bench/ft8.go) reads it; the next benchmark change drops it.
 	Batched int
 	// Err is the window's detection error, if any; Serve keeps running
 	// after per-window errors.
@@ -128,9 +115,9 @@ type StreamReport struct {
 // Serve runs continuous streaming detection: it consumes completed
 // windows from cfg.Windows, converts each to an Observation (missing
 // switches and, for straddled windows, rows changed since their oldest
-// baseline epoch masked — identical to the polled path), groups
-// pending windows through RunBatch, and emits one StreamReport per
-// window, in window order, on the returned channel.
+// baseline epoch masked — identical to the polled path), detects it
+// with Run, and emits one StreamReport per window, in window order, on
+// the returned channel.
 //
 // Serve returns immediately; the loop runs until ctx is cancelled or
 // cfg.Windows is closed, then closes the report channel. Windows with
@@ -142,42 +129,31 @@ func (s *System) Serve(ctx context.Context, cfg StreamConfig) (<-chan StreamRepo
 	if cfg.Windows == nil {
 		return nil, fmt.Errorf("foces: StreamConfig.Windows is required (use WindowAssembler.Windows)")
 	}
-	cfg = cfg.withDefaults()
+	if cfg.Buffer <= 0 {
+		cfg.Buffer = 16
+	}
 	out := make(chan StreamReport, cfg.Buffer)
 	go func() {
 		defer close(out)
-		// Batch and observation scratch live across iterations so the
-		// steady-state loop reuses their backing arrays.
-		var (
-			batch []StreamWindow
-			obs   []Observation
-		)
 		for {
-			var first StreamWindow
+			var w StreamWindow
 			select {
 			case <-ctx.Done():
 				return
-			case w, ok := <-cfg.Windows:
+			case next, ok := <-cfg.Windows:
 				if !ok {
 					return
 				}
-				first = w
+				w = next
 			}
-			batch = append(batch[:0], first)
-			for len(batch) < cfg.BatchMax {
-				select {
-				case w, ok := <-cfg.Windows:
-					if !ok {
-						s.serveBatch(ctx, cfg, batch, &obs, out)
-						return
-					}
-					batch = append(batch, w)
-				default:
-					goto drained
-				}
+			if len(w.Deltas) == 0 {
+				w.Release()
+				continue
 			}
-		drained:
-			if !s.serveBatch(ctx, cfg, batch, &obs, out) {
+			rep, err := s.Run(windowObservation(w, cfg))
+			ok := s.emitReport(ctx, cfg, w, rep, err, out)
+			w.Release()
+			if !ok {
 				return
 			}
 		}
@@ -185,70 +161,17 @@ func (s *System) Serve(ctx context.Context, cfg StreamConfig) (<-chan StreamRepo
 	return out, nil
 }
 
-// serveBatch detects one group of pending windows, emits their reports
-// in window order, and releases every window's pooled storage back to
-// the assembler. It returns false when ctx cancellation interrupted
-// emission. The observation scratch at *scratch is reused across calls.
-func (s *System) serveBatch(ctx context.Context, cfg StreamConfig, batch []StreamWindow, scratch *[]Observation, out chan<- StreamReport) bool {
-	// Windows with zero usable rows (all switches missing, e.g. the
-	// priming window) cannot form an equation system; skip them.
-	kept := batch[:0]
-	for i := range batch {
-		if len(batch[i].Deltas) > 0 {
-			kept = append(kept, batch[i])
-		} else {
-			batch[i].Release()
-		}
-	}
-	if len(kept) == 0 {
-		return true
-	}
-	obs := (*scratch)[:0]
-	for i := range kept {
-		obs = append(obs, windowObservation(kept[i], cfg))
-	}
-	*scratch = obs
-	reports, err := s.RunBatch(obs)
-	if err != nil {
-		// A batch-level error names one window; fall back to per-window
-		// Runs so one bad window cannot take down its neighbours.
-		return s.serveSingly(ctx, cfg, kept, obs, out)
-	}
-	for i := range kept {
-		ok := s.emitReport(ctx, cfg, kept[i], reports[i], len(kept), nil, out)
-		kept[i].Release()
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// serveSingly is serveBatch's degraded path: each window runs alone so
-// errors stay per-window.
-func (s *System) serveSingly(ctx context.Context, cfg StreamConfig, kept []StreamWindow, obs []Observation, out chan<- StreamReport) bool {
-	for i := range kept {
-		rep, err := s.Run(obs[i])
-		ok := s.emitReport(ctx, cfg, kept[i], rep, 1, err, out)
-		kept[i].Release()
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // emitReport finalizes one window's StreamReport — latency accounting,
 // sampler feedback, telemetry — and sends it. Returns false on ctx
 // cancellation.
-func (s *System) emitReport(ctx context.Context, cfg StreamConfig, w StreamWindow, rep Report, batched int, err error, out chan<- StreamReport) bool {
+func (s *System) emitReport(ctx context.Context, cfg StreamConfig, w StreamWindow, rep Report, err error, out chan<- StreamReport) bool {
 	// Report.Missing echoes the observation's slice, which aliases the
 	// window's pooled storage; the report outlives the window's Release,
 	// so detach it.
 	if len(rep.Missing) > 0 {
 		rep.Missing = append([]SwitchID(nil), rep.Missing...)
 	}
-	sr := StreamReport{Report: rep, Window: w.Seq, Batched: batched, Err: err}
+	sr := StreamReport{Report: rep, Window: w.Seq, Batched: 1, Err: err}
 	if !w.Opened.IsZero() {
 		sr.Latency = time.Since(w.Opened)
 	}

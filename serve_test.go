@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -229,19 +230,20 @@ func TestServeMatchesPolledRun(t *testing.T) {
 	}
 }
 
-// TestServeBatchesBackloggedWindows checks that when the consumer falls
-// behind, Serve groups pending windows into shared RunBatch calls and
-// still emits one report per window, in order.
-func TestServeBatchesBackloggedWindows(t *testing.T) {
+// TestServeDrainsBacklogInOrder: windows queued before Serve starts are
+// each detected alone, in window order — every report equals Run of the
+// same observation on a twin system, and the recent-verdict ring
+// records the windows in that order.
+func TestServeDrainsBacklogInOrder(t *testing.T) {
 	const windows = 8
 	gen := newSystem(t, "fattree4", foces.PairExact)
 	switches := sortedSwitchIDs(gen)
 	seq := serveTestWindows(t, gen, windows, -1, -1, 0, 13)
 
 	sys := newSystem(t, "fattree4", foces.PairExact)
+	sys.EnableTelemetry(foces.NewTelemetryRegistry())
+	twin := newSystem(t, "fattree4", foces.PairExact)
 	asm := collector.NewWindowAssembler(switches, collector.StreamConfig{WindowBuffer: windows + 1})
-	// Push every window before Serve starts consuming: the backlog is
-	// the batching trigger.
 	for w := 0; w < windows; w++ {
 		for _, sw := range switches {
 			counters := make(map[int]uint64, len(seq[w][sw]))
@@ -254,33 +256,50 @@ func TestServeBatchesBackloggedWindows(t *testing.T) {
 		}
 	}
 	asm.Close()
-	reports, err := sys.Serve(context.Background(), foces.StreamConfig{Windows: asm.Windows(), BatchMax: 4})
+	reports, err := sys.Serve(context.Background(), foces.StreamConfig{Windows: asm.Windows()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var (
-		count      int
-		maxBatched int
-		lastSeq    uint64
-	)
+	var got []foces.StreamReport
 	for sr := range reports {
 		if sr.Err != nil {
 			t.Fatal(sr.Err)
 		}
-		if sr.Window <= lastSeq {
-			t.Fatalf("reports out of window order: %d after %d", sr.Window, lastSeq)
-		}
-		lastSeq = sr.Window
-		if sr.Batched > maxBatched {
-			maxBatched = sr.Batched
-		}
-		count++
+		got = append(got, sr)
 	}
-	if count != windows-1 {
-		t.Fatalf("got %d reports, want %d (priming window skipped)", count, windows-1)
+	if len(got) != windows-1 {
+		t.Fatalf("got %d reports, want %d (priming window skipped)", len(got), windows-1)
 	}
-	if maxBatched < 2 {
-		t.Fatalf("backlogged windows never batched (max batch %d)", maxBatched)
+	events := sys.RecentRuns()
+	if len(events) != len(got) {
+		t.Fatalf("recent ring holds %d runs, want %d", len(events), len(got))
+	}
+	for i, sr := range got {
+		if i > 0 && sr.Window <= got[i-1].Window {
+			t.Fatalf("reports out of window order: %d after %d", sr.Window, got[i-1].Window)
+		}
+		if sr.Batched != 1 {
+			t.Fatalf("window %d: Batched = %d, want 1", sr.Window, sr.Batched)
+		}
+		// Report i covers snapshot i+1 minus snapshot i on every switch.
+		deltas := make(map[int]uint64)
+		for _, sw := range switches {
+			for rid, v := range seq[i+1][sw] {
+				deltas[rid] = v - seq[i][sw][rid]
+			}
+		}
+		want, err := twin.Run(foces.Observation{Counters: deltas, RunOptions: foces.RunOptions{Epoch: twin.Epoch()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := sr.Report
+		rep.Timings, want.Timings = foces.RunTimings{}, foces.RunTimings{}
+		if !reflect.DeepEqual(rep, want) {
+			t.Fatalf("window %d: streamed report diverged from Run:\n got %+v\nwant %+v", sr.Window, rep, want)
+		}
+		if !reflect.DeepEqual(events[i], sr.Report.Event()) {
+			t.Fatalf("recent ring entry %d = %+v, want window %d's %+v", i, events[i], sr.Window, sr.Report.Event())
+		}
 	}
 }
 

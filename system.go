@@ -42,8 +42,8 @@ type System struct {
 
 	// baselineMu serializes baseline swaps (ObserveUpdate /
 	// RebuildBaseline) against in-flight detections: Serve consumes
-	// windows on its own goroutine, so a churn feed can land while
-	// Run/RunBatch are mid-window. Detections share a read lock —
+	// windows on its own goroutine, so a churn feed can land while a
+	// Run is mid-window. Detections share a read lock —
 	// concurrent Runs against one baseline stay parallel.
 	baselineMu sync.RWMutex
 
@@ -63,13 +63,11 @@ type System struct {
 	wirings  map[*telemetry.Registry]*telWiring
 
 	// Hot-path recycling: counter vectors built from Observation.Counters
-	// and RunBatch's per-call scratch go back on these free lists instead
-	// of the garbage collector. Mutex-guarded slices rather than
-	// sync.Pool because Put of a slice value would re-box it (one
+	// go back on this free list instead of the garbage collector. A
+	// mutex-guarded slice rather than sync.Pool because Put of a slice value would re-box it (one
 	// allocation per release — the thing being avoided).
 	scratchMu sync.Mutex
 	vecFree   [][]float64
-	batchFree []*batchScratch
 }
 
 // NewSystem computes and installs rules for the topology under the
