@@ -230,21 +230,12 @@ func TestServeMatchesPolledRun(t *testing.T) {
 	}
 }
 
-// TestServeDrainsBacklogInOrder: windows queued before Serve starts are
-// each detected alone, in window order — every report equals Run of the
-// same observation on a twin system, and the recent-verdict ring
-// records the windows in that order.
-func TestServeDrainsBacklogInOrder(t *testing.T) {
-	const windows = 8
-	gen := newSystem(t, "fattree4", foces.PairExact)
-	switches := sortedSwitchIDs(gen)
-	seq := serveTestWindows(t, gen, windows, -1, -1, 0, 13)
-
-	sys := newSystem(t, "fattree4", foces.PairExact)
-	sys.EnableTelemetry(foces.NewTelemetryRegistry())
-	twin := newSystem(t, "fattree4", foces.PairExact)
-	asm := collector.NewWindowAssembler(switches, collector.StreamConfig{WindowBuffer: windows + 1})
-	for w := 0; w < windows; w++ {
+// serveBacklog queues every window of seq on an assembler before Serve
+// starts, then returns the reports Serve streams for them.
+func serveBacklog(t *testing.T, sys *foces.System, switches []foces.SwitchID, seq []map[foces.SwitchID]map[int]uint64) []foces.StreamReport {
+	t.Helper()
+	asm := collector.NewWindowAssembler(switches, collector.StreamConfig{WindowBuffer: len(seq) + 1})
+	for w := range seq {
 		for _, sw := range switches {
 			counters := make(map[int]uint64, len(seq[w][sw]))
 			for rid, v := range seq[w][sw] {
@@ -267,13 +258,24 @@ func TestServeDrainsBacklogInOrder(t *testing.T) {
 		}
 		got = append(got, sr)
 	}
-	if len(got) != windows-1 {
-		t.Fatalf("got %d reports, want %d (priming window skipped)", len(got), windows-1)
+	if len(got) != len(seq)-1 {
+		t.Fatalf("got %d reports, want %d (priming window skipped)", len(got), len(seq)-1)
 	}
-	events := sys.RecentRuns()
-	if len(events) != len(got) {
-		t.Fatalf("recent ring holds %d runs, want %d", len(events), len(got))
-	}
+	return got
+}
+
+// TestServeDrainsBacklogInOrder: windows queued before Serve starts are
+// each detected alone, in window order — every report equals Run of the
+// same observation on a twin system.
+func TestServeDrainsBacklogInOrder(t *testing.T) {
+	const windows = 8
+	gen := newSystem(t, "fattree4", foces.PairExact)
+	switches := sortedSwitchIDs(gen)
+	seq := serveTestWindows(t, gen, windows, -1, -1, 0, 13)
+
+	sys := newSystem(t, "fattree4", foces.PairExact)
+	twin := newSystem(t, "fattree4", foces.PairExact)
+	got := serveBacklog(t, sys, switches, seq)
 	for i, sr := range got {
 		if i > 0 && sr.Window <= got[i-1].Window {
 			t.Fatalf("reports out of window order: %d after %d", sr.Window, got[i-1].Window)
@@ -297,8 +299,32 @@ func TestServeDrainsBacklogInOrder(t *testing.T) {
 		if !reflect.DeepEqual(rep, want) {
 			t.Fatalf("window %d: streamed report diverged from Run:\n got %+v\nwant %+v", sr.Window, rep, want)
 		}
-		if !reflect.DeepEqual(events[i], sr.Report.Event()) {
-			t.Fatalf("recent ring entry %d = %+v, want window %d's %+v", i, events[i], sr.Window, sr.Report.Event())
+	}
+}
+
+// TestServeRecordsRunsInWindowOrder: a drained backlog grows the
+// recent-verdict ring by one clean event per window, in window order.
+func TestServeRecordsRunsInWindowOrder(t *testing.T) {
+	const windows = 6
+	gen := newSystem(t, "fattree4", foces.PairExact)
+	switches := sortedSwitchIDs(gen)
+	seq := serveTestWindows(t, gen, windows, -1, -1, 0, 37)
+
+	sys := newSystem(t, "fattree4", foces.PairExact)
+	sys.EnableTelemetry(foces.NewTelemetryRegistry())
+	before := len(sys.RecentRuns())
+	got := serveBacklog(t, sys, switches, seq)
+	events := sys.RecentRuns()
+	if len(events) != before+len(got) {
+		t.Fatalf("recent ring grew by %d, want %d", len(events)-before, len(got))
+	}
+	for i, sr := range got {
+		ev := events[before+i]
+		if ev.Path != foces.PathClean {
+			t.Fatalf("window %d recorded path %q", sr.Window, ev.Path)
+		}
+		if !reflect.DeepEqual(ev, sr.Report.Event()) {
+			t.Fatalf("recent ring entry %d = %+v, want window %d's %+v", i, ev, sr.Window, sr.Report.Event())
 		}
 	}
 }
