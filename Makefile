@@ -60,10 +60,10 @@ test-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPayloadRoundTrip$$' -fuzztime 5s ./internal/openflow/
 
 # Bench gate for the zero-allocation steady state: the alloc experiment
-# must keep pooled-path verdicts byte-identical to the polled map-era
-# path under attack/silence/churn/reset events, hold steady-state
-# allocations within the per-window budget, and stay within 3x of the
-# archived streaming p99 latency (results/alloc.json).
+# must hold steady-state allocations within the per-window budget and
+# stay within 3x of the archived streaming p99 latency
+# (results/alloc.json). That streamed reports equal DeltaTracker + Run
+# under attack/silence/churn/reset is TestServeMatchesPolledRun's job.
 bench-alloc:
 	$(GO) run ./cmd/focesbench -exp alloc -check
 	@test -f results/alloc.json || { echo "bench-alloc: results/alloc.json missing"; exit 1; }
@@ -93,20 +93,18 @@ bench-cluster:
 	$(GO) run ./cmd/focesbench -exp cluster -check
 	@test -f results/cluster.json || { echo "bench-cluster: results/cluster.json missing"; exit 1; }
 
-# Bench gate for the sparse solver: the sparse experiment must show the
-# dense primal Gram HᵀH exceeding the memory budget (a constant of the
-# scale-arm topology now that wide systems factor HHᵀ) while the sparse
-# path stays within it, keep sparse and dense verdicts identical with
-# residual deltas <= 1e-12 on every evaluation topology, and regress
-# neither the sparse prepare (fastest within one second) nor the
-# factor's entry count past 1.25x the archived run (results/sparse.json).
+# Bench gate for the sparse solver: the sparse experiment must keep the
+# scale arm's peak heap within the memory budget, keep sparse and dense
+# verdicts identical with residual deltas <= 1e-12 on every evaluation
+# topology, and regress neither the sparse prepare (fastest within one
+# second) nor the factor's entry count past 1.25x the archived run
+# (results/sparse.json).
 bench-sparse:
 	$(GO) run ./cmd/focesbench -exp sparse -check
 	@test -f results/sparse.json || { echo "bench-sparse: results/sparse.json missing"; exit 1; }
 
-# Bench gate for streaming ingestion: the stream experiment must keep
-# the streamed verdicts byte-identical to the polled path, sustain the
-# ingest-rate floor with bounded queues, and stay within 3x of the
+# Bench gate for streaming ingestion: the stream experiment must sustain
+# the ingest-rate floor with bounded queues and stay within 3x of the
 # archived p99 ingest-to-verdict latency (results/stream.json).
 bench-stream:
 	$(GO) run ./cmd/focesbench -exp stream -check

@@ -361,47 +361,14 @@ func BenchmarkDetectPrepareSerialVsParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Solver compares the least-squares backends on the
-// same system (DESIGN.md ablation: Cholesky normal equations vs
-// conjugate gradient vs Householder QR).
-func BenchmarkAblation_Solver(b *testing.B) {
-	env := getEnv(b, experiment.Config{Topology: "stanford", Seed: 7})
-	y, err := env.Observe(0.05)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("cholesky", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := matrix.SolveNormalEquations(env.FCM.H, y, matrix.LeastSquaresOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cg", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := matrix.SolveNormalEquationsCG(env.FCM.H, y, matrix.CGOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("qr", func(b *testing.B) {
-		dense := env.FCM.H.ToDense()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := matrix.LeastSquaresQR(dense, y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_Gram compares sparse-row Gram assembly against the
-// dense equivalent (DESIGN.md ablation: HᵀH assembly strategy).
+// BenchmarkAblation_Gram compares the sparse symmetric Gram assembly
+// every prepared engine uses against the dense equivalent (DESIGN.md
+// ablation: HᵀH assembly strategy).
 func BenchmarkAblation_Gram(b *testing.B) {
 	env := getEnv(b, experiment.Config{Topology: "stanford", Seed: 8})
 	b.Run("sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			env.FCM.H.Gram()
+			env.FCM.H.SymGram()
 		}
 	})
 	b.Run("dense", func(b *testing.B) {

@@ -5,30 +5,22 @@
 // period — the Fig. 7 functional test as an interactive demo, wired
 // end-to-end through the statistics-collection glue.
 //
-// Statistics collection runs through the fault-tolerant
-// collector.RobustCollector: switch counters accumulate as on real
-// hardware and are differenced into per-period windows, polls carry
-// per-request deadlines with retries, flapping switches are
-// quarantined (and probed back in), and counter resets are detected
-// instead of read as anomalies. The -kill-at / -reset-at flags inject
-// those collection-plane faults mid-run.
-//
-// Detection runs through the unified foces.System.Run entry point:
-// every period is described as one Observation (counter deltas, missing
-// switches, the window's baseline epoch) and Run dispatches to the
-// clean, missing or reconciled path. The -metrics-addr flag exposes the
-// internal telemetry registry as a Prometheus /metrics endpoint plus
-// the pprof profiling surface.
-//
-// Usage:
-//
-// The -stream flag switches from the caller-driven pull-poll loop to
-// the continuous streaming mode: a pump fetches raw cumulative
-// snapshots and pushes them into a collector.WindowAssembler, whose
-// completed windows flow through foces.System.Serve; -sample adds the
-// adaptive per-switch sampler (stable switches are polled less often,
-// suspects are tightened back immediately). SIGINT/SIGTERM triggers a
-// graceful drain of the streaming queue before exit.
+// Every role that detects runs one loop: a pump fetches cumulative
+// counter snapshots through the fault-tolerant
+// collector.RobustCollector (per-request deadlines with retries,
+// flapping switches quarantined and probed back in) and pushes them
+// into a collector.WindowAssembler, which differences them into
+// per-period windows and finds counter resets instead of reading them
+// as anomalies; completed windows flow through foces.System.Serve,
+// which masks missing switches and rows changed since a straddled
+// window's epoch. The -kill-at / -reset-at flags inject collection
+// faults mid-run; -sample adds the adaptive per-switch sampler (stable
+// switches are polled less often, suspects are tightened back
+// immediately). In the coordinator role Serve shards each window's
+// sliced stage across the -peers detector nodes. SIGINT/SIGTERM
+// triggers a graceful drain of the window queue before exit. The
+// -metrics-addr flag exposes the internal telemetry registry as a
+// Prometheus /metrics endpoint plus the pprof profiling surface.
 //
 // Usage:
 //
@@ -38,7 +30,8 @@
 //	       [-metrics-addr 127.0.0.1:9090] [-save-baseline baseline.json]
 //	       [-interval 0] [-kill-at 0] [-kill-switch -1] [-reset-at 0]
 //	       [-reset-switch -1] [-churn-every 0] [-kernel-workers 0]
-//	       [-kernel-block 0] [-stream] [-sample]
+//	       [-kernel-block 0] [-sample] [-localize] [-solver auto]
+//	       [-role standalone] [-peers host:port,...] [-listen addr]
 package main
 
 import (
@@ -101,8 +94,7 @@ func run(args []string, out io.Writer) error {
 	kernelWorkers := fs.Int("kernel-workers", 0, "worker count for the parallel baseline-preparation kernels (0 = GOMAXPROCS)")
 	kernelBlock := fs.Int("kernel-block", 0, "block size for the blocked Cholesky factorization (0 = built-in default)")
 	solver := fs.String("solver", "auto", "normal-equations backend: auto (density-based), sparse (force sparse Cholesky), dense (force dense)")
-	stream := fs.Bool("stream", false, "run the continuous streaming mode (push-driven windows through System.Serve) instead of the pull-poll loop")
-	sample := fs.Bool("sample", false, "with -stream: enable the adaptive per-switch sampler (back off stable switches, tighten suspects)")
+	sample := fs.Bool("sample", false, "enable the adaptive per-switch sampler (back off stable switches, tighten suspects)")
 	localize := fs.Bool("localize", false, "on anomalous windows, run active-probe localization and report the accused rule (/status localization block, foces_probe_* metrics)")
 	role := fs.String("role", "standalone", "process role: standalone (detect in-process), coordinator (shard Algorithm 2 across -peers), detector (serve slice shards on -listen)")
 	peers := fs.String("peers", "", "coordinator role: comma-separated detector addresses (host:port,host:port,...)")
@@ -117,9 +109,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *role == "coordinator" && *peers == "" {
 		return fmt.Errorf("-role coordinator needs -peers")
-	}
-	if *role != "standalone" && *stream {
-		return fmt.Errorf("-stream supports -role standalone only")
 	}
 	var sparseMode foces.SparseMode
 	switch *solver {
@@ -198,7 +187,8 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// Wire the control plane: agents per switch, rule installation via
-	// FlowMods, statistics collection via the fault-tolerant collector.
+	// FlowMods, statistics collection via the fault-tolerant collector
+	// (the pump's first round primes every switch's delta baseline).
 	harness, err := collector.NewHarness(network)
 	if err != nil {
 		return err
@@ -216,13 +206,6 @@ func run(args []string, out io.Writer) error {
 		ProbeEvery:      3,
 		Seed:            *seed,
 	})
-	// Counters accumulate on the switches as on real hardware; the
-	// priming poll establishes every switch's delta baseline so period
-	// one already produces a clean one-period window.
-	if err := robust.Prime(context.Background()); err != nil {
-		return err
-	}
-
 	// Resolve fault-injection targets.
 	sws := t.Switches()
 	pickSwitch := func(flagVal, fallbackIdx int) topo.SwitchID {
@@ -271,7 +254,6 @@ func run(args []string, out io.Writer) error {
 	// cluster coordinator (with local fallback when no node is live),
 	// while window assembly, the full-FCM stage and churn absorption
 	// stay in this process.
-	runObs := sys.Run
 	var coord *cluster.Coordinator
 	if *role == "coordinator" {
 		var addrs []string
@@ -286,7 +268,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer coord.Close()
-		runObs = func(obs foces.Observation) (foces.Report, error) { return sys.RunWith(obs, coord) }
 		cs := coord.Status()
 		fmt.Fprintf(out, "cluster: coordinating %d detector nodes, %d shards\n", cs.Live, cs.Shards)
 	}
@@ -306,210 +287,18 @@ func run(args []string, out io.Writer) error {
 		locCfg = &foces.LocalizeConfig{Seed: *seed}
 	}
 
-	if *stream {
-		return runStream(streamEnv{
-			out: out, t: t, layout: layout, ctrl: ctrl, network: network,
-			harness: harness, robust: robust, sys: sys, reg: reg,
-			statusSrv: statusSrv, metricsSrv: metricsSrv,
-			runtimeTel: runtimeTel, runtimeSampler: runtimeSampler,
-			rng: rng, tm: tm, monitor: monitor,
-			periods: *periods, attackAt: *attackAt, repairAt: *repairAt,
-			killAt: *killAt, killTarget: killTarget,
-			resetAt: *resetAt, resetTarget: resetTarget,
-			churnEvery: *churnEvery, interval: *interval, sample: *sample,
-			localize: locCfg,
-		})
-	}
-
-	var active *dataplane.Attack
-	var quarantines uint64
-
-	headers := []string{"period", "attack", "AI(baseline)", "verdict", "alarm", "AI(sliced)", "suspects"}
-	var rows [][]string
-	for p := 1; p <= *periods; p++ {
-		if *attackAt > 0 && p == *attackAt && active == nil {
-			atk, err := dataplane.RandomAttack(rng, network, dataplane.AttackPortSwap)
-			if err != nil {
-				return err
-			}
-			if err := atk.Apply(network); err != nil {
-				return err
-			}
-			active = &atk
-			fmt.Fprintf(out, ">> period %d: compromising switch %d (rule %d -> %v)\n",
-				p, atk.Switch, atk.RuleID, atk.NewAction)
-		}
-		if active != nil && p == *repairAt {
-			if err := active.Revert(network); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, ">> period %d: rule %d on switch %d repaired\n", p, active.RuleID, active.Switch)
-			active = nil
-		}
-		if *killAt > 0 && p == *killAt {
-			client, ok := harness.Clients[killTarget]
-			if !ok {
-				return fmt.Errorf("no control channel to kill on switch %d", killTarget)
-			}
-			_ = client.Close()
-			fmt.Fprintf(out, ">> period %d: switch %d control channel died\n", p, killTarget)
-		}
-		if *resetAt > 0 && p == *resetAt {
-			tbl, err := network.Table(resetTarget)
-			if err != nil {
-				return err
-			}
-			tbl.ResetCounters()
-			fmt.Fprintf(out, ">> period %d: switch %d rebooted (counters zeroed)\n", p, resetTarget)
-		}
-
-		if *churnEvery > 0 && p%*churnEvery == 0 {
-			// Run half the period's traffic first so the update lands
-			// mid-window: the poll below sees counters that mix two rule
-			// generations — exactly the straddling case the epoch-tagged
-			// windows reconcile.
-			if _, err := network.Run(rng, tm); err != nil {
-				return err
-			}
-			events, err := injectChurn(rng, ctrl, layout, t, harness.Clients)
-			if err != nil {
-				return err
-			}
-			// The switches were already patched via FlowMods above, so
-			// only the detection baseline needs to absorb the events.
-			u, err := sys.ObserveUpdate(events)
-			if err != nil {
-				return err
-			}
-			robust.SetEpoch(sys.Epoch())
-			f = sys.FCM()
-			fmt.Fprintf(out, ">> period %d: rule churn epoch %d (%d events): retraced %d sources, slices reused/updated/refactored %d/%d/%d in %s\n",
-				p, u.Epoch, len(u.Events), u.Retraced, u.SlicesReused, u.SlicesUpdated, u.SlicesRefactored, u.Elapsed.Round(time.Microsecond))
-		}
-
-		// Counters keep accumulating; the robust collector differences
-		// them into this period's window.
-		if _, err := network.Run(rng, tm); err != nil {
-			return err
-		}
-		poll, err := robust.Poll(context.Background())
-		if err != nil {
-			return err
-		}
-		counters, missing := poll.Deltas, poll.Missing
-		if len(poll.Resets) > 0 {
-			fmt.Fprintf(out, ">> period %d: counter reset detected on switches %v; their window is treated as missing\n", p, poll.Resets)
-		}
-		if len(poll.Reinstated) > 0 {
-			fmt.Fprintf(out, ">> period %d: switches %v reinstated from quarantine\n", p, poll.Reinstated)
-		}
-		met := robust.Metrics()
-		if met.Quarantines > quarantines {
-			fmt.Fprintf(out, ">> period %d: quarantined switches: %v\n", p, robust.Quarantined())
-			quarantines = met.Quarantines
-		}
-		// One Observation describes the whole window: Run masks the rows
-		// of missing switches and the rows changed since the window's
-		// baseline epoch — the oldest epoch any switch window straddles
-		// (the current epoch when none do).
-		winEpoch := sys.Epoch()
-		for _, e := range poll.Straddled {
-			if e < winEpoch {
-				winEpoch = e
-			}
-		}
-		rep, err := runObs(foces.Observation{Counters: counters, RunOptions: foces.RunOptions{Missing: missing, Epoch: winEpoch, Localize: locCfg}})
-		if err != nil {
-			return err
-		}
-		if loc := rep.Localization; loc != nil {
-			if top, ok := loc.TopCulprit(); ok {
-				fmt.Fprintf(out, ">> period %d: localization accused rule %d on switch %d (confidence %.2f, %d/%d probes)\n",
-					p, top.RuleID, top.Switch, top.Confidence, loc.ProbesUsed, loc.ProbeBudget)
-			} else if loc.Error != "" {
-				fmt.Fprintf(out, ">> period %d: localization failed: %s\n", p, loc.Error)
-			}
-		}
-		switch {
-		case len(rep.Missing) > 0:
-			hidden := 0
-			for _, sw := range rep.Missing {
-				hidden += len(f.RulesAt(sw))
-			}
-			fmt.Fprintf(out, ">> period %d: %d switches missing, detecting on %d of %d rules\n",
-				p, len(rep.Missing), f.NumRules()-hidden, f.NumRules())
-		case len(poll.Straddled) > 0:
-			// One or more switch windows span a rule update: their
-			// counters mix two rule generations. Run masked the rows
-			// changed since the oldest straddled baseline epoch instead
-			// of reading the mixture as a forwarding anomaly.
-			fmt.Fprintf(out, ">> period %d: %d switch windows straddle rule updates since epoch %d; masking %d rule rows\n",
-				p, len(poll.Straddled), winEpoch, len(rep.MaskedRows))
-		}
-		res := *rep.Full
-		sliced := *rep.Sliced
-		verdict := "ok"
-		if res.Anomalous {
-			verdict = "ANOMALY"
-		}
-		mv := monitor.Feed(res.Index)
-		alarm := ""
-		if mv.Alert {
-			alarm = "ALARM"
-		}
-		if statusSrv != nil {
-			var cv *cluster.Status
-			if coord != nil {
-				cs := coord.Status()
-				cv = &cs
-			}
-			statusSrv.Update(status{
-				Period:           p,
-				AttackActive:     active != nil,
-				Cluster:          cv,
-				Index:            clampIndex(res.Index),
-				Anomalous:        res.Anomalous,
-				Alarm:            mv.Alert,
-				SlicedIndex:      clampIndex(sliced.MaxIndex()),
-				Suspects:         sliced.Suspects,
-				Localization:     rep.Localization,
-				MissingSwitches:  len(missing),
-				StraddledWindows: len(poll.Straddled),
-				Collection:       collectionStatus(robust, poll),
-				Churn:            churnStatus(sys.ChurnStats()),
-				Runtime:          runtimeStatus(runtimeSampler, runtimeTel),
-				Recent:           sys.RecentRuns(),
-			})
-		}
-		suspects := ""
-		for i, sw := range sliced.Suspects {
-			if i > 0 {
-				suspects += ","
-			}
-			suspects += fmt.Sprint(sw)
-			if i == 4 {
-				suspects += ",..."
-				break
-			}
-		}
-		rows = append(rows, []string{
-			fmt.Sprint(p),
-			fmt.Sprint(active != nil),
-			experiment.FormatIndex(res.Index),
-			verdict,
-			alarm,
-			experiment.FormatIndex(sliced.MaxIndex()),
-			suspects,
-		})
-		if *interval > 0 {
-			time.Sleep(*interval)
-		}
-	}
-	fmt.Fprint(out, experiment.FormatTable(headers, rows))
-	m := robust.Metrics()
-	fmt.Fprintf(out, "collection: periods=%d requests=%d retries=%d timeouts=%d failures=%d quarantines=%d reinstatements=%d resets=%d\n",
-		m.Periods, m.Requests, m.Retries, m.Timeouts, m.Failures, m.Quarantines, m.Reinstatements, m.Resets)
-	return nil
+	return runStream(streamEnv{
+		out: out, t: t, layout: layout, ctrl: ctrl, network: network,
+		harness: harness, robust: robust, sys: sys, coord: coord, reg: reg,
+		statusSrv: statusSrv, metricsSrv: metricsSrv,
+		runtimeTel: runtimeTel, runtimeSampler: runtimeSampler,
+		rng: rng, tm: tm, monitor: monitor,
+		periods: *periods, attackAt: *attackAt, repairAt: *repairAt,
+		killAt: *killAt, killTarget: killTarget,
+		resetAt: *resetAt, resetTarget: resetTarget,
+		churnEvery: *churnEvery, interval: *interval, sample: *sample,
+		localize: locCfg,
+	})
 }
 
 // runDetector serves slice shards for a remote coordinator until

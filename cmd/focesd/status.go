@@ -58,8 +58,9 @@ type collection struct {
 	LastPollMs     float64         `json:"lastPollMs"`
 }
 
-// collectionStatus snapshots a robust collector for /status.
-func collectionStatus(rc *collector.RobustCollector, poll collector.PollResult) collection {
+// collectionStatus snapshots the collection plane for /status: the
+// collector's fetch and health counters, the resets its windows showed.
+func collectionStatus(rc *collector.RobustCollector, st collector.StreamStats) collection {
 	m := rc.Metrics()
 	q := rc.Quarantined()
 	if q == nil {
@@ -73,9 +74,9 @@ func collectionStatus(rc *collector.RobustCollector, poll collector.PollResult) 
 		Probes:         m.Probes,
 		Quarantines:    m.Quarantines,
 		Reinstatements: m.Reinstatements,
-		Resets:         m.Resets,
+		Resets:         st.Resets,
 		Quarantined:    q,
-		LastPollMs:     float64(poll.Elapsed.Microseconds()) / 1000,
+		LastPollMs:     float64(m.LastElapsed.Microseconds()) / 1000,
 	}
 }
 
@@ -166,8 +167,7 @@ type status struct {
 	StraddledWindows int                 `json:"straddledWindows"`
 	Collection       collection          `json:"collection"`
 	Churn            churnView           `json:"churn"`
-	// Stream is the streaming ingestion plane's state; nil outside
-	// -stream mode.
+	// Stream is the streaming ingestion plane's state.
 	Stream *streamView `json:"stream,omitempty"`
 	// Cluster is the sharded-detection coordinator's state — live and
 	// configured node counts, the degraded flag, per-peer shard

@@ -2,10 +2,13 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"foces/internal/cluster"
 )
 
 // verdictTable extracts the per-period verdict table (header row
@@ -32,42 +35,77 @@ func verdictTable(t *testing.T, s string) []string {
 	return rows
 }
 
-// TestRunStreamMatchesPolledTable is the daemon-level equivalence gate:
-// the same topology, seed and fault/churn schedule must print the same
-// per-period verdict table whether windows are pulled (legacy loop) or
-// pushed through the streaming pipeline.
-func TestRunStreamMatchesPolledTable(t *testing.T) {
-	args := []string{
-		"-topo", "fattree4",
-		"-periods", "8",
-		"-attack-at", "3",
-		"-repair-at", "6",
-		"-churn-every", "4",
-		"-loss", "0",
-		"-seed", "7",
-	}
-	var polled strings.Builder
-	if err := run(args, &polled); err != nil {
+// goldenTableArgs is the schedule behind testdata/verdicts.golden: an
+// attack, its repair and two rule updates on FatTree(4).
+var goldenTableArgs = []string{
+	"-topo", "fattree4",
+	"-periods", "8",
+	"-attack-at", "3",
+	"-repair-at", "6",
+	"-churn-every", "4",
+	"-loss", "0",
+	"-seed", "7",
+}
+
+// checkGoldenTable compares a run's verdict table with
+// testdata/verdicts.golden, the table the daemon's former pull-poll
+// loop printed for goldenTableArgs.
+func checkGoldenTable(t *testing.T, out string) {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "verdicts.golden"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var streamed strings.Builder
-	if err := run(append([]string{"-stream"}, args...), &streamed); err != nil {
-		t.Fatal(err)
-	}
-	want := verdictTable(t, polled.String())
-	got := verdictTable(t, streamed.String())
+	want := strings.Split(strings.TrimRight(string(blob), "\n"), "\n")
+	got := verdictTable(t, out)
 	if len(got) != len(want) {
-		t.Fatalf("table rows: streamed %d, polled %d\nstreamed:\n%s\npolled:\n%s",
-			len(got), len(want), streamed.String(), polled.String())
+		t.Fatalf("table rows: got %d, golden %d\ngot:\n%s", len(got), len(want), out)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("table row %d diverged:\nstreamed: %q\npolled:   %q", i, got[i], want[i])
+			t.Fatalf("table row %d diverged:\ngot:    %q\ngolden: %q", i, got[i], want[i])
 		}
 	}
-	if !strings.Contains(streamed.String(), "stream: windows=") {
-		t.Errorf("stream summary missing from:\n%s", streamed.String())
+	if !strings.Contains(out, "stream: windows=") {
+		t.Errorf("stream summary missing from:\n%s", out)
 	}
+}
+
+// TestRunStreamMatchesPolledTable is the daemon-level equivalence gate:
+// the same topology, seed and fault/churn schedule must print the
+// verdict table the pull-poll loop printed, now that every window is
+// pushed through the assembler and Serve.
+func TestRunStreamMatchesPolledTable(t *testing.T) {
+	var out strings.Builder
+	if err := run(goldenTableArgs, &out); err != nil {
+		t.Fatal(err)
+	}
+	checkGoldenTable(t, out.String())
+}
+
+// TestRunCoordinatorMatchesPolledTable runs the golden schedule in the
+// coordinator role, with the sliced stage of every window sharded over
+// two in-process detector nodes: the table must not change.
+func TestRunCoordinatorMatchesPolledTable(t *testing.T) {
+	var peers []string
+	for i := 0; i < 2; i++ {
+		node, err := cluster.NewNode("127.0.0.1:0", cluster.NodeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Close()
+		peers = append(peers, node.Addr())
+	}
+	var out strings.Builder
+	args := append([]string{"-role", "coordinator", "-peers", strings.Join(peers, ",")}, goldenTableArgs...)
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	if !strings.Contains(s, "cluster: coordinating 2 detector nodes") {
+		t.Fatalf("coordinator did not reach both nodes:\n%s", s)
+	}
+	checkGoldenTable(t, s)
 }
 
 // TestRunStreamWithSampler smoke-tests the full streaming mode with the
@@ -76,7 +114,7 @@ func TestRunStreamMatchesPolledTable(t *testing.T) {
 func TestRunStreamWithSampler(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{
-		"-stream", "-sample",
+		"-sample",
 		"-topo", "fattree4",
 		"-periods", "10",
 		"-attack-at", "0",
@@ -108,7 +146,6 @@ func TestRunStreamGracefulShutdown(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{
-			"-stream",
 			"-topo", "fattree4",
 			"-periods", "100000",
 			"-interval", "10ms",

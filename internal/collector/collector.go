@@ -1,8 +1,15 @@
 // Package collector implements FOCES' statistics collection plane: it
-// periodically queries every switch agent over the control channel for
-// rule counters, merges them into the counter vector Y', and models
-// the out-of-sync polling noise that §IV-A's threshold derivation
-// assumes (Y'(i) ~ N(Y0(i), σ²)).
+// turns switch rule counters into detection windows — the counter
+// vector Y' of one collection period — and models the out-of-sync
+// polling noise that §IV-A's threshold derivation assumes
+// (Y'(i) ~ N(Y0(i), σ²)).
+//
+// There is one window producer. RobustCollector.PollSnapshots fetches
+// cumulative per-switch snapshots under deadlines, retries and a
+// health state machine; a WindowAssembler differences them into
+// per-window deltas (through its DeltaTracker), finds counter resets,
+// shadowed rules and epoch straddles, and emits completed Windows for
+// foces.System.Serve.
 package collector
 
 import (
@@ -10,7 +17,6 @@ import (
 	"math/rand"
 	"net"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"foces/internal/controller"
@@ -20,198 +26,6 @@ import (
 	"foces/internal/openflow"
 	"foces/internal/topo"
 )
-
-// Collector polls switch agents for statistics.
-type Collector struct {
-	clients map[topo.SwitchID]*openflow.Client
-}
-
-// New builds a collector over per-switch control clients.
-func New(clients map[topo.SwitchID]*openflow.Client) *Collector {
-	cp := make(map[topo.SwitchID]*openflow.Client, len(clients))
-	for sw, c := range clients {
-		cp[sw] = c
-	}
-	return &Collector{clients: cp}
-}
-
-// sortedSwitches returns the collector's switch IDs in ascending
-// order, the deterministic iteration order for result merging and
-// error reporting.
-func (c *Collector) sortedSwitches() []topo.SwitchID {
-	order := make([]topo.SwitchID, 0, len(c.clients))
-	for sw := range c.clients {
-		order = append(order, sw)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	return order
-}
-
-// CollectCounters polls every switch concurrently and merges rule
-// counters by global rule ID. Failures are reported deterministically —
-// the error names the lowest-ID failing switch regardless of goroutine
-// scheduling — and the counters already received from healthy switches
-// are returned alongside the error rather than discarded. A rule ID
-// reported by more than one switch is an integrity violation (a
-// compromised switch could shadow another's counters with a forged
-// reply); it is surfaced as an error naming both switches, with the
-// lowest switch ID's value kept.
-func (c *Collector) CollectCounters() (map[int]uint64, error) {
-	type result struct {
-		reply *openflow.FlowStatsReply
-		err   error
-	}
-	results := make(map[topo.SwitchID]result, len(c.clients))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for sw, client := range c.clients {
-		wg.Add(1)
-		go func(sw topo.SwitchID, client *openflow.Client) {
-			defer wg.Done()
-			reply, err := client.FlowStats()
-			mu.Lock()
-			results[sw] = result{reply: reply, err: err}
-			mu.Unlock()
-		}(sw, client)
-	}
-	wg.Wait()
-	out := make(map[int]uint64)
-	owner := make(map[int]topo.SwitchID)
-	var firstErr, dupErr error
-	for _, sw := range c.sortedSwitches() {
-		r := results[sw]
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("collector: switch %d: %w", sw, r.err)
-			}
-			continue
-		}
-		for _, s := range r.reply.Stats {
-			if prev, dup := owner[s.RuleID]; dup {
-				if dupErr == nil {
-					dupErr = fmt.Errorf("collector: rule %d reported by both switch %d and switch %d (counter shadowing)", s.RuleID, prev, sw)
-				}
-				continue
-			}
-			owner[s.RuleID] = sw
-			out[s.RuleID] = s.Packets
-		}
-	}
-	if firstErr != nil {
-		return out, firstErr
-	}
-	return out, dupErr
-}
-
-// CollectCountersTolerant polls every switch like CollectCounters but
-// tolerates per-switch failures: counters from unreachable switches
-// are simply absent and their IDs are reported, so detection can
-// proceed with those switches' rule rows masked
-// (foces.RunOptions.Missing). It errors only when no switch answered
-// at all.
-func (c *Collector) CollectCountersTolerant() (map[int]uint64, []topo.SwitchID, error) {
-	type result struct {
-		sw    topo.SwitchID
-		reply *openflow.FlowStatsReply
-		err   error
-	}
-	results := make(chan result, len(c.clients))
-	var wg sync.WaitGroup
-	for sw, client := range c.clients {
-		wg.Add(1)
-		go func(sw topo.SwitchID, client *openflow.Client) {
-			defer wg.Done()
-			reply, err := client.FlowStats()
-			results <- result{sw: sw, reply: reply, err: err}
-		}(sw, client)
-	}
-	wg.Wait()
-	close(results)
-	out := make(map[int]uint64)
-	var missing []topo.SwitchID
-	answered := 0
-	for r := range results {
-		if r.err != nil {
-			missing = append(missing, r.sw)
-			continue
-		}
-		answered++
-		for _, s := range r.reply.Stats {
-			out[s.RuleID] = s.Packets
-		}
-	}
-	if answered == 0 && len(c.clients) > 0 {
-		return nil, nil, fmt.Errorf("collector: no switch answered the poll")
-	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-	return out, missing, nil
-}
-
-// CollectPortStats polls every switch's port counters. Port vectors
-// are sized by the highest port number reported — a switch whose ports
-// are not contiguous from zero keeps every counter instead of silently
-// dropping the high ones — and a negative port number is an error
-// rather than a silent skip. Errors are reported deterministically
-// (lowest failing switch ID) and the stats already received from
-// healthy switches are returned alongside the error.
-func (c *Collector) CollectPortStats() (map[topo.SwitchID]dataplane.PortCounters, error) {
-	type result struct {
-		reply *openflow.PortStatsReply
-		err   error
-	}
-	results := make(map[topo.SwitchID]result, len(c.clients))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for sw, client := range c.clients {
-		wg.Add(1)
-		go func(sw topo.SwitchID, client *openflow.Client) {
-			defer wg.Done()
-			reply, err := client.PortStats()
-			mu.Lock()
-			results[sw] = result{reply: reply, err: err}
-			mu.Unlock()
-		}(sw, client)
-	}
-	wg.Wait()
-	out := make(map[topo.SwitchID]dataplane.PortCounters, len(c.clients))
-	var firstErr error
-	for _, sw := range c.sortedSwitches() {
-		r := results[sw]
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("collector: switch %d: %w", sw, r.err)
-			}
-			continue
-		}
-		maxPort := -1
-		badPort := false
-		for _, s := range r.reply.Stats {
-			if s.Port < 0 {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("collector: switch %d reported out-of-range port %d", sw, s.Port)
-				}
-				badPort = true
-				break
-			}
-			if s.Port > maxPort {
-				maxPort = s.Port
-			}
-		}
-		if badPort {
-			continue
-		}
-		pc := dataplane.PortCounters{
-			Rx: make([]uint64, maxPort+1),
-			Tx: make([]uint64, maxPort+1),
-		}
-		for _, s := range r.reply.Stats {
-			pc.Rx[s.Port] = s.Rx
-			pc.Tx[s.Port] = s.Tx
-		}
-		out[sw] = pc
-	}
-	return out, firstErr
-}
 
 // ApplyNoise adds zero-mean Gaussian read noise with the given sigma
 // to a counter vector, clamped at zero, modelling out-of-sync counter
@@ -368,12 +182,11 @@ func WireReactiveChannel(network *dataplane.Network, h *Harness, ctrl *controlle
 }
 
 // Harness wires a complete in-memory control plane over a simulated
-// data plane: one agent per switch served over a net.Pipe, one client
-// per switch, and a collector over all clients.
+// data plane: one agent per switch served over a net.Pipe and one
+// client per switch.
 type Harness struct {
-	Clients   map[topo.SwitchID]*openflow.Client
-	Agents    map[topo.SwitchID]*openflow.Agent
-	Collector *Collector
+	Clients map[topo.SwitchID]*openflow.Client
+	Agents  map[topo.SwitchID]*openflow.Agent
 
 	agents []*openflow.Agent
 }
@@ -402,7 +215,6 @@ func NewHarness(network *dataplane.Network) (*Harness, error) {
 		}
 		h.Clients[s.ID] = client
 	}
-	h.Collector = New(h.Clients)
 	return h, nil
 }
 

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,6 +14,27 @@ import (
 )
 
 var layout = header.FiveTuple()
+
+// collectCounters fetches every switch's cumulative rule counters over
+// the harness's control channel in one PollSnapshots round and merges
+// them by rule ID.
+func collectCounters(t *testing.T, h *Harness) map[int]uint64 {
+	t.Helper()
+	res, err := NewRobust(h.Clients, RobustConfig{Attempts: 1}).PollSnapshots(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failed) != 0 {
+		t.Fatalf("switches %v failed the poll", res.Failed)
+	}
+	out := make(map[int]uint64)
+	for _, counters := range res.Snapshots {
+		for rid, v := range counters {
+			out[rid] = v
+		}
+	}
+	return out
+}
 
 func TestHarnessCollectMatchesDirect(t *testing.T) {
 	top, err := topo.ByName("fattree4")
@@ -32,10 +54,7 @@ func TestHarnessCollectMatchesDirect(t *testing.T) {
 	if _, err := network.Run(rng, dataplane.UniformTraffic(top, 100)); err != nil {
 		t.Fatal(err)
 	}
-	viaChannel, err := h.Collector.CollectCounters()
-	if err != nil {
-		t.Fatal(err)
-	}
+	viaChannel := collectCounters(t, h)
 	direct := network.CollectCounters()
 	if len(viaChannel) != len(direct) {
 		t.Fatalf("channel %d counters, direct %d", len(viaChannel), len(direct))
@@ -65,19 +84,19 @@ func TestHarnessPortStatsMatchDirect(t *testing.T) {
 	if _, err := network.Run(rng, dataplane.UniformTraffic(top, 50)); err != nil {
 		t.Fatal(err)
 	}
-	viaChannel, err := h.Collector.CollectPortStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := network.PortStats()
-	for sw, want := range direct {
-		got, ok := viaChannel[sw]
-		if !ok {
-			t.Fatalf("switch %d missing", sw)
+	for sw, want := range network.PortStats() {
+		reply, err := h.Clients[sw].PortStats()
+		if err != nil {
+			t.Fatalf("switch %d: %v", sw, err)
 		}
-		if got.RxTotal() != want.RxTotal() || got.TxTotal() != want.TxTotal() {
+		var rx, tx uint64
+		for _, ps := range reply.Stats {
+			rx += ps.Rx
+			tx += ps.Tx
+		}
+		if rx != want.RxTotal() || tx != want.TxTotal() {
 			t.Fatalf("switch %d: got rx=%d tx=%d want rx=%d tx=%d",
-				sw, got.RxTotal(), got.TxTotal(), want.RxTotal(), want.TxTotal())
+				sw, rx, tx, want.RxTotal(), want.TxTotal())
 		}
 	}
 }
@@ -116,10 +135,7 @@ func TestInstallRulesViaChannel(t *testing.T) {
 	if _, err := network.Run(rng, dataplane.UniformTraffic(top, 200)); err != nil {
 		t.Fatal(err)
 	}
-	counters, err := h.Collector.CollectCounters()
-	if err != nil {
-		t.Fatal(err)
-	}
+	counters := collectCounters(t, h)
 	res, err := core.Detect(f.H, f.CounterVector(counters), core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +205,11 @@ func TestCollectAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Close()
-	if _, err := h.Collector.CollectCounters(); err == nil {
-		t.Fatal("collect after close must error")
+	res, err := NewRobust(h.Clients, RobustConfig{Attempts: 1}).PollSnapshots(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failed) != len(h.Clients) || len(res.Snapshots) != 0 {
+		t.Fatalf("collect after close must fail every switch: %+v", res)
 	}
 }

@@ -31,7 +31,7 @@ import "foces/internal/topo"
 // assembler queues its copies in. The map-taking entry points flatten
 // their argument into a scratch list first, so there is one advance.
 //
-// DeltaTracker is not safe for concurrent use; RobustCollector guards
+// DeltaTracker is not safe for concurrent use; WindowAssembler guards
 // it with its own mutex.
 type DeltaTracker struct {
 	prev      map[topo.SwitchID]map[int]uint64
@@ -71,12 +71,12 @@ func (t *DeltaTracker) SetEpoch(e uint64) { t.epoch = e }
 // Epoch reports the current rule-set epoch.
 func (t *DeltaTracker) Epoch() uint64 { return t.epoch }
 
-// Advance consumes one switch's cumulative counter snapshot and returns
-// the per-period delta since the previous snapshot.
+// AdvanceEpoch consumes one switch's cumulative counter snapshot and
+// returns the per-window delta since the previous snapshot.
 //
 //   - primed=false: the switch had no baseline (first observation, or
 //     after Forget) — the snapshot only establishes one; delta is nil
-//     and the switch's counters are unusable this period.
+//     and the switch's counters are unusable this window.
 //   - reset=true: some counter went backwards (cur < prev), i.e. the
 //     switch restarted mid-window. The snapshot re-baselines; delta is
 //     nil.
@@ -84,18 +84,15 @@ func (t *DeltaTracker) Epoch() uint64 { return t.epoch }
 //     the previous snapshot (installed mid-window) count from zero;
 //     rules absent from the current one (deleted) drop out.
 //
+// fromEpoch is the rule-set epoch the window's baseline snapshot was
+// taken under, and straddles reports whether a usable delta window
+// spans one or more rule updates (fromEpoch != the current epoch): its
+// counters mix two rule generations and the rules changed in between
+// must be masked out of detection for this window.
+//
 // The snapshot is never retained; the caller keeps ownership of cur.
-func (t *DeltaTracker) Advance(sw topo.SwitchID, cur map[int]uint64) (delta map[int]uint64, reset, primed bool) {
-	delta, reset, primed, _, _ = t.AdvanceEpoch(sw, cur)
-	return delta, reset, primed
-}
-
-// AdvanceEpoch is Advance plus epoch accounting. fromEpoch is the
-// rule-set epoch the window's baseline snapshot was taken under, and
-// straddles reports whether a usable delta window spans one or more
-// rule updates (fromEpoch != the current epoch): its counters mix two
-// rule generations and the rules changed in between must be masked out
-// of detection for this window.
+// This map form is the reference the streaming path is checked
+// against; the assembler itself advances through advanceEpochInto.
 func (t *DeltaTracker) AdvanceEpoch(sw topo.SwitchID, cur map[int]uint64) (delta map[int]uint64, reset, primed bool, fromEpoch uint64, straddles bool) {
 	t.flat = appendSnapshot(t.flat[:0], cur)
 	delta, reset, primed, fromEpoch, straddles = t.advance(sw, t.flat, nil, true)
@@ -171,9 +168,9 @@ func (t *DeltaTracker) advance(sw topo.SwitchID, cur []ruleCount, acc *denseDelt
 	return delta, false, true, fromEpoch, fromEpoch != t.epoch
 }
 
-// Forget drops a switch's baseline, forcing the next Advance to
-// re-prime. Used when a switch leaves quarantine: its last snapshot
-// predates the outage, so a delta across it would span several periods.
+// Forget drops a switch's baseline, forcing the next advance to
+// re-prime. Used after a failed poll: the switch's last snapshot
+// predates the gap, so a delta across it would span several windows.
 func (t *DeltaTracker) Forget(sw topo.SwitchID) {
 	delete(t.prev, sw)
 	delete(t.prevEpoch, sw)

@@ -12,14 +12,14 @@ func TestDeltaTrackerPrimeAndAdvance(t *testing.T) {
 	if tr.Primed(sw) {
 		t.Fatal("fresh tracker must not be primed")
 	}
-	delta, reset, primed := tr.Advance(sw, map[int]uint64{1: 100, 2: 5})
+	delta, reset, primed := advance(tr, sw, map[int]uint64{1: 100, 2: 5})
 	if primed || reset || delta != nil {
 		t.Fatalf("first observation: delta=%v reset=%v primed=%v", delta, reset, primed)
 	}
 	if !tr.Primed(sw) {
 		t.Fatal("tracker must be primed after the first snapshot")
 	}
-	delta, reset, primed = tr.Advance(sw, map[int]uint64{1: 160, 2: 5})
+	delta, reset, primed = advance(tr, sw, map[int]uint64{1: 160, 2: 5})
 	if !primed || reset {
 		t.Fatalf("second observation: reset=%v primed=%v", reset, primed)
 	}
@@ -31,13 +31,13 @@ func TestDeltaTrackerPrimeAndAdvance(t *testing.T) {
 func TestDeltaTrackerReset(t *testing.T) {
 	tr := NewDeltaTracker()
 	const sw = topo.SwitchID(0)
-	tr.Advance(sw, map[int]uint64{1: 100})
-	delta, reset, primed := tr.Advance(sw, map[int]uint64{1: 40})
+	advance(tr, sw, map[int]uint64{1: 100})
+	delta, reset, primed := advance(tr, sw, map[int]uint64{1: 40})
 	if !reset || delta != nil || !primed {
 		t.Fatalf("backwards counter: delta=%v reset=%v primed=%v", delta, reset, primed)
 	}
 	// The reset snapshot re-baselines: the next advance is a clean delta.
-	delta, reset, primed = tr.Advance(sw, map[int]uint64{1: 70})
+	delta, reset, primed = advance(tr, sw, map[int]uint64{1: 70})
 	if reset || !primed || delta[1] != 30 {
 		t.Fatalf("post-reset: delta=%v reset=%v primed=%v", delta, reset, primed)
 	}
@@ -46,12 +46,12 @@ func TestDeltaTrackerReset(t *testing.T) {
 func TestDeltaTrackerForget(t *testing.T) {
 	tr := NewDeltaTracker()
 	const sw = topo.SwitchID(7)
-	tr.Advance(sw, map[int]uint64{1: 100})
+	advance(tr, sw, map[int]uint64{1: 100})
 	tr.Forget(sw)
 	if tr.Primed(sw) {
 		t.Fatal("forget must drop the baseline")
 	}
-	delta, reset, primed := tr.Advance(sw, map[int]uint64{1: 500})
+	delta, reset, primed := advance(tr, sw, map[int]uint64{1: 500})
 	if primed || reset || delta != nil {
 		t.Fatalf("after forget: delta=%v reset=%v primed=%v", delta, reset, primed)
 	}
@@ -60,14 +60,14 @@ func TestDeltaTrackerForget(t *testing.T) {
 func TestDeltaTrackerRuleChurn(t *testing.T) {
 	tr := NewDeltaTracker()
 	const sw = topo.SwitchID(1)
-	tr.Advance(sw, map[int]uint64{1: 10})
+	advance(tr, sw, map[int]uint64{1: 10})
 	// Rule 2 installed mid-window counts from zero; rule 1 deleted drops
 	// out without tripping reset detection.
-	delta, reset, _ := tr.Advance(sw, map[int]uint64{1: 15, 2: 8})
+	delta, reset, _ := advance(tr, sw, map[int]uint64{1: 15, 2: 8})
 	if reset || delta[2] != 8 || delta[1] != 5 {
 		t.Fatalf("mid-window install: delta=%v reset=%v", delta, reset)
 	}
-	delta, reset, _ = tr.Advance(sw, map[int]uint64{2: 9})
+	delta, reset, _ = advance(tr, sw, map[int]uint64{2: 9})
 	if reset {
 		t.Fatal("rule deletion must not read as a counter reset")
 	}
@@ -83,9 +83,9 @@ func TestDeltaTrackerCopiesSnapshot(t *testing.T) {
 	tr := NewDeltaTracker()
 	const sw = topo.SwitchID(3)
 	snap := map[int]uint64{1: 100}
-	tr.Advance(sw, snap)
+	advance(tr, sw, snap)
 	snap[1] = 0 // caller mutates its map; the baseline must not move
-	delta, reset, primed := tr.Advance(sw, map[int]uint64{1: 130})
+	delta, reset, primed := advance(tr, sw, map[int]uint64{1: 130})
 	if reset || !primed || delta[1] != 30 {
 		t.Fatalf("tracker aliased the caller's snapshot: delta=%v reset=%v", delta, reset)
 	}
@@ -173,27 +173,33 @@ func TestDeltaTrackerForgetThenSameEpochReprime(t *testing.T) {
 func TestDeltaTrackerDuplicateAndNonMonotonicPushes(t *testing.T) {
 	tr := NewDeltaTracker()
 	const sw = topo.SwitchID(7)
-	tr.Advance(sw, map[int]uint64{1: 100, 2: 5})
+	advance(tr, sw, map[int]uint64{1: 100, 2: 5})
 	// A duplicate push (identical cumulative snapshot) is NOT a reset —
 	// no counter went backwards — and yields an all-zero delta.
-	delta, reset, primed := tr.Advance(sw, map[int]uint64{1: 100, 2: 5})
+	delta, reset, primed := advance(tr, sw, map[int]uint64{1: 100, 2: 5})
 	if reset || !primed || delta[1] != 0 || delta[2] != 0 {
 		t.Fatalf("duplicate push: delta=%v reset=%v", delta, reset)
 	}
 	// One counter advancing while another goes backwards is a reset:
 	// mixed-direction movement means the snapshot generations straddle a
 	// reboot and nothing in the window is trustworthy.
-	delta, reset, primed = tr.Advance(sw, map[int]uint64{1: 130, 2: 2})
+	delta, reset, primed = advance(tr, sw, map[int]uint64{1: 130, 2: 2})
 	if !reset || !primed || delta != nil {
 		t.Fatalf("non-monotonic push: delta=%v reset=%v primed=%v", delta, reset, primed)
 	}
 	// The non-monotonic snapshot re-baselined; monotonic growth from it
 	// flows normally, and a rule absent from the new snapshot drops out.
-	delta, reset, primed = tr.Advance(sw, map[int]uint64{1: 140})
+	delta, reset, primed = advance(tr, sw, map[int]uint64{1: 140})
 	if reset || !primed || delta[1] != 10 {
 		t.Fatalf("post-reset push: delta=%v reset=%v", delta, reset)
 	}
 	if _, dropped := delta[2]; dropped {
 		t.Fatalf("deleted rule kept a delta row: %v", delta)
 	}
+}
+
+// advance is AdvanceEpoch without the epoch results.
+func advance(tr *DeltaTracker, sw topo.SwitchID, cur map[int]uint64) (delta map[int]uint64, reset, primed bool) {
+	delta, reset, primed, _, _ = tr.AdvanceEpoch(sw, cur)
+	return delta, reset, primed
 }

@@ -1,9 +1,10 @@
 package collector
 
 import (
+	"context"
 	"math/rand"
 	"net"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,27 +15,27 @@ import (
 )
 
 // serveStats runs a minimal scripted switch on the far end of a pipe:
-// every flow-stats request is answered with flows, every port-stats
-// request with ports (XIDs echoed). It stops when the pipe closes.
-func serveStats(raw net.Conn, sw topo.SwitchID, flows []openflow.FlowStat, ports []openflow.PortStat) {
+// the n-th flow-stats request is answered with flows, every packet
+// count multiplied by n (cumulative counters that grow), XIDs echoed.
+// It stops when the pipe closes.
+func serveStats(raw net.Conn, sw topo.SwitchID, flows []openflow.FlowStat) {
 	go func() {
 		conn := openflow.NewConn(raw)
-		for {
+		for n := uint64(1); ; {
 			msg, err := conn.Read()
 			if err != nil {
 				return
 			}
-			var reply openflow.Message
-			switch msg.Type {
-			case openflow.TypeFlowStatsRequest:
-				reply = openflow.Message{Type: openflow.TypeFlowStatsReply, XID: msg.XID,
-					Payload: &openflow.FlowStatsReply{Switch: sw, Stats: flows}}
-			case openflow.TypePortStatsRequest:
-				reply = openflow.Message{Type: openflow.TypePortStatsReply, XID: msg.XID,
-					Payload: &openflow.PortStatsReply{Switch: sw, Stats: ports}}
-			default:
+			if msg.Type != openflow.TypeFlowStatsRequest {
 				continue
 			}
+			stats := make([]openflow.FlowStat, len(flows))
+			for i, f := range flows {
+				stats[i] = openflow.FlowStat{RuleID: f.RuleID, Packets: f.Packets * n}
+			}
+			n++
+			reply := openflow.Message{Type: openflow.TypeFlowStatsReply, XID: msg.XID,
+				Payload: &openflow.FlowStatsReply{Switch: sw, Stats: stats}}
 			if err := conn.Write(reply); err != nil {
 				return
 			}
@@ -44,10 +45,10 @@ func serveStats(raw net.Conn, sw topo.SwitchID, flows []openflow.FlowStat, ports
 
 // scriptedClient returns a real openflow.Client wired to a scripted
 // switch.
-func scriptedClient(t *testing.T, sw topo.SwitchID, flows []openflow.FlowStat, ports []openflow.PortStat) *openflow.Client {
+func scriptedClient(t *testing.T, sw topo.SwitchID, flows []openflow.FlowStat) StatsClient {
 	t.Helper()
 	serverEnd, clientEnd := net.Pipe()
-	serveStats(serverEnd, sw, flows, ports)
+	serveStats(serverEnd, sw, flows)
 	client := openflow.NewClient(clientEnd, time.Second)
 	t.Cleanup(func() { _ = client.Close() })
 	return client
@@ -55,98 +56,51 @@ func scriptedClient(t *testing.T, sw topo.SwitchID, flows []openflow.FlowStat, p
 
 func TestCollectCountersDuplicateRule(t *testing.T) {
 	// Both switches claim rule 7 — a compromised switch shadowing
-	// another's counters. The error must name the rule and both
-	// switches; the lowest switch ID's value must be the one kept.
-	clients := map[topo.SwitchID]*openflow.Client{
-		1: scriptedClient(t, 1, []openflow.FlowStat{{RuleID: 7, Packets: 100}}, nil),
-		2: scriptedClient(t, 2, []openflow.FlowStat{{RuleID: 7, Packets: 999}, {RuleID: 8, Packets: 5}}, nil),
+	// another's counters, over the real control channel. The assembled
+	// window must report the rule and keep the lowest switch ID's delta.
+	rc := newTestCollector(map[topo.SwitchID]StatsClient{
+		1: scriptedClient(t, 1, []openflow.FlowStat{{RuleID: 7, Packets: 100}}),
+		2: scriptedClient(t, 2, []openflow.FlowStat{{RuleID: 7, Packets: 999}, {RuleID: 8, Packets: 5}}),
+	}, RobustConfig{})
+	p := newPipeline(rc)
+	p.round(t) // prime
+	w := p.round(t)
+	if !reflect.DeepEqual(w.DuplicateRules, []int{7}) {
+		t.Fatalf("duplicates = %v, want [7]", w.DuplicateRules)
 	}
-	out, err := New(clients).CollectCounters()
-	if err == nil {
-		t.Fatal("duplicate rule ID must error")
+	if w.Deltas[7] != 100 {
+		t.Fatalf("rule 7 = %d, want lowest switch's 100", w.Deltas[7])
 	}
-	for _, want := range []string{"rule 7", "switch 1", "switch 2"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %q", err, want)
-		}
-	}
-	if out[7] != 100 {
-		t.Fatalf("rule 7 = %d, want lowest switch's 100", out[7])
-	}
-	if out[8] != 5 {
-		t.Fatalf("rule 8 = %d, want 5", out[8])
+	if w.Deltas[8] != 5 {
+		t.Fatalf("rule 8 = %d, want 5", w.Deltas[8])
 	}
 }
 
 func TestCollectCountersDeterministicErrorAndPartialResults(t *testing.T) {
-	// Switches 3 and 9 are dead. The error must name switch 3 (lowest
-	// failing ID) on every run, and the healthy switches' counters must
-	// be returned alongside the error, not discarded.
+	// Switches 3 and 9 are dead. Every run must report exactly them as
+	// failed, in ascending order, and return the healthy switches'
+	// counters alongside.
 	for run := 0; run < 5; run++ {
-		clients := map[topo.SwitchID]*openflow.Client{
-			2: scriptedClient(t, 2, []openflow.FlowStat{{RuleID: 1, Packets: 11}}, nil),
-			5: scriptedClient(t, 5, []openflow.FlowStat{{RuleID: 2, Packets: 22}}, nil),
+		clients := map[topo.SwitchID]StatsClient{
+			2: scriptedClient(t, 2, []openflow.FlowStat{{RuleID: 1, Packets: 11}}),
+			5: scriptedClient(t, 5, []openflow.FlowStat{{RuleID: 2, Packets: 22}}),
 		}
-		for _, dead := range []topo.SwitchID{3, 9} {
+		for _, dead := range []topo.SwitchID{9, 3} {
 			_, clientEnd := net.Pipe()
 			c := openflow.NewClient(clientEnd, time.Second)
 			_ = c.Close()
 			clients[dead] = c
 		}
-		out, err := New(clients).CollectCounters()
-		if err == nil {
-			t.Fatal("dead switches must error")
+		res, err := newTestCollector(clients, RobustConfig{}).PollSnapshots(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(err.Error(), "switch 3") {
-			t.Fatalf("run %d: error %q must name the lowest failing switch", run, err)
+		if !reflect.DeepEqual(res.Failed, []topo.SwitchID{3, 9}) {
+			t.Fatalf("run %d: failed = %v, want [3 9]", run, res.Failed)
 		}
-		if out[1] != 11 || out[2] != 22 {
-			t.Fatalf("run %d: healthy counters discarded: %v", run, out)
+		if res.Snapshots[2][1] != 11 || res.Snapshots[5][2] != 22 {
+			t.Fatalf("run %d: healthy counters discarded: %v", run, res.Snapshots)
 		}
-	}
-}
-
-func TestCollectPortStatsNonContiguousPorts(t *testing.T) {
-	// A switch reporting ports {0, 5} used to have its vectors sized by
-	// len(Stats)=2, silently dropping port 5. They must be sized by the
-	// highest port.
-	clients := map[topo.SwitchID]*openflow.Client{
-		4: scriptedClient(t, 4, nil, []openflow.PortStat{
-			{Port: 0, Rx: 10, Tx: 20},
-			{Port: 5, Rx: 50, Tx: 60},
-		}),
-	}
-	out, err := New(clients).CollectPortStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := out[4]
-	if len(pc.Rx) != 6 || len(pc.Tx) != 6 {
-		t.Fatalf("vectors sized %d/%d, want 6", len(pc.Rx), len(pc.Tx))
-	}
-	if pc.Rx[5] != 50 || pc.Tx[5] != 60 || pc.Rx[0] != 10 {
-		t.Fatalf("port counters misplaced: rx=%v tx=%v", pc.Rx, pc.Tx)
-	}
-}
-
-func TestCollectPortStatsNegativePort(t *testing.T) {
-	clients := map[topo.SwitchID]*openflow.Client{
-		1: scriptedClient(t, 1, nil, []openflow.PortStat{{Port: -2, Rx: 1, Tx: 1}}),
-		6: scriptedClient(t, 6, nil, []openflow.PortStat{{Port: 0, Rx: 7, Tx: 8}}),
-	}
-	out, err := New(clients).CollectPortStats()
-	if err == nil || !strings.Contains(err.Error(), "out-of-range port") {
-		t.Fatalf("negative port must error, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "switch 1") {
-		t.Fatalf("error %q must name the offending switch", err)
-	}
-	// The healthy switch's stats survive the error.
-	if pc, ok := out[6]; !ok || pc.Rx[0] != 7 {
-		t.Fatalf("healthy port stats discarded: %v", out)
-	}
-	if _, ok := out[1]; ok {
-		t.Fatal("corrupt reply must not contribute port stats")
 	}
 }
 

@@ -65,7 +65,6 @@ func TestSnapshotMapsUnchangedUntilNextRound(t *testing.T) {
 			push(t, asm, sw, counters)
 		}
 		release(t, asm)
-		rc.SetEpoch(uint64(round))
 		_ = rc.Metrics()
 		_ = rc.Health()
 		_ = rc.Quarantined()
@@ -75,7 +74,7 @@ func TestSnapshotMapsUnchangedUntilNextRound(t *testing.T) {
 		prev = held
 	}
 
-	// The next round — of either kind — ends the loan: a due subset
+	// The next round ends the loan: a due subset
 	// leaves only the polled switch in the outer map.
 	res, err := rc.PollSnapshots(ctx, []topo.SwitchID{2})
 	if err != nil {

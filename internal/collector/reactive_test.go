@@ -58,10 +58,7 @@ func TestWireReactiveEndToEnd(t *testing.T) {
 	if _, err := network.Run(rng, tm); err != nil {
 		t.Fatal(err)
 	}
-	counters, err := h.Collector.CollectCounters()
-	if err != nil {
-		t.Fatal(err)
-	}
+	counters := collectCounters(t, h)
 	res, err := core.Detect(f.H, f.CounterVector(counters), core.Options{})
 	if err != nil {
 		t.Fatal(err)

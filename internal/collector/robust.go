@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -30,8 +29,9 @@ type SwitchHealth int
 // Health states. A switch moves Healthy → Degraded on its first failed
 // poll, Degraded → Quarantined after QuarantineAfter consecutive
 // failures, and Quarantined → Degraded when a reinstatement probe
-// succeeds (its first post-outage poll only re-baselines the delta
-// tracker, so one clean period passes before its counters count again).
+// succeeds (its first post-outage snapshot only re-baselines the
+// window assembler's delta tracker, so one clean window passes before
+// its counters count again).
 const (
 	Healthy SwitchHealth = iota
 	Degraded
@@ -110,7 +110,7 @@ func (c RobustConfig) withDefaults() RobustConfig {
 // RobustMetrics is a snapshot of the collection plane's operational
 // counters — the /status surface of the collector.
 type RobustMetrics struct {
-	// Periods is the number of Poll calls so far.
+	// Periods is the number of PollSnapshots rounds so far.
 	Periods uint64 `json:"periods"`
 	// Requests counts flow-stats requests sent, including retries.
 	Requests uint64 `json:"requests"`
@@ -126,47 +126,8 @@ type RobustMetrics struct {
 	Quarantines uint64 `json:"quarantines"`
 	// Reinstatements counts successful probe recoveries.
 	Reinstatements uint64 `json:"reinstatements"`
-	// Resets counts detected counter resets (switch restarts).
-	Resets uint64 `json:"resets"`
-	// DuplicateRules counts rule IDs reported by more than one switch.
-	DuplicateRules uint64 `json:"duplicateRules"`
-	// LastElapsed is the wall-clock duration of the latest Poll.
+	// LastElapsed is the wall-clock duration of the latest round.
 	LastElapsed time.Duration `json:"lastElapsedNs"`
-}
-
-// PollResult is one period's collection outcome. Everything in it is
-// freshly allocated and the caller's to keep; but a Poll, like a
-// PollSnapshots, ends the validity of the maps an earlier
-// SnapshotResult handed out (see there).
-type PollResult struct {
-	// Deltas holds per-period counter deltas keyed by global rule ID,
-	// from switches that answered and had a valid one-period baseline.
-	Deltas map[int]uint64
-	// Missing lists (sorted) every switch whose counters are unusable
-	// this period: quarantined, poll failed, counters reset, or freshly
-	// (re)baselined. Feed it to foces.RunOptions.Missing: their rule
-	// rows are masked out of this period's detection.
-	Missing []topo.SwitchID
-	// Resets lists switches whose counters went backwards this period.
-	Resets []topo.SwitchID
-	// Reinstated lists switches brought back from quarantine by a
-	// successful probe this period.
-	Reinstated []topo.SwitchID
-	// DuplicateRules lists rule IDs reported by more than one switch —
-	// a compromised switch shadowing another's counters. The lowest
-	// switch ID's report wins deterministically; localization should
-	// treat every involved switch as suspect.
-	DuplicateRules []int
-	// Epoch is the rule-set epoch (SetEpoch) the poll was merged under.
-	Epoch uint64
-	// Straddled maps each switch whose delta window spans one or more
-	// rule updates to the epoch its baseline snapshot was taken under.
-	// The union of rules changed in epochs (from, Epoch] must be masked
-	// out of this period's detection too (foces.RunOptions.Epoch set to
-	// the oldest such epoch) — the same row mask Missing feeds.
-	Straddled map[topo.SwitchID]uint64
-	// Elapsed is the wall-clock duration of the poll.
-	Elapsed time.Duration
 }
 
 // switchSlot is everything the collector keeps for one switch, built
@@ -203,18 +164,17 @@ type switchSlot struct {
 	snap map[int]uint64
 }
 
-// RobustCollector is a production-grade statistics collection plane:
-// every switch is polled concurrently under a per-request deadline with
-// bounded exponential-backoff retries, a per-switch health state
+// RobustCollector is a production-grade statistics fetch plane: every
+// switch is polled concurrently under a per-request deadline with
+// bounded exponential-backoff retries, and a per-switch health state
 // machine quarantines flapping switches (with periodic reinstatement
-// probes) so they cannot stall a detection period, and a windowed-delta
-// layer converts cumulative counters to per-period deltas while
-// detecting counter resets. Quarantined/failed/reset switches surface
-// in PollResult.Missing, which plugs straight into
-// foces.RunOptions.Missing.
+// probes) so they cannot stall a detection window. It hands back raw
+// cumulative snapshots (PollSnapshots); turning them into per-window
+// deltas, and finding counter resets and shadowed rules on the way, is
+// the WindowAssembler's job.
 //
-// Safe for concurrent use. Rounds (Poll, PollSnapshots) are serialized
-// by roundMu: a period's state transitions must observe the previous
+// Safe for concurrent use. PollSnapshots rounds are serialized by
+// roundMu: a period's state transitions must observe the previous
 // period's, and the per-switch slots are reused from round to round.
 // The collector owns no goroutine between rounds, so it needs no Close.
 type RobustCollector struct {
@@ -234,7 +194,6 @@ type RobustCollector struct {
 	mu       sync.Mutex
 	slots    []*switchSlot // ascending switch ID
 	bySwitch map[topo.SwitchID]*switchSlot
-	deltas   *DeltaTracker
 	metrics  RobustMetrics
 	tel      *telemetry.CollectorMetrics // nil unless SetTelemetry wired a metric set
 
@@ -268,7 +227,6 @@ func NewRobustFromStats(clients map[topo.SwitchID]StatsClient, cfg RobustConfig)
 		cfg:       cfg.withDefaults(),
 		snapshots: make(map[topo.SwitchID]map[int]uint64, len(clients)),
 		bySwitch:  make(map[topo.SwitchID]*switchSlot, len(clients)),
-		deltas:    NewDeltaTracker(),
 	}
 	order := make([]topo.SwitchID, 0, len(clients))
 	for sw := range clients {
@@ -282,23 +240,6 @@ func NewRobustFromStats(clients map[topo.SwitchID]StatsClient, cfg RobustConfig)
 		rc.bySwitch[sw] = s
 	}
 	return rc
-}
-
-// SetEpoch tags snapshots consumed from now on with the given rule-set
-// epoch. The churn subsystem calls it whenever an update is applied;
-// the next Poll then reports, per switch, whether the delta window
-// straddled the update.
-func (rc *RobustCollector) SetEpoch(e uint64) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.deltas.SetEpoch(e)
-}
-
-// Epoch reports the rule-set epoch snapshots are currently tagged with.
-func (rc *RobustCollector) Epoch() uint64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.deltas.Epoch()
 }
 
 // Metrics returns a snapshot of the collection counters.
@@ -330,14 +271,6 @@ func (rc *RobustCollector) Quarantined() []topo.SwitchID {
 		}
 	}
 	return out
-}
-
-// Prime performs one poll solely to establish every switch's delta
-// baseline — call it once after rule installation, before the first
-// detection period, so period one produces clean one-period deltas.
-func (rc *RobustCollector) Prime(ctx context.Context) error {
-	_, err := rc.Poll(ctx)
-	return err
 }
 
 // pollOutcome is one switch's raw result from the concurrent phase.
@@ -505,8 +438,8 @@ const (
 	// dispSkipped: quarantined and not due for a probe — no contact was
 	// attempted, so there is no new baseline gap.
 	dispSkipped switchDisposition = iota
-	// dispFailed: the probe or poll failed; the delta baseline was
-	// forgotten (a delta across the gap would span several periods).
+	// dispFailed: the probe or poll failed; the switch's delta baseline
+	// now has a gap (SnapshotResult.Failed).
 	dispFailed
 	// dispOK: a usable cumulative counter snapshot arrived.
 	dispOK
@@ -548,10 +481,9 @@ func (rc *RobustCollector) absorbSlotLocked(s *switchSlot) (disp switchDispositi
 		// Poll exhausted its attempts (or the probe succeeded but the
 		// full poll did not). The switch's baseline is now stale — a
 		// delta across the gap would span several periods of traffic
-		// and read as a false anomaly — so the next successful poll
-		// must re-prime rather than difference.
+		// and read as a false anomaly — so the consumer must Forget it
+		// and re-prime on the next successful poll.
 		rc.metrics.Failures++
-		rc.deltas.Forget(s.sw)
 		s.fails++
 		if s.health == Quarantined {
 			// Probe passed but the poll failed: not reinstated.
@@ -615,79 +547,10 @@ func (rc *RobustCollector) finishRoundLocked(prev RobustMetrics, start time.Time
 		tel.Probes.Add(cur.Probes - prev.Probes)
 		tel.Quarantines.Add(cur.Quarantines - prev.Quarantines)
 		tel.Reinstatements.Add(cur.Reinstatements - prev.Reinstatements)
-		tel.Resets.Add(cur.Resets - prev.Resets)
-		tel.DuplicateRules.Add(cur.DuplicateRules - prev.DuplicateRules)
 		tel.MissingSwitches.Set(float64(missing))
 		tel.QuarantinedSwitches.Set(float64(rc.quarantinedLocked()))
 	}
 	return elapsed
-}
-
-// Poll runs one collection period: probes, polls, retries, state
-// transitions and delta computation. It errors only when the context is
-// cancelled or the collector has no switches; per-switch failures are
-// reported through PollResult.Missing.
-func (rc *RobustCollector) Poll(ctx context.Context) (PollResult, error) {
-	rc.roundMu.Lock()
-	defer rc.roundMu.Unlock()
-	start, err := rc.fetchRound(ctx, nil)
-	if err != nil {
-		return PollResult{}, err
-	}
-
-	// Merge phase: deterministic, in ascending switch order.
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	prev := rc.metrics // diffed into telemetry after the merge
-	rc.absorbLocked()
-	res := PollResult{Deltas: make(map[int]uint64), Epoch: rc.deltas.Epoch()}
-	owner := make(map[int]topo.SwitchID)
-	dupSeen := make(map[int]bool)
-	for _, s := range rc.slots {
-		if s.disp != dispOK {
-			res.Missing = append(res.Missing, s.sw)
-			continue
-		}
-		if s.reinstated {
-			res.Reinstated = append(res.Reinstated, s.sw)
-		}
-		delta, reset, primed, fromEpoch, straddles := rc.deltas.AdvanceEpoch(s.sw, s.snap)
-		if straddles {
-			if res.Straddled == nil {
-				res.Straddled = make(map[topo.SwitchID]uint64)
-			}
-			res.Straddled[s.sw] = fromEpoch
-		}
-		if reset {
-			rc.metrics.Resets++
-			res.Resets = append(res.Resets, s.sw)
-			res.Missing = append(res.Missing, s.sw)
-			continue
-		}
-		if !primed {
-			// First observation (startup or post-quarantine): baseline
-			// only; usable deltas start next period.
-			res.Missing = append(res.Missing, s.sw)
-			continue
-		}
-		for rid, v := range delta {
-			if _, dup := owner[rid]; dup {
-				// The lowest switch ID's value is already merged; only
-				// record the shadowing once per rule.
-				if !dupSeen[rid] {
-					dupSeen[rid] = true
-					res.DuplicateRules = append(res.DuplicateRules, rid)
-					rc.metrics.DuplicateRules++
-				}
-				continue
-			}
-			owner[rid] = s.sw
-			res.Deltas[rid] = v
-		}
-	}
-	sort.Ints(res.DuplicateRules)
-	res.Elapsed = rc.finishRoundLocked(prev, start, len(res.Missing))
-	return res, nil
 }
 
 // SnapshotResult is one streaming fetch round's raw outcome: cumulative
@@ -697,7 +560,7 @@ type SnapshotResult struct {
 	// Snapshots holds each answering switch's cumulative rule counters.
 	// The maps — outer and inner — belong to the collector, which
 	// refills them in place: they are valid, and unchanging, until the
-	// next Poll or PollSnapshots call on it starts. Push them
+	// next PollSnapshots call on it starts. Push them
 	// (WindowAssembler.Push copies) and read what you need before
 	// polling again; copy whatever must outlive that.
 	Snapshots map[topo.SwitchID]map[int]uint64
@@ -715,12 +578,14 @@ type SnapshotResult struct {
 }
 
 // PollSnapshots runs one fault-tolerant fetch round restricted to the
-// due switches (nil = all) and returns raw cumulative snapshots instead
-// of windowed deltas — the pump half of the streaming ingestion path.
-// The full health machinery applies exactly as in Poll (deadlines,
-// retries with context-aware backoff, quarantine and reinstatement
-// probes); only the delta/epoch layer is skipped, because a streaming
-// WindowAssembler owns its own DeltaTracker. Switches outside due are
+// due switches (nil = all) and returns raw cumulative snapshots — the
+// pump half of the one window-producing path (pump → WindowAssembler →
+// System.Serve). Every planned switch gets the full health machinery:
+// per-request deadlines, retries with context-aware backoff, quarantine
+// and reinstatement probes. The delta/epoch layer is the assembler's.
+// It errors only when the context is cancelled or the collector has no
+// switches; per-switch failures are reported in the result. Switches
+// outside due are
 // left untouched: no health transition and no probe-cadence tick, so an
 // adaptive sampler backing off a switch does not distort its health.
 func (rc *RobustCollector) PollSnapshots(ctx context.Context, due []topo.SwitchID) (SnapshotResult, error) {

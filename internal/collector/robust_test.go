@@ -69,9 +69,60 @@ func newTestCollector(clients map[topo.SwitchID]StatsClient, cfg RobustConfig) *
 	return rc
 }
 
-func mustPoll(t *testing.T, rc *RobustCollector) PollResult {
+// roundResult is one round through the window-producing path: the
+// assembled window plus the switches the fetch reinstated.
+type roundResult struct {
+	Window
+	Reinstated []topo.SwitchID
+}
+
+// pumpRound runs one round of the one window producer — PollSnapshots
+// on the switches the open window waits for, failed switches forgotten
+// and marked missing, skipped ones marked missing, the rest pushed —
+// and returns the window it completes.
+func pumpRound(ctx context.Context, rc *RobustCollector, asm *WindowAssembler) (roundResult, error) {
+	due := asm.Due()
+	snap, err := rc.PollSnapshots(ctx, due)
+	if err != nil {
+		return roundResult{}, err
+	}
+	for _, sw := range snap.Failed {
+		asm.Forget(sw)
+	}
+	for _, sw := range due {
+		if counters, ok := snap.Snapshots[sw]; ok {
+			if err := asm.Push(Update{Switch: sw, Counters: counters}); err != nil {
+				return roundResult{}, err
+			}
+		}
+	}
+	asm.MarkMissing(snap.Failed...)
+	asm.MarkMissing(snap.Skipped...)
+	select {
+	case w := <-asm.Windows():
+		return roundResult{Window: w, Reinstated: snap.Reinstated}, nil
+	case <-time.After(5 * time.Second):
+		return roundResult{}, errors.New("round completed no window")
+	}
+}
+
+// pipeline pairs a collector with an assembler over its switches.
+type pipeline struct {
+	rc  *RobustCollector
+	asm *WindowAssembler
+}
+
+func newPipeline(rc *RobustCollector) *pipeline {
+	switches := make([]topo.SwitchID, 0, len(rc.slots))
+	for _, s := range rc.slots {
+		switches = append(switches, s.sw)
+	}
+	return &pipeline{rc: rc, asm: NewWindowAssembler(switches, StreamConfig{})}
+}
+
+func (p *pipeline) round(t *testing.T) roundResult {
 	t.Helper()
-	res, err := rc.Poll(context.Background())
+	res, err := pumpRound(context.Background(), p.rc, p.asm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +142,9 @@ func TestRobustRetryThenSuccess(t *testing.T) {
 		}
 	}}
 	rc := newTestCollector(map[topo.SwitchID]StatsClient{0: sw}, RobustConfig{Attempts: 3})
-	if err := rc.Prime(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	res := mustPoll(t, rc)
+	p := newPipeline(rc)
+	p.round(t) // prime
+	res := p.round(t)
 	if len(res.Missing) != 0 {
 		t.Fatalf("retried poll must recover, missing=%v", res.Missing)
 	}
@@ -129,11 +179,10 @@ func TestRobustDeadlineThenRecovery(t *testing.T) {
 	}}
 	rc := newTestCollector(map[topo.SwitchID]StatsClient{3: sw},
 		RobustConfig{Deadline: 20 * time.Millisecond, Attempts: 2, QuarantineAfter: 2})
-	if err := rc.Prime(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	p := newPipeline(rc)
+	p.round(t) // prime
 
-	res := mustPoll(t, rc) // both attempts time out
+	res := p.round(t) // both attempts time out
 	if len(res.Missing) != 1 || res.Missing[0] != 3 {
 		t.Fatalf("slow switch must be missing, got %v", res.Missing)
 	}
@@ -145,7 +194,7 @@ func TestRobustDeadlineThenRecovery(t *testing.T) {
 		t.Fatalf("metrics = %+v, want timeouts=2 failures=1", m)
 	}
 
-	res = mustPoll(t, rc) // recovery: answers, but baseline is stale
+	res = p.round(t) // recovery: answers, but baseline is stale
 	if len(res.Missing) != 1 {
 		t.Fatalf("recovery period must only re-prime, missing=%v", res.Missing)
 	}
@@ -153,7 +202,7 @@ func TestRobustDeadlineThenRecovery(t *testing.T) {
 		t.Fatalf("health after recovery = %v, want healthy", h)
 	}
 
-	res = mustPoll(t, rc) // clean one-period delta
+	res = p.round(t) // clean one-period delta
 	if len(res.Missing) != 0 || res.Deltas[1] != 30 {
 		t.Fatalf("post-recovery delta = %v missing=%v, want rule1=30", res.Deltas, res.Missing)
 	}
@@ -188,15 +237,14 @@ func TestRobustQuarantineAndReinstatement(t *testing.T) {
 	}}
 	rc := newTestCollector(map[topo.SwitchID]StatsClient{1: a, 2: b},
 		RobustConfig{Attempts: 1, QuarantineAfter: 2, ProbeEvery: 2})
-	if err := rc.Prime(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	p := newPipeline(rc)
+	p.round(t) // prime
 
-	mustPoll(t, rc) // period 2: fail #1 -> degraded
+	p.round(t) // period 2: fail #1 -> degraded
 	if h := rc.Health()[1]; h != Degraded {
 		t.Fatalf("after fail 1: %v", h)
 	}
-	mustPoll(t, rc) // period 3: fail #2 -> quarantined
+	p.round(t) // period 3: fail #2 -> quarantined
 	if h := rc.Health()[1]; h != Quarantined {
 		t.Fatalf("after fail 2: %v", h)
 	}
@@ -205,7 +253,7 @@ func TestRobustQuarantineAndReinstatement(t *testing.T) {
 	}
 
 	flowBefore, _ := a.calls()
-	res := mustPoll(t, rc) // period 4: quarantined, probe not yet due
+	res := p.round(t) // period 4: quarantined, probe not yet due
 	flowAfter, echoAfter := a.calls()
 	if flowAfter != flowBefore || echoAfter != 0 {
 		t.Fatalf("quarantined switch polled while not due: flow %d->%d echo=%d",
@@ -218,7 +266,7 @@ func TestRobustQuarantineAndReinstatement(t *testing.T) {
 		t.Fatal("healthy switch must keep producing deltas during the outage")
 	}
 
-	res = mustPoll(t, rc) // period 5: probe due, fails -> stays quarantined
+	res = p.round(t) // period 5: probe due, fails -> stays quarantined
 	if _, echo := a.calls(); echo != 1 {
 		t.Fatalf("probe not sent: echo calls = %d", echo)
 	}
@@ -227,8 +275,8 @@ func TestRobustQuarantineAndReinstatement(t *testing.T) {
 	}
 
 	alive.Store("up", true)
-	mustPoll(t, rc)       // period 6: quarantined, probe not due
-	res = mustPoll(t, rc) // period 7: probe succeeds -> reinstated, re-primes
+	p.round(t)       // period 6: quarantined, probe not due
+	res = p.round(t) // period 7: probe succeeds -> reinstated, re-primes
 	if len(res.Reinstated) != 1 || res.Reinstated[0] != 1 {
 		t.Fatalf("reinstated = %v", res.Reinstated)
 	}
@@ -239,7 +287,7 @@ func TestRobustQuarantineAndReinstatement(t *testing.T) {
 		t.Fatalf("health right after reinstatement = %v, want degraded", h)
 	}
 
-	res = mustPoll(t, rc) // period 8: clean delta again
+	res = p.round(t) // period 8: clean delta again
 	if len(res.Missing) != 0 {
 		t.Fatalf("post-reinstatement missing = %v", res.Missing)
 	}
@@ -268,16 +316,15 @@ func TestRobustCounterReset(t *testing.T) {
 		return reply(map[int]uint64{7: v}), nil
 	}}
 	rc := newTestCollector(map[topo.SwitchID]StatsClient{5: sw}, RobustConfig{})
-	if err := rc.Prime(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	p := newPipeline(rc)
+	p.round(t) // prime
 
-	res := mustPoll(t, rc)
+	res := p.round(t)
 	if res.Deltas[7] != 100 || len(res.Missing) != 0 {
 		t.Fatalf("period 2: deltas=%v missing=%v", res.Deltas, res.Missing)
 	}
 
-	res = mustPoll(t, rc) // 200 -> 50: reset
+	res = p.round(t) // 200 -> 50: reset
 	if len(res.Resets) != 1 || res.Resets[0] != 5 {
 		t.Fatalf("reset not detected: %v", res.Resets)
 	}
@@ -291,12 +338,12 @@ func TestRobustCounterReset(t *testing.T) {
 		t.Fatalf("a reset is a data fault, not a liveness fault: %v", h)
 	}
 
-	res = mustPoll(t, rc) // 50 -> 80
+	res = p.round(t) // 50 -> 80
 	if res.Deltas[7] != 30 || len(res.Missing) != 0 {
 		t.Fatalf("post-reset delta = %v missing=%v, want 30", res.Deltas, res.Missing)
 	}
-	if m := rc.Metrics(); m.Resets != 1 {
-		t.Fatalf("metrics.Resets = %d", m.Resets)
+	if st := p.asm.Stats(); st.Resets != 1 {
+		t.Fatalf("stream stats resets = %d", st.Resets)
 	}
 }
 
@@ -310,10 +357,9 @@ func TestRobustDuplicateRules(t *testing.T) {
 		return reply(map[int]uint64{7: uint64(call) * 1000, 8: uint64(call)}), nil
 	}}
 	rc := newTestCollector(map[topo.SwitchID]StatsClient{1: a, 2: b}, RobustConfig{})
-	if err := rc.Prime(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	res := mustPoll(t, rc)
+	p := newPipeline(rc)
+	p.round(t) // prime
+	res := p.round(t)
 	if len(res.DuplicateRules) != 1 || res.DuplicateRules[0] != 7 {
 		t.Fatalf("duplicates = %v, want [7]", res.DuplicateRules)
 	}
@@ -323,8 +369,8 @@ func TestRobustDuplicateRules(t *testing.T) {
 	if res.Deltas[8] != 1 {
 		t.Fatalf("rule 8 delta = %d, want 1", res.Deltas[8])
 	}
-	if m := rc.Metrics(); m.DuplicateRules == 0 {
-		t.Fatal("duplicate not counted in metrics")
+	if st := p.asm.Stats(); st.DuplicateRules == 0 {
+		t.Fatal("duplicate not counted in stream stats")
 	}
 }
 
@@ -332,14 +378,14 @@ func TestRobustPollCancelled(t *testing.T) {
 	rc := newTestCollector(map[topo.SwitchID]StatsClient{0: &scripted{}}, RobustConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := rc.Poll(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := rc.PollSnapshots(ctx, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled poll: err = %v", err)
 	}
 }
 
 func TestRobustNoSwitches(t *testing.T) {
 	rc := newTestCollector(nil, RobustConfig{})
-	if _, err := rc.Poll(context.Background()); err == nil {
+	if _, err := rc.PollSnapshots(context.Background(), nil); err == nil {
 		t.Fatal("empty collector must error")
 	}
 }
@@ -353,7 +399,7 @@ func TestRobustMissingSorted(t *testing.T) {
 		}}
 	}
 	rc := newTestCollector(clients, RobustConfig{Attempts: 1})
-	res := mustPoll(t, rc)
+	res := newPipeline(rc).round(t)
 	want := []topo.SwitchID{1, 4, 7, 9}
 	if len(res.Missing) != len(want) {
 		t.Fatalf("missing = %v", res.Missing)
@@ -391,9 +437,8 @@ func TestRobustAgentDeathMidPoll(t *testing.T) {
 		QuarantineAfter: 2,
 		ProbeEvery:      2,
 	})
-	if err := rc.Prime(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	p := newPipeline(rc)
+	p.round(t) // prime
 	rng := rand.New(rand.NewSource(11))
 
 	victim := top.Switches()[1].ID
@@ -412,10 +457,7 @@ func TestRobustAgentDeathMidPoll(t *testing.T) {
 			// From here the victim is certainly dead.
 			<-killed
 		}
-		res, err := rc.Poll(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := p.round(t)
 		for _, sw := range res.Missing {
 			if sw == victim {
 				sawMissing = true

@@ -38,8 +38,7 @@ type StreamConfig struct {
 	// Sampler optionally drives adaptive per-switch sampling: only due
 	// switches gate window completion, and backed-off switches' rows
 	// are masked (Missing) between their samples. Nil samples every
-	// switch every window, which reproduces the pull-poll semantics
-	// exactly.
+	// switch every window.
 	Sampler *AdaptiveSampler
 	// RuleSpace presizes the assembler's dense per-rule scratch (the
 	// merge accumulator and duplicate-detection stamps) to the FCM's
@@ -79,6 +78,12 @@ type StreamStats struct {
 	DroppedWindows uint64 `json:"droppedWindows"`
 	// Windows counts completed windows.
 	Windows uint64 `json:"windows"`
+	// Resets counts detected counter resets (switch restarts), one per
+	// switch per window.
+	Resets uint64 `json:"resets"`
+	// DuplicateRules counts rule IDs reported by more than one switch
+	// (counter shadowing), one per rule per window.
+	DuplicateRules uint64 `json:"duplicateRules"`
 	// QueueDepth is the current total number of queued snapshots.
 	QueueDepth int `json:"queueDepth"`
 	// MaxQueueDepth is the high-water total queue depth — with bounded
@@ -97,15 +102,15 @@ type ProbeSample struct {
 	Span uint64 `json:"span"`
 }
 
-// Window is one completed streaming detection window — the streaming
-// equivalent of PollResult, carrying the same merged delta/missing/
-// epoch semantics plus streaming-side accounting.
+// Window is one completed detection window: the merged per-window
+// deltas, the switches to mask, the epoch facts Run reconciles with,
+// and streaming-side accounting.
 type Window struct {
 	// Seq numbers windows from 1.
 	Seq uint64
 	// Deltas holds merged per-window counter deltas keyed by global
-	// rule ID, lowest-switch-wins on duplicates, exactly as
-	// PollResult.Deltas.
+	// rule ID; on a rule reported by several switches the lowest switch
+	// ID's delta wins.
 	Deltas map[int]uint64
 	// Missing lists (sorted) switches whose rows must be masked this
 	// window: marked missing by the pump, silent, freshly (re)primed,
@@ -118,7 +123,7 @@ type Window struct {
 	// Epoch is the rule-set epoch the window was assembled under.
 	Epoch uint64
 	// Straddled maps contributing switches whose delta window spans one
-	// or more rule updates to their baseline epoch, as in PollResult.
+	// or more rule updates to their baseline epoch.
 	Straddled map[topo.SwitchID]uint64
 	// Contributed maps each contributing switch to its total merged
 	// counter delta (the sampler's stability signal).
@@ -143,11 +148,10 @@ type Window struct {
 // pending snapshots; a window completes as soon as every due switch has
 // contributed a snapshot or been marked missing, at which point all
 // queued snapshots are consumed through the assembler's DeltaTracker —
-// sequential AdvanceEpoch calls over queued snapshots sum to exactly
-// the delta a single pull-poll would have produced, with identical
-// reset (window missing, baseline kept) and epoch-straddle (earliest
-// baseline epoch wins) outcomes, so streaming windows are byte-exact
-// equivalents of PollResult windows.
+// sequential advances over queued snapshots sum to exactly the delta
+// one AdvanceEpoch at the last snapshot would have produced, with
+// identical reset (window missing, baseline kept) and epoch-straddle
+// (earliest baseline epoch wins) outcomes.
 //
 // Safe for concurrent use: any number of pushers, one consumer draining
 // Windows().
@@ -259,7 +263,8 @@ func (a *WindowAssembler) Due() []topo.SwitchID {
 }
 
 // SetEpoch tags snapshots consumed from now on with the given rule-set
-// epoch, exactly as RobustCollector.SetEpoch does for polls.
+// epoch. Call it whenever a rule update is applied; windows whose
+// baseline predates it report the straddle (Window.Straddled).
 func (a *WindowAssembler) SetEpoch(e uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -561,8 +566,12 @@ func (a *WindowAssembler) completeLocked() {
 	sort.Ints(w.DuplicateRules)
 	w.Completed = a.clock()
 	a.stats.Windows++
+	a.stats.Resets += uint64(len(w.Resets))
+	a.stats.DuplicateRules += uint64(len(w.DuplicateRules))
 	if a.tel != nil {
 		a.tel.Windows.Add(1)
+		a.tel.Resets.Add(uint64(len(w.Resets)))
+		a.tel.DuplicateRules.Add(uint64(len(w.DuplicateRules)))
 		if !w.Opened.IsZero() {
 			a.tel.WindowLagSeconds.Observe(w.Completed.Sub(w.Opened).Seconds())
 		}

@@ -1,13 +1,17 @@
 package collector
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"foces/internal/openflow"
+	"foces/internal/telemetry"
 	"foces/internal/topo"
 )
 
@@ -298,10 +302,49 @@ func TestAssemblerDuplicateRuleLowestSwitchWins(t *testing.T) {
 	}
 }
 
-// TestPollSnapshotsHealthParity drives a switch through the same
-// degrade → quarantine → probe → reinstate cycle Poll implements and
-// checks PollSnapshots reports it identically — the streaming pump
-// inherits the full health machinery, only the delta layer moves.
+// TestAssemblerCountsResetsAndDuplicates: the assembler is where resets
+// and counter shadowing are found, so it is where they are counted —
+// in StreamStats and in the collector reset/duplicate families.
+func TestAssemblerCountsResetsAndDuplicates(t *testing.T) {
+	reg := telemetry.New()
+	a := NewWindowAssembler([]topo.SwitchID{1, 2}, StreamConfig{})
+	a.SetTelemetry(telemetry.NewStreamMetrics(reg))
+	push(t, a, 1, map[int]uint64{0: 10, 1: 50})
+	push(t, a, 2, map[int]uint64{0: 100, 2: 5}) // rule 0 shadowed
+	nextWindow(t, a)                            // prime: no deltas, nothing counted
+
+	push(t, a, 1, map[int]uint64{0: 13, 1: 60})
+	push(t, a, 2, map[int]uint64{0: 107, 2: 9})
+	nextWindow(t, a) // rule 0 reported twice
+
+	push(t, a, 1, map[int]uint64{0: 14, 1: 2}) // rule 1 went backwards: reboot
+	push(t, a, 2, map[int]uint64{0: 110, 2: 12})
+	w := nextWindow(t, a)
+	if !reflect.DeepEqual(w.Resets, []topo.SwitchID{1}) {
+		t.Fatalf("resets = %v", w.Resets)
+	}
+
+	st := a.Stats()
+	if st.Resets != 1 || st.DuplicateRules != 1 {
+		t.Fatalf("stats resets=%d duplicateRules=%d, want 1 and 1", st.Resets, st.DuplicateRules)
+	}
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := reg.WriteText(bw); err != nil {
+		t.Fatal(err)
+	}
+	bw.Flush()
+	for _, want := range []string{"foces_collector_resets_total 1\n", "foces_collector_duplicate_rules_total 1\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestPollSnapshotsHealthParity drives a switch through the full
+// degrade → quarantine → probe → reinstate cycle and checks each
+// round's SnapshotResult reports it: Failed while the switch is down,
+// Reinstated with a snapshot once the probe and the poll succeed.
 func TestPollSnapshotsHealthParity(t *testing.T) {
 	boom := errors.New("switch unreachable")
 	flaky := &scripted{flow: func(call int, ctx context.Context) (*openflow.FlowStatsReply, error) {
@@ -390,39 +433,33 @@ func TestPollSnapshotsDueSubsetLeavesOthersUntouched(t *testing.T) {
 // The backoff here is 30s with real timers; without context plumbing
 // the poll could not return within the asserted bound.
 func TestPollCancelledMidBackoffReturnsPromptly(t *testing.T) {
-	boom := errors.New("down")
-	for _, mode := range []string{"poll", "snapshots"} {
-		t.Run(mode, func(t *testing.T) {
-			sw := &scripted{flow: func(call int, ctx context.Context) (*openflow.FlowStatsReply, error) {
-				return nil, boom
-			}}
-			rc := NewRobustFromStats(map[topo.SwitchID]StatsClient{1: sw}, RobustConfig{
-				Attempts:    3,
-				BackoffBase: 30 * time.Second,
-				BackoffMax:  30 * time.Second,
-				JitterFrac:  -1,
-			})
-			// No sleep hook: the 30s backoff wait is real, and only ctx
-			// cancellation can cut it short.
-			ctx, cancel := context.WithCancel(context.Background())
-			time.AfterFunc(50*time.Millisecond, cancel)
-			start := time.Now()
-			var err error
-			if mode == "poll" {
-				_, err = rc.Poll(ctx)
-			} else {
-				_, err = rc.PollSnapshots(ctx, nil)
-			}
-			elapsed := time.Since(start)
-			if err == nil {
-				t.Fatal("cancelled poll returned nil error")
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if elapsed > 2*time.Second {
-				t.Fatalf("cancelled poll took %v; backoff sleep ignored cancellation", elapsed)
-			}
+	// One subtest per fetch entry point; PollSnapshots is the only one.
+	t.Run("snapshots", func(t *testing.T) {
+		boom := errors.New("down")
+		sw := &scripted{flow: func(call int, ctx context.Context) (*openflow.FlowStatsReply, error) {
+			return nil, boom
+		}}
+		rc := NewRobustFromStats(map[topo.SwitchID]StatsClient{1: sw}, RobustConfig{
+			Attempts:    3,
+			BackoffBase: 30 * time.Second,
+			BackoffMax:  30 * time.Second,
+			JitterFrac:  -1,
 		})
-	}
+		// No sleep hook: the 30s backoff wait is real, and only ctx
+		// cancellation can cut it short.
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(50*time.Millisecond, cancel)
+		start := time.Now()
+		_, err := rc.PollSnapshots(ctx, nil)
+		elapsed := time.Since(start)
+		if err == nil {
+			t.Fatal("cancelled poll returned nil error")
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if elapsed > 2*time.Second {
+			t.Fatalf("cancelled poll took %v; backoff sleep ignored cancellation", elapsed)
+		}
+	})
 }

@@ -12,7 +12,10 @@ import (
 	"foces/internal/topo"
 )
 
-func TestCollectCountersTolerant(t *testing.T) {
+// TestPipelineToleratesDeadSwitch: a switch whose control channel died
+// goes missing from the window; the others' deltas are all there, and
+// detection with its rows masked stays clean.
+func TestPipelineToleratesDeadSwitch(t *testing.T) {
 	top, err := topo.ByName("fattree4")
 	if err != nil {
 		t.Fatal(err)
@@ -30,20 +33,20 @@ func TestCollectCountersTolerant(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
+	p := newPipeline(NewRobust(h.Clients, RobustConfig{Attempts: 1}))
+	p.round(t) // prime
 	rng := rand.New(rand.NewSource(1))
 	if _, err := network.Run(rng, dataplane.UniformTraffic(top, 500)); err != nil {
 		t.Fatal(err)
 	}
 
-	// Kill one switch's control connection: the poll must survive.
+	// Kill one switch's control connection: the window must survive.
 	var dead topo.SwitchID = 3
 	if err := h.Clients[dead].Close(); err != nil {
 		t.Fatal(err)
 	}
-	counters, missing, err := h.Collector.CollectCountersTolerant()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := p.round(t)
+	counters, missing := w.Deltas, w.Missing
 	if len(missing) != 1 || missing[0] != dead {
 		t.Fatalf("missing = %v, want [%d]", missing, dead)
 	}
@@ -68,7 +71,9 @@ func TestCollectCountersTolerant(t *testing.T) {
 	}
 }
 
-func TestCollectCountersTolerantAllDead(t *testing.T) {
+// TestPipelineAllSwitchesDead: with every channel dead the window
+// carries no counters (Serve skips it) and misses every switch.
+func TestPipelineAllSwitchesDead(t *testing.T) {
 	top, err := topo.Linear(2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +87,8 @@ func TestCollectCountersTolerantAllDead(t *testing.T) {
 		c.Close()
 	}
 	defer h.Close()
-	if _, _, err := h.Collector.CollectCountersTolerant(); err == nil {
-		t.Fatal("all-dead poll must error")
+	w := newPipeline(NewRobust(h.Clients, RobustConfig{Attempts: 1})).round(t)
+	if len(w.Deltas) != 0 || len(w.Missing) != len(h.Clients) {
+		t.Fatalf("all-dead window must carry no counters and miss every switch: %+v", w.Window)
 	}
 }

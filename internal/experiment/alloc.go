@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -10,26 +9,21 @@ import (
 
 	"foces"
 	"foces/internal/collector"
-	"foces/internal/flowtable"
-	"foces/internal/header"
 	"foces/internal/topo"
 )
 
 // AllocBenchConfig drives the steady-state allocation experiment: a
-// verdict-equivalence check of the pooled dense-counter streaming path
-// against the map-based polled path under a hostile schedule (attack,
-// silent switch, counter reset, rule churn), then a replayed stream
-// load that measures allocations per window and the GC's share of
-// wall time once the window pools and scratch arrays are warm.
+// replayed stream load that measures allocations per window and the
+// GC's share of wall time once the window pools and scratch arrays are
+// warm. That pooled streamed reports equal DeltaTracker + Run under
+// attack, silence, reset and rule churn is a unit test's job
+// (TestServeMatchesPolledRun).
 type AllocBenchConfig struct {
 	// Topology is a topo.ByName name; zero selects "fattree8".
 	Topology string
 	// Flows restricts PairExact rules to the first k ordered host pairs;
 	// zero selects min(960, all pairs).
 	Flows int
-	// CheckWindows is how many windows the equivalence check replays
-	// through both paths; zero selects 12.
-	CheckWindows int
 	// WarmupWindows run before measurement starts so pools, stamp
 	// arrays and channel buffers reach steady state; zero selects 8.
 	WarmupWindows int
@@ -56,9 +50,6 @@ func (c AllocBenchConfig) withDefaults() AllocBenchConfig {
 	if c.Topology == "" {
 		c.Topology = "fattree8"
 	}
-	if c.CheckWindows <= 0 {
-		c.CheckWindows = 12
-	}
 	if c.WarmupWindows <= 0 {
 		c.WarmupWindows = 8
 	}
@@ -80,14 +71,6 @@ type AllocBenchResult struct {
 	Rules      int    `json:"rules"`
 	GoMaxProcs int    `json:"gomaxprocs"`
 
-	// Equivalence: the pooled streaming path vs the map-based polled
-	// path, lock-step on shared system state, under attack + silent
-	// switch + counter reset + rule churn.
-	CheckWindows   int    `json:"checkWindows"`
-	CheckedReports int    `json:"checkedReports"`
-	VerdictsMatch  bool   `json:"verdictsMatch"`
-	Mismatch       string `json:"mismatch,omitempty"`
-
 	// Steady-state allocation profile over the measured span.
 	WarmupWindows   int     `json:"warmupWindows"`
 	MeasuredWindows int     `json:"measuredWindows"`
@@ -108,9 +91,8 @@ type AllocBenchResult struct {
 }
 
 // AllocBench measures the allocation behaviour of the streaming
-// detection pipeline: verdict equivalence against the polled path
-// under the full fault schedule, then allocations per window and GC
-// pause share over a warm replayed stream load.
+// detection pipeline: allocations per window and GC pause share over a
+// warm replayed stream load.
 func AllocBench(cfg AllocBenchConfig) (AllocBenchResult, error) {
 	cfg = cfg.withDefaults()
 	t, err := topo.ByName(cfg.Topology)
@@ -129,9 +111,8 @@ func AllocBench(cfg AllocBenchConfig) (AllocBenchResult, error) {
 	if err != nil {
 		return AllocBenchResult{}, err
 	}
-	// Both arms consume raw cumulative snapshots; disable skew/noise so
-	// the replayed sequences stay identical bit for bit (as streamCheck
-	// does).
+	// The replayed load consumes raw cumulative snapshots; skew/noise act
+	// only on Observe's dense vector, so disable them.
 	env, err := NewEnvOn(Config{Topology: cfg.Topology, Seed: cfg.Seed, SkewSigma: -1}, t, pairs)
 	if err != nil {
 		return AllocBenchResult{}, err
@@ -150,190 +131,10 @@ func AllocBench(cfg AllocBenchConfig) (AllocBenchResult, error) {
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		AllocBudget: cfg.AllocBudget,
 	}
-	if err := allocCheck(cfg, env, switches, &res); err != nil {
-		return res, err
-	}
 	if err := allocMeasure(cfg, env, switches, &res); err != nil {
 		return res, err
 	}
 	return res, nil
-}
-
-// allocCheck replays one snapshot sequence lock-step through both
-// paths — the map-based DeltaTracker+Run polled arm and the pooled
-// WindowAssembler+Serve streaming arm — on shared system state, so a
-// mid-sequence rule churn lands at the same epoch in both. The
-// schedule covers every hot-path branch the pooling touched: clean
-// windows, an attacked stretch, a silent switch (Forget/MarkMissing),
-// a counter reset (re-baseline), and a rule add whose straddling
-// window reconciles under masked rows.
-func allocCheck(cfg AllocBenchConfig, env *Env, switches []topo.SwitchID, res *AllocBenchResult) error {
-	sys, err := env.System()
-	if err != nil {
-		return err
-	}
-	res.CheckWindows = cfg.CheckWindows
-	silentAt := cfg.CheckWindows / 3
-	attackAt := cfg.CheckWindows / 2
-	churnAt := 2 * cfg.CheckWindows / 3
-	resetAt := 3 * cfg.CheckWindows / 4
-	silent := switches[len(switches)/2]
-	resetSw := switches[len(switches)/3]
-
-	// An exact-match source IP no host owns: the rule changes a slice's
-	// row set (forcing the reconciled masked-row path on the straddling
-	// window) but reroutes no traffic, so the two arms' counter
-	// sequences stay identical.
-	phantomIP := uint64(0)
-	for _, h := range envHosts(env) {
-		if h.IP >= phantomIP {
-			phantomIP = h.IP + 1
-		}
-	}
-
-	if err := env.Net.SetLinkLoss(0.02); err != nil {
-		return err
-	}
-
-	tracker := collector.NewDeltaTracker()
-	tracker.SetEpoch(sys.Epoch())
-	asm := collector.NewWindowAssembler(switches, collector.StreamConfig{
-		WindowBuffer: 2,
-		RuleSpace:    env.FCM.NumRules(),
-	})
-	asm.SetEpoch(sys.Epoch())
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	reports, err := sys.Serve(ctx, foces.StreamConfig{Windows: asm.Windows(), Buffer: 2})
-	if err != nil {
-		return err
-	}
-
-	res.VerdictsMatch = true
-	var applied bool
-	for w := 0; w < cfg.CheckWindows; w++ {
-		if w == attackAt && !applied {
-			if _, err := env.ApplyRandomAttacks(1); err != nil {
-				return err
-			}
-			applied = true
-		}
-		if w == churnAt {
-			match, err := env.Layout.MatchExact(env.Layout.Wildcard(), header.FieldSrcIP, phantomIP)
-			if err != nil {
-				return err
-			}
-			sw := env.Topo.Switches()[0].ID
-			r, _, err := sys.AddRule(sw, 600, match, flowtable.Action{Type: flowtable.ActionDrop})
-			if err != nil {
-				return err
-			}
-			// The new rule now shows up in dataplane snapshots (counter
-			// 0 — phantom traffic); teach env's rule→switch index about
-			// it so collectPerSwitch can place it.
-			for len(env.ruleSwitch) <= r.ID {
-				env.ruleSwitch = append(env.ruleSwitch, r.Switch)
-			}
-			// Both arms advance to the new epoch at the same window
-			// boundary; their primed baselines now straddle it.
-			tracker.SetEpoch(sys.Epoch())
-			asm.SetEpoch(sys.Epoch())
-		}
-		if w == resetAt {
-			if err := env.ResetSwitch(resetSw); err != nil {
-				return err
-			}
-		}
-		per, err := collectPerSwitch(env, switches)
-		if err != nil {
-			return err
-		}
-
-		// Polled arm: merge per-switch deltas exactly as
-		// RobustCollector.Poll does, dating a straddling window by its
-		// oldest baseline epoch — the same reconciliation
-		// windowObservation performs.
-		deltas := make(map[int]uint64)
-		var missing []topo.SwitchID
-		epoch := sys.Epoch()
-		for _, sw := range switches {
-			if w == silentAt && sw == silent {
-				tracker.Forget(sw)
-				missing = append(missing, sw)
-				continue
-			}
-			delta, reset, primed, fromEpoch, straddles := tracker.AdvanceEpoch(sw, per[sw])
-			if reset || !primed {
-				missing = append(missing, sw)
-				continue
-			}
-			if straddles && fromEpoch < epoch {
-				epoch = fromEpoch
-			}
-			for rid, v := range delta {
-				deltas[rid] = v
-			}
-		}
-		var polled []byte
-		if len(deltas) > 0 {
-			if len(missing) == 0 {
-				missing = nil
-			}
-			rep, err := sys.Run(foces.Observation{Counters: deltas, RunOptions: foces.RunOptions{Missing: missing, Epoch: epoch}})
-			if err != nil {
-				return err
-			}
-			if polled, err = normalizeReport(rep); err != nil {
-				return err
-			}
-		}
-
-		// Streaming arm: the same snapshots through the pooled
-		// assembler; lock-step so system state (attack, churn epoch)
-		// is identical when each arm scores window w.
-		for _, sw := range switches {
-			if w == silentAt && sw == silent {
-				asm.Forget(sw)
-				asm.MarkMissing(sw)
-				continue
-			}
-			if err := asm.Push(collector.Update{Switch: sw, Counters: per[sw]}); err != nil {
-				return err
-			}
-		}
-		if polled == nil {
-			continue
-		}
-		sr, ok := <-reports
-		if !ok {
-			res.VerdictsMatch = false
-			res.Mismatch = fmt.Sprintf("window %d: report channel closed before the streamed verdict", w)
-			return nil
-		}
-		if sr.Err != nil {
-			return fmt.Errorf("stream window %d: %w", sr.Window, sr.Err)
-		}
-		streamed, err := normalizeReport(sr.Report)
-		if err != nil {
-			return err
-		}
-		res.CheckedReports++
-		if !bytes.Equal(polled, streamed) {
-			res.VerdictsMatch = false
-			res.Mismatch = fmt.Sprintf("window %d diverged between the polled and pooled streaming paths", w)
-			return nil
-		}
-	}
-	asm.Close()
-	for sr := range reports {
-		if sr.Err != nil {
-			return fmt.Errorf("stream window %d: %w", sr.Window, sr.Err)
-		}
-		res.VerdictsMatch = false
-		res.Mismatch = fmt.Sprintf("streamed path emitted an extra report for window %d", sr.Window)
-		return nil
-	}
-	return nil
 }
 
 // allocMeasure replays a pre-generated cumulative snapshot sequence

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"runtime"
 	"sync"
@@ -475,4 +477,19 @@ func clusterThroughput(cfg ClusterConfig, env *Env, sys *foces.System, res *Clus
 	res.ThroughputGated = res.GoMaxProcs >= 4
 	res.WithinInterval = first < res.IntervalSecs && maxWarm < res.IntervalSecs
 	return nil
+}
+
+// normalizeReport strips wall-time fields and encodes the Report so
+// two Reports produced by different code paths can be compared byte
+// for byte. Gob rather than JSON: anomaly indices can be +Inf (zero
+// median), which JSON cannot represent, and the Report's nested
+// results hold only slices and scalars, so gob encoding is
+// deterministic.
+func normalizeReport(rep foces.Report) ([]byte, error) {
+	rep.Timings = foces.RunTimings{}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(rep); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

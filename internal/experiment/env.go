@@ -8,7 +8,6 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"foces"
 	"foces/internal/collector"
@@ -86,7 +85,6 @@ type Env struct {
 
 	traffic    dataplane.TrafficMatrix
 	ruleSwitch []topo.SwitchID
-	deltas     *collector.DeltaTracker
 	sys        *foces.System
 }
 
@@ -173,7 +171,6 @@ func NewEnvOn(cfg Config, t *topo.Topology, pairs [][2]topo.HostID) (*Env, error
 	for i, r := range f.Rules {
 		env.ruleSwitch[i] = r.Switch
 	}
-	env.deltas = collector.NewDeltaTracker()
 	if pairs == nil {
 		env.traffic = dataplane.UniformTraffic(t, cfg.PacketsPerFlow)
 	} else {
@@ -211,74 +208,6 @@ func (e *Env) Observe(loss float64) ([]float64, error) {
 		y = collector.ApplyNoise(y, e.Config.NoiseSigma, e.Rng)
 	}
 	return y, nil
-}
-
-// ObserveWindowed is Observe for a production-style collection plane:
-// counters are NOT reset between periods — they accumulate as on a real
-// switch — and the collector-side windowed-delta layer differences
-// consecutive cumulative snapshots into the period's Y'. A switch whose
-// counters went backwards (it rebooted mid-run, e.g. via ResetSwitch)
-// is detected by the delta layer and returned in missing instead of
-// feeding a garbage window into HX=Y; its snapshot re-baselines so the
-// following period is clean again. The first call only primes baselines
-// and reports every switch missing. Mask the missing switches' rule
-// rows out of detection (Detector.DetectMasked, or
-// foces.RunOptions.Missing).
-func (e *Env) ObserveWindowed(loss float64) (y []float64, missing []topo.SwitchID, err error) {
-	if err := e.Net.SetLinkLoss(loss); err != nil {
-		return nil, nil, err
-	}
-	if _, err := e.Net.Run(e.Rng, e.traffic); err != nil {
-		return nil, nil, err
-	}
-	cumulative := e.Net.CollectCounters()
-	perSwitch := make(map[topo.SwitchID]map[int]uint64)
-	for rid, v := range cumulative {
-		sw := e.ruleSwitch[rid]
-		if perSwitch[sw] == nil {
-			perSwitch[sw] = make(map[int]uint64)
-		}
-		perSwitch[sw][rid] = v
-	}
-	deltas := make(map[int]uint64, len(cumulative))
-	switches := make([]topo.SwitchID, 0, len(perSwitch))
-	for sw := range perSwitch {
-		switches = append(switches, sw)
-	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-	for _, sw := range switches {
-		delta, reset, primed := e.deltas.Advance(sw, perSwitch[sw])
-		if reset || !primed {
-			missing = append(missing, sw)
-			continue
-		}
-		for rid, v := range delta {
-			deltas[rid] = v
-		}
-	}
-	y = e.FCM.CounterVector(deltas)
-	if e.Config.SkewSigma > 0 {
-		y, err = collector.ApplySkew(y, e.ruleSwitch, e.Config.SkewSigma, e.Rng)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if e.Config.NoiseSigma > 0 {
-		y = collector.ApplyNoise(y, e.Config.NoiseSigma, e.Rng)
-	}
-	return y, missing, nil
-}
-
-// ResetSwitch zeroes one switch's rule counters mid-run — the simulated
-// fault behind counter-reset detection: a switch that rebooted and came
-// back with empty tables' counters.
-func (e *Env) ResetSwitch(sw topo.SwitchID) error {
-	tbl, err := e.Net.Table(sw)
-	if err != nil {
-		return err
-	}
-	tbl.ResetCounters()
-	return nil
 }
 
 // Score runs one observation and returns the baseline anomaly index,

@@ -18,17 +18,16 @@ import (
 // SparseConfig drives the sparse-solver experiment. It has two arms:
 //
 //   - Scale: a destination-aggregate rule set on a fat-tree large
-//     enough that the dense Gram alone would blow the memory budget,
-//     prepared through the sparse Cholesky path only, with peak heap
-//     sampled throughout.
+//     enough that a dense primal Gram could not be held, prepared
+//     through the sparse Cholesky path only, with peak heap sampled
+//     throughout and judged against the memory budget.
 //   - Equivalence: every evaluation topology prepared twice — forced
 //     dense and forced sparse — and driven with identical clean and
 //     attacked windows, gating on verdict equality and on the relative
 //     residual-norm delta.
 type SparseConfig struct {
 	// Topology is the scale-arm topology (topo.ByName); zero selects
-	// "fattree16", whose dense Gram at the default group size does not
-	// fit the default budget.
+	// "fattree16".
 	Topology string
 	// GroupSize is the service-group width of the scale-arm traffic:
 	// hosts are partitioned into consecutive groups of this size and
@@ -121,16 +120,11 @@ type SparseResult struct {
 	GramDensity float64 `json:"gramDensity"`
 
 	// DenseGramBytes is what the factored Gram would take in dense form
-	// (8·FactoredDim² bytes). PrimalDenseGramBytes is the same for the
-	// primal Gram HᵀH (8·Cols² bytes) — the memory wall of a dense
-	// primal solve, which DenseExceedsBudget is about; on a wide H the
-	// two differ by (Cols/Rows)².
-	DenseGramBytes       int64  `json:"denseGramBytes"`
-	PrimalDenseGramBytes int64  `json:"primalDenseGramBytes"`
-	BudgetBytes          int64  `json:"budgetBytes"`
-	DenseExceedsBudget   bool   `json:"denseExceedsBudget"`
-	PeakHeapBytes        uint64 `json:"peakHeapBytes"`
-	SparseWithinBudget   bool   `json:"sparseWithinBudget"`
+	// (8·FactoredDim² bytes).
+	DenseGramBytes     int64  `json:"denseGramBytes"`
+	BudgetBytes        int64  `json:"budgetBytes"`
+	PeakHeapBytes      uint64 `json:"peakHeapBytes"`
+	SparseWithinBudget bool   `json:"sparseWithinBudget"`
 
 	// Prepare-stage decomposition of the sparse path (seconds), from
 	// the fastest prepare within scalePrepareBudget.
@@ -294,9 +288,6 @@ func Sparse(cfg SparseConfig) (SparseResult, error) {
 		return SparseResult{}, err
 	}
 	res.Rows, res.Cols = h.Rows(), h.Cols()
-	cols := int64(h.Cols())
-	res.PrimalDenseGramBytes = 8 * cols * cols
-	res.DenseExceedsBudget = res.PrimalDenseGramBytes > cfg.BudgetBytes
 
 	var ls *matrix.PreparedLS
 	start := time.Now()

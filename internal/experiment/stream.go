@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"runtime"
 	"sort"
@@ -15,12 +13,12 @@ import (
 	"foces/internal/topo"
 )
 
-// StreamBenchConfig drives the streaming-ingestion experiment: an
-// equivalence check (streaming windows vs the pull-based Run path on
-// identical delta sequences), a lock-step ingest-to-verdict latency
-// measurement, and a saturating load phase that pushes synthetic
-// counter updates through the bounded-queue assembler as fast as the
-// machine allows.
+// StreamBenchConfig drives the streaming-ingestion experiment: a
+// lock-step ingest-to-verdict latency measurement, and a saturating
+// load phase that pushes synthetic counter updates through the
+// bounded-queue assembler as fast as the machine allows. That streamed
+// reports equal DeltaTracker + Run is a unit test's job
+// (TestServeMatchesPolledRun).
 type StreamBenchConfig struct {
 	// Topology is a topo.ByName name; zero selects "fattree8".
 	Topology string
@@ -39,9 +37,6 @@ type StreamBenchConfig struct {
 	// LatencyWindows is how many windows the lock-step latency phase
 	// measures; zero selects 48.
 	LatencyWindows int
-	// CheckWindows is how many windows the equivalence check replays
-	// through both paths; zero selects 12.
-	CheckWindows int
 	// Seed drives traffic randomness.
 	Seed int64
 }
@@ -59,9 +54,6 @@ func (c StreamBenchConfig) withDefaults() StreamBenchConfig {
 	if c.LatencyWindows <= 0 {
 		c.LatencyWindows = 48
 	}
-	if c.CheckWindows <= 0 {
-		c.CheckWindows = 12
-	}
 	return c
 }
 
@@ -73,13 +65,6 @@ type StreamBenchResult struct {
 	Flows      int    `json:"flows"`
 	Rules      int    `json:"rules"`
 	GoMaxProcs int    `json:"gomaxprocs"`
-
-	// Equivalence: streaming windows vs pull-based Run on identical
-	// delta sequences (clean, attacked, silent switch, counter reset).
-	CheckWindows   int    `json:"checkWindows"`
-	CheckedReports int    `json:"checkedReports"`
-	VerdictsMatch  bool   `json:"verdictsMatch"`
-	Mismatch       string `json:"mismatch,omitempty"`
 
 	// Lock-step ingest-to-verdict latency over real traffic windows.
 	DetectWindows int     `json:"detectWindows"`
@@ -101,9 +86,8 @@ type StreamBenchResult struct {
 }
 
 // StreamBench measures the streaming ingestion layer on one
-// environment: verdict equivalence against the polled path, the
-// ingest-to-verdict latency tail, and sustained synthetic update
-// throughput under bounded queues.
+// environment: the ingest-to-verdict latency tail, and sustained
+// synthetic update throughput under bounded queues.
 func StreamBench(cfg StreamBenchConfig) (StreamBenchResult, error) {
 	cfg = cfg.withDefaults()
 	t, err := topo.ByName(cfg.Topology)
@@ -122,9 +106,8 @@ func StreamBench(cfg StreamBenchConfig) (StreamBenchResult, error) {
 	if err != nil {
 		return StreamBenchResult{}, err
 	}
-	// Skew/noise act on the dense Y vector inside Observe; both streaming
-	// arms here feed raw cumulative snapshots, so disable them to keep
-	// the replayed sequences identical bit for bit.
+	// Skew/noise act on the dense Y vector inside Observe; the streaming
+	// phases feed raw cumulative snapshots, so disable them.
 	env, err := NewEnvOn(Config{Topology: cfg.Topology, Seed: cfg.Seed, SkewSigma: -1}, t, pairs)
 	if err != nil {
 		return StreamBenchResult{}, err
@@ -141,9 +124,6 @@ func StreamBench(cfg StreamBenchConfig) (StreamBenchResult, error) {
 		Flows:      flows,
 		Rules:      env.FCM.NumRules(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	if err := streamCheck(cfg, env, switches, &res); err != nil {
-		return res, err
 	}
 	if err := streamLatency(cfg, env, switches, &res); err != nil {
 		return res, err
@@ -170,163 +150,6 @@ func collectPerSwitch(env *Env, switches []topo.SwitchID) (map[topo.SwitchID]map
 		per[env.ruleSwitch[rid]][rid] = v
 	}
 	return per, nil
-}
-
-// normalizeReport strips wall-time fields and encodes the Report so
-// two Reports produced by different code paths can be compared byte
-// for byte. Gob rather than JSON: anomaly indices can be +Inf (zero
-// median), which JSON cannot represent, and the Report's nested
-// results hold only slices and scalars, so gob encoding is
-// deterministic.
-func normalizeReport(rep foces.Report) ([]byte, error) {
-	rep.Timings = foces.RunTimings{}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rep); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// streamCheck replays one cumulative snapshot sequence — clean windows,
-// an attacked stretch, a silent switch, a counter reset — through the
-// pull-based delta+Run path and through WindowAssembler+Serve, and
-// verifies the emitted Reports are byte-identical.
-func streamCheck(cfg StreamBenchConfig, env *Env, switches []topo.SwitchID, res *StreamBenchResult) error {
-	sys, err := env.System()
-	if err != nil {
-		return err
-	}
-	res.CheckWindows = cfg.CheckWindows
-	attackAt := cfg.CheckWindows / 2
-	silentAt := cfg.CheckWindows / 3
-	resetAt := 3 * cfg.CheckWindows / 4
-	silent := switches[len(switches)/2]
-	resetSw := switches[len(switches)/3]
-
-	// Generate the shared snapshot sequence once; both arms replay it.
-	if err := env.Net.SetLinkLoss(0.02); err != nil {
-		return err
-	}
-	seq := make([]map[topo.SwitchID]map[int]uint64, cfg.CheckWindows)
-	var applied bool
-	for w := 0; w < cfg.CheckWindows; w++ {
-		if w == attackAt && !applied {
-			if _, err := env.ApplyRandomAttacks(1); err != nil {
-				return err
-			}
-			applied = true
-		}
-		if w == resetAt {
-			if err := env.ResetSwitch(resetSw); err != nil {
-				return err
-			}
-		}
-		per, err := collectPerSwitch(env, switches)
-		if err != nil {
-			return err
-		}
-		seq[w] = per
-	}
-
-	// Polled arm: one DeltaTracker advanced per switch in ascending
-	// order, merged exactly as RobustCollector.Poll merges, one Run per
-	// non-empty window.
-	tracker := collector.NewDeltaTracker()
-	tracker.SetEpoch(sys.Epoch())
-	var polled [][]byte
-	for w := 0; w < cfg.CheckWindows; w++ {
-		deltas := make(map[int]uint64)
-		var missing []topo.SwitchID
-		for _, sw := range switches {
-			if w == silentAt && sw == silent {
-				tracker.Forget(sw)
-				missing = append(missing, sw)
-				continue
-			}
-			delta, reset, primed, _, _ := tracker.AdvanceEpoch(sw, seq[w][sw])
-			if reset || !primed {
-				missing = append(missing, sw)
-				continue
-			}
-			for rid, v := range delta {
-				deltas[rid] = v
-			}
-		}
-		if len(deltas) == 0 {
-			continue
-		}
-		if len(missing) == 0 {
-			missing = nil
-		}
-		rep, err := sys.Run(foces.Observation{Counters: deltas, RunOptions: foces.RunOptions{Missing: missing, Epoch: sys.Epoch()}})
-		if err != nil {
-			return err
-		}
-		blob, err := normalizeReport(rep)
-		if err != nil {
-			return err
-		}
-		polled = append(polled, blob)
-	}
-
-	// Streaming arm: the same snapshots pushed through the assembler,
-	// verdicts emitted by Serve.
-	asm := collector.NewWindowAssembler(switches, collector.StreamConfig{WindowBuffer: cfg.CheckWindows + 2})
-	asm.SetEpoch(sys.Epoch())
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	reports, err := sys.Serve(ctx, foces.StreamConfig{Windows: asm.Windows(), Buffer: cfg.CheckWindows + 2})
-	if err != nil {
-		return err
-	}
-	pushErr := make(chan error, 1)
-	go func() {
-		for w := 0; w < cfg.CheckWindows; w++ {
-			for _, sw := range switches {
-				if w == silentAt && sw == silent {
-					asm.Forget(sw)
-					asm.MarkMissing(sw)
-					continue
-				}
-				if err := asm.Push(collector.Update{Switch: sw, Counters: seq[w][sw]}); err != nil {
-					pushErr <- err
-					return
-				}
-			}
-		}
-		asm.Close()
-		pushErr <- nil
-	}()
-	var streamed [][]byte
-	for sr := range reports {
-		if sr.Err != nil {
-			return fmt.Errorf("stream window %d: %w", sr.Window, sr.Err)
-		}
-		blob, err := normalizeReport(sr.Report)
-		if err != nil {
-			return err
-		}
-		streamed = append(streamed, blob)
-	}
-	if err := <-pushErr; err != nil {
-		return err
-	}
-
-	res.CheckedReports = len(streamed)
-	res.VerdictsMatch = true
-	if len(polled) != len(streamed) {
-		res.VerdictsMatch = false
-		res.Mismatch = fmt.Sprintf("report count: polled %d vs streamed %d", len(polled), len(streamed))
-		return nil
-	}
-	for i := range polled {
-		if !bytes.Equal(polled[i], streamed[i]) {
-			res.VerdictsMatch = false
-			res.Mismatch = fmt.Sprintf("report %d diverged between the polled and streamed paths", i)
-			return nil
-		}
-	}
-	return nil
 }
 
 // streamLatency measures ingest-to-verdict latency in lock step: push

@@ -121,13 +121,44 @@ func (t *Table) Install(r Rule) error {
 	rp := &r
 	t.byID[r.ID] = rp
 	t.rules = append(t.rules, rp)
+	t.sortLocked()
+	return nil
+}
+
+// Modify rewrites an installed rule's match, action and priority in
+// place, as an OpenFlow modify does: the packet counter carries on
+// across the change, while any override or spoofed counter on the old
+// rule is cleared.
+func (t *Table) Modify(r Rule) error {
+	if !r.Match.Valid() {
+		return fmt.Errorf("flowtable: rule %d has invalid match", r.ID)
+	}
+	if r.Action.Type < ActionOutput || r.Action.Type > ActionDeliver {
+		return fmt.Errorf("flowtable: rule %d has invalid action", r.ID)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	rp, ok := t.byID[r.ID]
+	if !ok {
+		return fmt.Errorf("flowtable: no rule %d on switch %d", r.ID, t.sw)
+	}
+	r.Switch = t.sw
+	*rp = r
+	delete(t.overrides, r.ID)
+	delete(t.spoofed, r.ID)
+	t.sortLocked()
+	return nil
+}
+
+// sortLocked restores lookup order: priority descending, then ID
+// ascending. Caller holds t.mu.
+func (t *Table) sortLocked() {
 	sort.SliceStable(t.rules, func(i, j int) bool {
 		if t.rules[i].Priority != t.rules[j].Priority {
 			return t.rules[i].Priority > t.rules[j].Priority
 		}
 		return t.rules[i].ID < t.rules[j].ID
 	})
-	return nil
 }
 
 // Remove deletes a rule by ID. The table itself would accept a later

@@ -142,6 +142,44 @@ func TestRemove(t *testing.T) {
 	}
 }
 
+func TestModifyKeepsCounter(t *testing.T) {
+	tbl := NewTable(0)
+	ip := header.IPv4(10, 0, 0, 1)
+	if err := tbl.Install(dstRule(t, 1, 5, ip, Action{Type: ActionOutput, Port: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Install(dstRule(t, 2, 3, ip, Action{Type: ActionOutput, Port: 2})); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Count(2, 7)
+	if err := tbl.SetOverride(2, Override{Action: Action{Type: ActionDrop}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.SpoofCounter(2, 99); err != nil {
+		t.Fatal(err)
+	}
+	// Rule 2 rises above rule 1 and changes its action, in place.
+	if err := tbl.Modify(dstRule(t, 2, 9, ip, Action{Type: ActionOutput, Port: 4})); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Counters()[2]; got != 7 {
+		t.Fatalf("counter after modify = %d, want 7", got)
+	}
+	if tbl.Overridden(2) {
+		t.Fatal("modify must clear the override")
+	}
+	r, act, ok := tbl.Lookup(packetTo(t, ip))
+	if !ok || r.ID != 2 || act.Port != 4 {
+		t.Fatalf("lookup after modify = rule %d %+v, want rule 2 output:4", r.ID, act)
+	}
+	if err := tbl.Modify(dstRule(t, 9, 1, ip, Action{Type: ActionDrop})); err == nil {
+		t.Fatal("modify of an unknown rule must error")
+	}
+	if err := tbl.Modify(Rule{ID: 2, Action: Action{Type: ActionDrop}}); err == nil {
+		t.Fatal("modify with an invalid match must error")
+	}
+}
+
 func TestOverridesAffectForwardingNotDump(t *testing.T) {
 	tbl := NewTable(0)
 	ip := header.IPv4(10, 0, 0, 1)

@@ -1,21 +1,13 @@
 package matrix
 
-// Parallel, cache-blocked kernels for the heavy baseline-preparation
-// linear algebra: sparse Gram assembly (HᵀH), and blocked right-looking
-// Cholesky. The kernels are exact
-// drop-in replacements for the serial reference paths:
-//
-//   - parallel Gram is bitwise identical to GramSerial for any worker
-//     count, because every output entry is accumulated by exactly one
-//     worker in the same (ascending input-row) order the serial loop
-//     uses, and the mirrored lower triangle copies the upper triangle
-//     (va*vb and vb*va are the same float64);
-//   - blocked Cholesky is dispatched purely by matrix size (never by
-//     worker count), so a given matrix always takes the same code path
-//     on every machine and the factor is bitwise reproducible across
-//     GOMAXPROCS settings; it agrees with the unblocked sweep to
-//     floating-point roundoff and reports the identical first
-//     non-positive pivot on failure.
+// Parallel, cache-blocked kernels for the dense baseline-preparation
+// linear algebra: blocked right-looking Cholesky, an exact drop-in
+// replacement for the unblocked sweep. It is dispatched purely by
+// matrix size (never by worker count), so a given matrix always takes
+// the same code path on every machine and the factor is bitwise
+// reproducible across GOMAXPROCS settings; it agrees with the
+// unblocked sweep to floating-point roundoff and reports the identical
+// first non-positive pivot on failure.
 //
 // Package-wide defaults are configured with SetKernelDefaults; zero
 // fields in a KernelOptions value inherit those defaults.
@@ -194,85 +186,6 @@ func FanOut(n, workers int, fn func(i int)) {
 			fn(i)
 		}
 	})
-}
-
-// minParallelGramCols gates the parallel Gram path: below this many
-// output columns the CSC index build costs more than it saves.
-const minParallelGramCols = 96
-
-// GramOpts computes mᵀ*m like Gram with explicit kernel options.
-func (m *CSR) GramOpts(o KernelOptions) *Dense {
-	workers, _, serial := resolveKernel(o)
-	if serial || workers <= 1 || m.cols < minParallelGramCols || len(m.val) == 0 {
-		return m.GramSerial()
-	}
-	return m.gramParallel(workers)
-}
-
-// GramSerial is the serial reference Gram kernel: it accumulates the
-// outer product of every sparse row. Cost is Σᵢ nnz(rowᵢ)², which is
-// small for FCMs because a rule matches a bounded number of flows.
-func (m *CSR) GramSerial() *Dense {
-	g := NewDense(m.cols, m.cols)
-	for i := 0; i < m.rows; i++ {
-		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-		for a := lo; a < hi; a++ {
-			ca, va := m.colIdx[a], m.val[a]
-			grow := g.Row(ca)
-			for b := lo; b < hi; b++ {
-				grow[m.colIdx[b]] += va * m.val[b]
-			}
-		}
-	}
-	return g
-}
-
-// gramParallel partitions the Gram rows (= H columns) across workers.
-// A transient ColumnIndex maps each output row ca to the CSR entry
-// positions holding column ca, so the worker owning ca can replay, in
-// ascending input-row order, exactly the accumulations the serial loop
-// performs into g.Row(ca) — restricted to the upper triangle cb ≥ ca,
-// which within an input row is just the entries at positions ≥ the
-// position of ca. A second pass mirrors the upper triangle, partitioned
-// by destination row. Both passes write disjoint row ranges, and the
-// per-entry accumulation order matches GramSerial, so the result is
-// bitwise identical for any worker count.
-func (m *CSR) gramParallel(workers int) *Dense {
-	g := NewDense(m.cols, m.cols)
-	ix := NewColumnIndex(m)
-	grain := gramGrain(m.cols, workers)
-	// Pass 1: upper triangle, each worker owns a range of output rows.
-	parallelRanges(m.cols, workers, grain, func(lo, hi int) {
-		for ca := lo; ca < hi; ca++ {
-			grow := g.Row(ca)
-			for p := ix.colPtr[ca]; p < ix.colPtr[ca+1]; p++ {
-				k := int(ix.pos[p])
-				va := m.val[k]
-				end := int(ix.end[p])
-				for q := k; q < end; q++ {
-					grow[m.colIdx[q]] += va * m.val[q]
-				}
-			}
-		}
-	})
-	// Pass 2: mirror the strict upper triangle, owned by destination row.
-	parallelRanges(m.cols, workers, grain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			rowj := g.Row(j)
-			for i := 0; i < j; i++ {
-				rowj[i] = g.Row(i)[j]
-			}
-		}
-	})
-	return g
-}
-
-func gramGrain(n, workers int) int {
-	g := n / (workers * 8)
-	if g < 8 {
-		g = 8
-	}
-	return g
 }
 
 // NewCholeskyOpts factors a like NewCholesky with explicit kernel

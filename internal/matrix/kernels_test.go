@@ -37,9 +37,27 @@ func randomFCMCSR(t *testing.T, rng *rand.Rand, rows, cols, maxPerRow int) *CSR 
 func spdDense(t *testing.T, rng *rand.Rand, n int) *Dense {
 	t.Helper()
 	h := randomFCMCSR(t, rng, 3*n, n, 8)
-	g := h.GramSerial()
+	g := h.gramSerial()
 	for i := 0; i < n; i++ {
 		g.Add(i, i, 1)
+	}
+	return g
+}
+
+// gramSerial is the dense reference Gram mᵀm: it accumulates the outer
+// product of every sparse row, in ascending row order — the order
+// SymGram accumulates in too, so the two agree bit for bit.
+func (m *CSR) gramSerial() *Dense {
+	g := NewDense(m.cols, m.cols)
+	for i := 0; i < m.rows; i++ {
+		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+		for a := lo; a < hi; a++ {
+			ca, va := m.colIdx[a], m.val[a]
+			grow := g.Row(ca)
+			for b := lo; b < hi; b++ {
+				grow[m.colIdx[b]] += va * m.val[b]
+			}
+		}
 	}
 	return g
 }
@@ -71,38 +89,18 @@ func maxAbsDense(a *Dense) float64 {
 	return m
 }
 
-func TestKernelGramParallelMatchesSerialBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	shapes := []struct{ rows, cols, per int }{
-		{1, 1, 1},
-		{40, 17, 4},
-		{300, 150, 6},
-		{500, 260, 12},
-	}
-	for _, sh := range shapes {
-		m := randomFCMCSR(t, rng, sh.rows, sh.cols, sh.per)
-		want := m.GramSerial()
-		for _, w := range []int{1, 2, 3, 8} {
-			got := m.GramOpts(KernelOptions{Workers: w})
-			if !densesBitwiseEqual(want, got) {
-				t.Fatalf("gram %dx%d workers=%d differs from serial", sh.rows, sh.cols, w)
-			}
-		}
-		if got := m.GramOpts(KernelOptions{Serial: true}); !densesBitwiseEqual(want, got) {
-			t.Fatalf("gram %dx%d serial option differs", sh.rows, sh.cols)
-		}
-	}
-}
-
+// TestKernelGramDefaultPathAcrossGOMAXPROCS: the Gram every prepared
+// engine assembles (SymGram, scattered by ToDense for the dense
+// backend) is bitwise the serial reference at any GOMAXPROCS.
 func TestKernelGramDefaultPathAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := randomFCMCSR(t, rng, 400, 200, 8)
-	want := m.GramSerial()
+	want := m.gramSerial()
 	orig := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(orig)
 	for _, p := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(p)
-		if got := m.Gram(); !densesBitwiseEqual(want, got) {
+		if got := m.SymGram().ToDense(); !densesBitwiseEqual(want, got) {
 			t.Fatalf("default Gram differs from serial at GOMAXPROCS=%d", p)
 		}
 	}

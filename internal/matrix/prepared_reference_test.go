@@ -32,9 +32,11 @@ func referenceResolveSparse(o KernelOptions) (mode SparseMode, minCols int, dens
 
 // widthGatedPrepareLS and widthGatedPrepareDense are prepareLS and its
 // dense backend as they stood with the width gate: below 512 factored
-// columns the Gram was assembled dense (GramOpts) and factored dense,
-// whatever its structure. Only the names changed. They are the
-// reference the structure-chosen dispatch must agree with.
+// columns the Gram was assembled dense and factored dense, whatever its
+// structure. Only the names changed, and the dense Gram comes from the
+// gramSerial reference, which the deleted parallel Gram kernel matched
+// bit for bit. They are the reference the structure-chosen dispatch
+// must agree with.
 func widthGatedPrepareLS(h *CSR, opts LeastSquaresOptions, ko KernelOptions, prevSym *SparseSymbolic) (*PreparedLS, error) {
 	// a is the matrix whose Gram aᵀa gets factored: h itself, or hᵀ when
 	// h is wide and the small side is HHᵀ.
@@ -78,7 +80,7 @@ func widthGatedPrepareDense(h, a *CSR, opts LeastSquaresOptions, ko KernelOption
 	if g != nil {
 		gram = g.ToDense()
 	} else {
-		gram = a.GramOpts(ko)
+		gram = a.gramSerial()
 	}
 	tGram += time.Since(t0)
 	t1 := time.Now()
@@ -146,7 +148,7 @@ func referencePrepareDense(h *CSR, opts LeastSquaresOptions, ko KernelOptions, g
 		tGram += time.Since(t0)
 	} else {
 		t0 := time.Now()
-		gram = h.GramOpts(ko)
+		gram = h.gramSerial()
 		tGram = time.Since(t0)
 	}
 	t1 := time.Now()

@@ -148,100 +148,16 @@ func SolveNormalEquations(h *CSR, y []float64, opts LeastSquaresOptions) ([]floa
 	return p.Solve(y)
 }
 
-// LeastSquaresQR solves min ‖A x − b‖₂ via Householder QR on a dense A
-// with full column rank. Provided for the solver ablation; the FOCES
-// default path uses SolveNormalEquations.
-func LeastSquaresQR(a *Dense, b []float64) ([]float64, error) {
-	m, n := a.Rows(), a.Cols()
-	if len(b) != m {
-		return nil, fmt.Errorf("matrix: qr dims %dx%d vs %d", m, n, len(b))
-	}
-	if m < n {
-		return nil, fmt.Errorf("matrix: qr needs m >= n, got %dx%d", m, n)
-	}
-	r := a.Clone()
-	rhs := make([]float64, m)
-	copy(rhs, b)
-	for k := 0; k < n; k++ {
-		// Householder vector for column k below the diagonal.
-		var norm float64
-		for i := k; i < m; i++ {
-			norm += r.At(i, k) * r.At(i, k)
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			return nil, fmt.Errorf("matrix: qr rank deficient at column %d", k)
-		}
-		if r.At(k, k) > 0 {
-			norm = -norm
-		}
-		v := make([]float64, m-k)
-		for i := k; i < m; i++ {
-			v[i-k] = r.At(i, k)
-		}
-		v[0] -= norm
-		vnorm2 := Dot(v, v)
-		if vnorm2 == 0 {
-			continue
-		}
-		// Apply the reflector to R and the RHS.
-		for j := k; j < n; j++ {
-			var s float64
-			for i := k; i < m; i++ {
-				s += v[i-k] * r.At(i, j)
-			}
-			s = 2 * s / vnorm2
-			for i := k; i < m; i++ {
-				r.Add(i, j, -s*v[i-k])
-			}
-		}
-		var s float64
-		for i := k; i < m; i++ {
-			s += v[i-k] * rhs[i]
-		}
-		s = 2 * s / vnorm2
-		for i := k; i < m; i++ {
-			rhs[i] -= s * v[i-k]
-		}
-	}
-	// Back substitution on the upper-triangular R.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := rhs[i]
-		for j := i + 1; j < n; j++ {
-			s -= r.At(i, j) * x[j]
-		}
-		d := r.At(i, i)
-		if d == 0 {
-			return nil, fmt.Errorf("matrix: qr singular R at %d", i)
-		}
-		x[i] = s / d
-	}
-	return x, nil
-}
-
-// CGOptions tunes the conjugate-gradient solver.
-type CGOptions struct {
-	MaxIter int     // 0 selects 2n
-	Tol     float64 // 0 selects 1e-10 relative residual
-}
-
-// SolveNormalEquationsCG computes the least-squares estimate with
+// solveNormalEquationsCG computes the least-squares estimate with
 // conjugate gradient on the normal equations (CGNR), never materializing
-// HᵀH. This is the memory-lean ablation alternative.
-func SolveNormalEquationsCG(h *CSR, y []float64, opts CGOptions) ([]float64, error) {
+// HᵀH: at most 2n+10 iterations, stopping at a 1e-10 relative residual.
+func solveNormalEquationsCG(h *CSR, y []float64) ([]float64, error) {
 	if len(y) != h.Rows() {
 		return nil, fmt.Errorf("matrix: cg dims %dx%d vs %d", h.Rows(), h.Cols(), len(y))
 	}
 	n := h.Cols()
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 2*n + 10
-	}
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-10
-	}
+	maxIter := 2*n + 10
+	const tol = 1e-10
 	x := make([]float64, n)
 	// r = Hᵀy - HᵀH x = Hᵀ y initially (x = 0).
 	r, err := h.TMulVec(y)
@@ -294,7 +210,7 @@ func ResidualInColumnSpace(h *CSR, v []float64, tol float64) (bool, float64, err
 	if len(v) != h.Rows() {
 		return false, 0, fmt.Errorf("matrix: dims %dx%d vs %d", h.Rows(), h.Cols(), len(v))
 	}
-	x, err := SolveNormalEquationsCG(h, v, CGOptions{})
+	x, err := solveNormalEquationsCG(h, v)
 	if err != nil {
 		return false, 0, err
 	}

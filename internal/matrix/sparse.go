@@ -177,14 +177,6 @@ func (m *CSR) transpose() *CSR {
 	return t
 }
 
-// Gram computes mᵀ * m as a dense symmetric matrix. Large matrices are
-// assembled by the parallel row-partitioned kernel under the package
-// kernel defaults (see kernels.go); the result is bitwise identical to
-// GramSerial for every worker count.
-func (m *CSR) Gram() *Dense {
-	return m.GramOpts(KernelOptions{})
-}
-
 // ToDense expands the matrix to dense form (for tests and small
 // examples).
 func (m *CSR) ToDense() *Dense {

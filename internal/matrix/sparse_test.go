@@ -93,7 +93,7 @@ func TestCSRMatchesDense(t *testing.T) {
 		if !VecEqualApprox(gotT, wantT, 1e-9) {
 			t.Fatalf("TMulVec mismatch: %v vs %v", gotT, wantT)
 		}
-		if !m.Gram().EqualApprox(d.Gram(), 1e-9) {
+		if !m.gramSerial().EqualApprox(d.Gram(), 1e-9) {
 			t.Fatal("Gram mismatch")
 		}
 	}
@@ -178,7 +178,7 @@ func TestPropertyCSRGramSymmetric(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m := randomCSR(r, 1+r.Intn(8), 1+r.Intn(8), 0.4)
-		g := m.Gram()
+		g := m.gramSerial()
 		for i := 0; i < g.Rows(); i++ {
 			for j := 0; j < g.Cols(); j++ {
 				if g.At(i, j) != g.At(j, i) {

@@ -39,7 +39,7 @@ func TestSymGramMatchesDense(t *testing.T) {
 		if err := g.symCheck(); err != nil {
 			t.Fatal(err)
 		}
-		want := h.GramSerial()
+		want := h.gramSerial()
 		got := g.ToDense()
 		if !got.EqualApprox(want, 0) {
 			t.Fatalf("trial %d: sparse Gram != dense Gram", trial)
@@ -114,7 +114,7 @@ func TestSparseCholeskySolveMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: sparse factor: %v", trial, err)
 		}
-		dch, err := NewCholesky(h.GramSerial())
+		dch, err := NewCholesky(h.gramSerial())
 		if err != nil {
 			t.Fatalf("trial %d: dense factor: %v", trial, err)
 		}
@@ -168,7 +168,7 @@ func TestSparseCholeskyWideSupernodes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("opts %+v: %v", ko, err)
 		}
-		dch, err := NewCholesky(h.GramSerial())
+		dch, err := NewCholesky(h.gramSerial())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestSparseUpdateDowndateMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dch, err := NewCholesky(h.GramSerial())
+		dch, err := NewCholesky(h.gramSerial())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -146,9 +146,9 @@ func (g *SymSparse) AddRidge(r float64) {
 
 // ToDense scatters the symmetric matrix to dense form. PrepareLS's
 // dense backend takes its Gram this way, so the Gram is assembled once
-// whichever backend factors it; the result equals GramSerial exactly
-// because each entry was accumulated in the same ascending input-row
-// order.
+// whichever backend factors it; the result equals the dense reference
+// Gram exactly because each entry was accumulated in the same ascending
+// input-row order.
 func (g *SymSparse) ToDense() *Dense {
 	d := NewDense(g.n, g.n)
 	for j := 0; j < g.n; j++ {

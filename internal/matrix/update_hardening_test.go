@@ -100,7 +100,7 @@ func TestDowndateFailurePoisonsFactor(t *testing.T) {
 func roundTripOnce(t *testing.T, rng *rand.Rand, rows, cols int, p float64, tol float64) {
 	t.Helper()
 	h := randomSparseH(rng, rows, cols, p)
-	orig, err := NewCholesky(h.GramSerial())
+	orig, err := NewCholesky(h.gramSerial())
 	if err != nil {
 		t.Fatalf("factor: %v", err)
 	}

@@ -33,8 +33,6 @@ type CollectorMetrics struct {
 	Probes              *Counter
 	Quarantines         *Counter
 	Reinstatements      *Counter
-	Resets              *Counter
-	DuplicateRules      *Counter
 	MissingSwitches     *Gauge
 	QuarantinedSwitches *Gauge
 }
@@ -42,7 +40,7 @@ type CollectorMetrics struct {
 // NewCollectorMetrics registers the collector family set.
 func NewCollectorMetrics(r *Registry) *CollectorMetrics {
 	return &CollectorMetrics{
-		PollSeconds:         r.NewHistogram("foces_collector_poll_seconds", "Wall time of one RobustCollector.Poll round over all switches.", SecondsBuckets),
+		PollSeconds:         r.NewHistogram("foces_collector_poll_seconds", "Wall time of one RobustCollector.PollSnapshots round over the due switches.", SecondsBuckets),
 		Requests:            r.NewCounter("foces_collector_requests_total", "Flow-stats requests issued, including retries."),
 		Retries:             r.NewCounter("foces_collector_retries_total", "Flow-stats requests that were retries of a failed attempt."),
 		Timeouts:            r.NewCounter("foces_collector_timeouts_total", "Flow-stats attempts that exceeded their per-request deadline."),
@@ -50,8 +48,6 @@ func NewCollectorMetrics(r *Registry) *CollectorMetrics {
 		Probes:              r.NewCounter("foces_collector_probes_total", "Echo probes sent to quarantined switches."),
 		Quarantines:         r.NewCounter("foces_collector_quarantines_total", "Healthy/degraded to quarantined transitions."),
 		Reinstatements:      r.NewCounter("foces_collector_reinstatements_total", "Quarantined switches reinstated after a successful probe."),
-		Resets:              r.NewCounter("foces_collector_resets_total", "Counter resets detected by the delta tracker."),
-		DuplicateRules:      r.NewCounter("foces_collector_duplicate_rules_total", "Duplicate rule IDs observed in one poll (counter shadowing)."),
 		MissingSwitches:     r.NewGauge("foces_collector_missing_switches", "Switches excluded from the most recent poll window."),
 		QuarantinedSwitches: r.NewGauge("foces_collector_quarantined_switches", "Switches currently quarantined."),
 	}
@@ -125,6 +121,8 @@ type StreamMetrics struct {
 	DroppedUpdates       *Counter
 	DroppedWindows       *Counter
 	Windows              *Counter
+	Resets               *Counter
+	DuplicateRules       *Counter
 	QueueDepth           *Gauge
 	BackedOffSwitches    *Gauge
 	WindowLagSeconds     *Histogram
@@ -140,6 +138,8 @@ func NewStreamMetrics(r *Registry) *StreamMetrics {
 		DroppedUpdates:       r.NewCounter("foces_stream_dropped_updates_total", "Queued snapshots discarded after a collection gap (Forget)."),
 		DroppedWindows:       r.NewCounter("foces_stream_dropped_windows_total", "Completed windows evicted because the consumer fell behind."),
 		Windows:              r.NewCounter("foces_stream_windows_total", "Detection windows completed by the assembler."),
+		Resets:               r.NewCounter("foces_collector_resets_total", "Counter resets (switch restarts) found while assembling windows."),
+		DuplicateRules:       r.NewCounter("foces_collector_duplicate_rules_total", "Rule IDs reported by more than one switch in one window (counter shadowing)."),
 		QueueDepth:           r.NewGauge("foces_stream_queue_depth", "Counter snapshots currently queued across all switches."),
 		BackedOffSwitches:    r.NewGauge("foces_stream_backed_off_switches", "Switches the adaptive sampler currently samples less than every window."),
 		WindowLagSeconds:     r.NewHistogram("foces_stream_window_lag_seconds", "First-push-to-completion lag per assembled window.", SecondsBuckets),

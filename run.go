@@ -82,7 +82,7 @@ type RunOptions struct {
 	// reported.
 	Missing []SwitchID
 	// Epoch is the baseline epoch the window's counters were
-	// snapshotted under (PollResult straddle reporting). When it trails
+	// snapshotted under (StreamWindow straddle reporting). When it trails
 	// the system's current epoch, Run masks the rule rows changed in
 	// between instead of reading mixed-generation counters as an
 	// anomaly — whether or not switches are missing too. Callers
@@ -373,12 +373,15 @@ const defaultRecentRuns = 64
 // blind window has no verdict.
 //
 //	rep, err := sys.Run(foces.Observation{
-//		Counters: poll.Deltas,
+//		Counters: w.Deltas, // a completed StreamWindow
 //		RunOptions: foces.RunOptions{
-//			Missing: poll.Missing,
+//			Missing: w.Missing,
 //			Epoch:   windowEpoch, // oldest straddled epoch, or sys.Epoch()
 //		},
 //	})
+//
+// System.Serve builds exactly this observation for every window a
+// WindowAssembler completes.
 //
 // Run is the supported entry point; Detect, DetectSliced and
 // DetectReconciled are deprecated wrappers over it.
@@ -722,10 +725,10 @@ type telWiring struct {
 // has already seen reuses its families, so switching wirings is cheap
 // and panic-free.
 //
-// Collector metrics are wired separately
-// (telemetry.NewCollectorMetrics + RobustCollector.SetTelemetry): the
-// collection plane is owned by the embedding application, not by
-// System.
+// Collection metrics are wired separately (telemetry.NewCollectorMetrics
+// + RobustCollector.SetTelemetry, NewStreamTelemetry +
+// WindowAssembler.SetTelemetry): the collection plane is owned by the
+// embedding application, not by System.
 func (s *System) EnableTelemetry(reg *telemetry.Registry) {
 	w := s.wirings[reg]
 	if w == nil {

@@ -9,17 +9,14 @@ import (
 	"foces/internal/telemetry"
 )
 
-// This file is the streaming detection entry point. The historical
-// shape of a FOCES monitor was a caller-driven loop — for { Poll; Run }
-// — which couples detection cadence to collection latency and makes
-// every layer assume one full poll per period. System.Serve inverts
-// it: a collector.WindowAssembler turns pushed counter snapshots into
-// completed windows on its own clock, and Serve consumes those windows
-// continuously, running each through Run and emitting verdicts on a
-// channel. Health states and churn epochs flow through
-// unchanged: a streaming window straddling an ApplyUpdate carries the
-// same epoch/straddle metadata a polled window would, so it is masked
-// exactly the same way.
+// This file is the detection entry point for live counters. There is
+// one window producer: a pump fetches cumulative snapshots
+// (collector.RobustCollector.PollSnapshots), a collector.WindowAssembler
+// turns them into completed windows on its own clock, and Serve
+// consumes those windows continuously, running each through Run and
+// emitting verdicts on a channel. Health states and churn epochs flow
+// through unchanged: a window straddling an ApplyUpdate carries its
+// baseline epoch, so Run masks the rows changed since.
 
 // Streaming types re-exported from internal/collector. The assembler
 // and sampler live with the collection plane; Serve only consumes
@@ -91,6 +88,10 @@ type StreamConfig struct {
 	// Telemetry, when set, records end-to-end ingest-to-verdict
 	// latency per window.
 	Telemetry *StreamTelemetry
+	// Sliced runs every window's Algorithm 2 stage (see RunWith); nil
+	// selects the system's own sliced engine. A cluster coordinator
+	// goes here to shard the stage across detector nodes.
+	Sliced SlicedRunner
 }
 
 // StreamReport is one streamed window's detection outcome.
@@ -102,6 +103,12 @@ type StreamReport struct {
 	// Latency is first-push-to-verdict wall time (zero when the window
 	// carried no push timestamp).
 	Latency time.Duration
+	// Resets lists the window's switches whose counters restarted
+	// (their rows are masked like Report.Missing's, which includes them).
+	Resets []SwitchID
+	// Straddled counts the window's switches whose delta spans a rule
+	// update — why Report.MaskedRows is set.
+	Straddled int
 	// Batched is always 1: Serve detects every window alone.
 	//
 	// Deprecated: the field survives only because the frozen benchmark
@@ -115,15 +122,14 @@ type StreamReport struct {
 // Serve runs continuous streaming detection: it consumes completed
 // windows from cfg.Windows, converts each to an Observation (missing
 // switches and, for straddled windows, rows changed since their oldest
-// baseline epoch masked — identical to the polled path), detects it
-// with Run, and emits one StreamReport per window, in window order, on
+// baseline epoch masked), detects it with RunWith(obs, cfg.Sliced),
+// and emits one StreamReport per window, in window order, on
 // the returned channel.
 //
 // Serve returns immediately; the loop runs until ctx is cancelled or
 // cfg.Windows is closed, then closes the report channel. Windows with
 // no usable counters at all (every switch missing — e.g. the priming
-// window) are skipped, matching a polled monitor that primes before
-// its first period. Per-window detection errors are reported on the
+// window) are skipped. Per-window detection errors are reported on the
 // channel, not fatal.
 func (s *System) Serve(ctx context.Context, cfg StreamConfig) (<-chan StreamReport, error) {
 	if cfg.Windows == nil {
@@ -150,7 +156,7 @@ func (s *System) Serve(ctx context.Context, cfg StreamConfig) (<-chan StreamRepo
 				w.Release()
 				continue
 			}
-			rep, err := s.Run(windowObservation(w, cfg))
+			rep, err := s.RunWith(windowObservation(w, cfg), cfg.Sliced)
 			ok := s.emitReport(ctx, cfg, w, rep, err, out)
 			w.Release()
 			if !ok {
@@ -167,11 +173,14 @@ func (s *System) Serve(ctx context.Context, cfg StreamConfig) (<-chan StreamRepo
 func (s *System) emitReport(ctx context.Context, cfg StreamConfig, w StreamWindow, rep Report, err error, out chan<- StreamReport) bool {
 	// Report.Missing echoes the observation's slice, which aliases the
 	// window's pooled storage; the report outlives the window's Release,
-	// so detach it.
+	// so detach it (and the resets, likewise pooled).
 	if len(rep.Missing) > 0 {
 		rep.Missing = append([]SwitchID(nil), rep.Missing...)
 	}
-	sr := StreamReport{Report: rep, Window: w.Seq, Batched: 1, Err: err}
+	sr := StreamReport{Report: rep, Window: w.Seq, Straddled: len(w.Straddled), Batched: 1, Err: err}
+	if len(w.Resets) > 0 {
+		sr.Resets = append([]SwitchID(nil), w.Resets...)
+	}
 	if !w.Opened.IsZero() {
 		sr.Latency = time.Since(w.Opened)
 	}
@@ -191,11 +200,10 @@ func (s *System) emitReport(ctx context.Context, cfg StreamConfig, w StreamWindo
 	}
 }
 
-// windowObservation converts one completed streaming window into the
-// Observation a polled monitor would have built from the equivalent
-// PollResult: a straddling window is dated by its oldest baseline epoch
-// so Run masks every rule changed since, alongside the rows of any
-// switch that went missing in the same window.
+// windowObservation converts one completed streaming window into its
+// Observation: a straddling window is dated by its oldest baseline
+// epoch so Run masks every rule changed since, alongside the rows of
+// any switch that went missing in the same window.
 func windowObservation(w StreamWindow, cfg StreamConfig) Observation {
 	epoch := w.Epoch
 	for _, from := range w.Straddled {

@@ -13,6 +13,7 @@ import (
 
 	"foces"
 	"foces/internal/collector"
+	"foces/internal/header"
 	"foces/internal/oracle"
 )
 
@@ -22,6 +23,12 @@ import (
 // into the data: an attack skews every window from attackAt on, and
 // resetSw's cumulative counters restart at resetAt.
 func serveTestWindows(t testing.TB, gen *foces.System, windows, attackAt, resetAt int, resetSw foces.SwitchID, seed int64) []map[foces.SwitchID]map[int]uint64 {
+	return serveTestWindowsFor(t, gen, nil, windows, attackAt, resetAt, resetSw, seed)
+}
+
+// serveTestWindowsFor is serveTestWindows offering tm each window (nil:
+// 400 packets on every host pair).
+func serveTestWindowsFor(t testing.TB, gen *foces.System, tm foces.TrafficMatrix, windows, attackAt, resetAt int, resetSw foces.SwitchID, seed int64) []map[foces.SwitchID]map[int]uint64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	rules := gen.FCM().Rules
@@ -48,7 +55,13 @@ func serveTestWindows(t testing.TB, gen *foces.System, windows, attackAt, resetA
 		if w == resetAt {
 			cum[resetSw] = freshSwitch(resetSw) // reboot: counters restart
 		}
-		y, err := gen.ObserveCounters(rng, 400)
+		var y []float64
+		var err error
+		if tm == nil {
+			y, err = gen.ObserveCounters(rng, 400)
+		} else {
+			y, err = gen.ObserveCountersFor(rng, tm)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,42 +127,148 @@ func modifyFirstRule(t *testing.T, sys *foces.System) {
 	}
 }
 
+// serveCase is one TestServeMatchesPolledRun schedule: systems built by
+// build, a silent switch, an attack, a counter reset and one rule change
+// (churn, applied to both arms between the same windows).
+type serveCase struct {
+	name                                          string
+	build                                         func(t *testing.T) *foces.System
+	traffic                                       func(sys *foces.System) foces.TrafficMatrix // nil: every host pair
+	windows, silentAt, attackAt, resetAt, churnAt int
+	seed                                          int64
+	// churn changes the rule set; it returns the added rule's ID and
+	// switch when it installed one (the data plane then reports the
+	// new rule's counter from that window on), or ok=false.
+	churn func(t *testing.T, sys *foces.System) (id int, sw foces.SwitchID, ok bool)
+}
+
 // TestServeMatchesPolledRun is the equivalence gate at the API layer:
 // the same snapshot sequence — spanning an attack, a silent switch, a
 // counter reset and a rule-churn epoch bump — must yield byte-identical
-// reports whether replayed through the legacy poll-then-Run loop or
-// pushed through WindowAssembler + Serve.
+// reports whether replayed through the reference DeltaTracker + Run
+// loop or pushed through WindowAssembler + Serve.
 func TestServeMatchesPolledRun(t *testing.T) {
-	const (
-		windows  = 10
-		silentAt = 3
-		attackAt = 5
-		resetAt  = 6
-		churnAt  = 7
-	)
-	gen := newSystem(t, "fattree4", foces.PairExact)
+	cases := []serveCase{{
+		name:    "fattree4-modify",
+		build:   func(t *testing.T) *foces.System { return newSystem(t, "fattree4", foces.PairExact) },
+		windows: 10, silentAt: 3, attackAt: 5, resetAt: 6, churnAt: 7,
+		seed: 11,
+		churn: func(t *testing.T, sys *foces.System) (int, foces.SwitchID, bool) {
+			modifyFirstRule(t, sys)
+			return 0, 0, false
+		},
+	}, {
+		// The bench's FatTree(8) fabric at 2% loss, with a rule add: an
+		// exact-match drop on a source IP no host owns, which changes a
+		// slice's row set (the straddling window reconciles under masked
+		// rows) but reroutes no traffic.
+		name:    "fattree8-960-add",
+		build:   buildFT8,
+		traffic: pairTraffic,
+		windows: 12, silentAt: 4, attackAt: 6, resetAt: 9, churnAt: 8,
+		seed:  23,
+		churn: addPhantomRule,
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { checkServeMatchesPolled(t, tc) })
+	}
+}
+
+// firstPairs lists top's first k ordered host pairs.
+func firstPairs(top *foces.Topology, k int) [][2]foces.HostID {
+	var pairs [][2]foces.HostID
+	for _, src := range top.Hosts() {
+		for _, dst := range top.Hosts() {
+			if src.ID != dst.ID && len(pairs) < k {
+				pairs = append(pairs, [2]foces.HostID{src.ID, dst.ID})
+			}
+		}
+	}
+	return pairs
+}
+
+// buildFT8 builds FatTree(8) with rules for its first 960 ordered host
+// pairs and 2% link loss — the shape of the bench's ft8 workloads.
+func buildFT8(t *testing.T) *foces.System {
+	t.Helper()
+	top, err := foces.FatTree(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := foces.NewSystemWithPairs(top, firstPairs(top, 960))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Network().SetLinkLoss(0.02); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// pairTraffic offers 400 packets on each of buildFT8's pairs.
+func pairTraffic(sys *foces.System) foces.TrafficMatrix {
+	tm := make(foces.TrafficMatrix)
+	for _, p := range firstPairs(sys.Topology(), 960) {
+		tm[foces.FlowKey{Src: p[0], Dst: p[1]}] = 400
+	}
+	return tm
+}
+
+// addPhantomRule installs a drop rule matching a source IP no host owns.
+func addPhantomRule(t *testing.T, sys *foces.System) (int, foces.SwitchID, bool) {
+	t.Helper()
+	phantom := uint64(0)
+	for _, h := range sys.Topology().Hosts() {
+		phantom = max(phantom, h.IP+1)
+	}
+	layout := sys.Layout()
+	match, err := layout.MatchExact(layout.Wildcard(), header.FieldSrcIP, phantom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := sys.Topology().Switches()[0].ID
+	r, _, err := sys.AddRule(sw, 600, match, foces.Action{Type: foces.ActionDrop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.ID, r.Switch, true
+}
+
+func checkServeMatchesPolled(t *testing.T, tc serveCase) {
+	gen := tc.build(t)
+	var tm foces.TrafficMatrix
+	if tc.traffic != nil {
+		tm = tc.traffic(gen)
+	}
 	switches := sortedSwitchIDs(gen)
 	silent := switches[len(switches)/2]
 	resetSw := switches[len(switches)/3]
-	seq := serveTestWindows(t, gen, windows, attackAt, resetAt, resetSw, 11)
+	seq := serveTestWindowsFor(t, gen, tm, tc.windows, tc.attackAt, tc.resetAt, resetSw, tc.seed)
+	// A rule the churn adds shows up in the data plane's snapshots, at
+	// zero, from the churn window on.
+	if id, sw, ok := tc.churn(t, gen); ok {
+		for w := tc.churnAt; w < tc.windows; w++ {
+			seq[w][sw][id] = 0
+		}
+	}
 
-	// Polled arm: DeltaTracker + System.Run, mirroring RobustCollector's
-	// merge (ascending switches; resets and unprimed switches go
-	// missing; straddling windows dated by their oldest baseline epoch).
-	sysP := newSystem(t, "fattree4", foces.PairExact)
+	// Reference arm: DeltaTracker + System.Run (ascending switches;
+	// resets and unprimed switches go missing; straddling windows dated
+	// by their oldest baseline epoch).
+	sysP := tc.build(t)
 	tracker := collector.NewDeltaTracker()
 	tracker.SetEpoch(sysP.Epoch())
 	var want [][]byte
-	for w := 0; w < windows; w++ {
-		if w == churnAt {
-			modifyFirstRule(t, sysP)
+	for w := 0; w < tc.windows; w++ {
+		if w == tc.churnAt {
+			tc.churn(t, sysP)
 			tracker.SetEpoch(sysP.Epoch())
 		}
 		deltas := make(map[int]uint64)
 		var missing []foces.SwitchID
 		epoch := sysP.Epoch()
 		for _, sw := range switches {
-			if w == silentAt && sw == silent {
+			if w == tc.silentAt && sw == silent {
 				tracker.Forget(sw)
 				missing = append(missing, sw)
 				continue
@@ -173,27 +292,30 @@ func TestServeMatchesPolledRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("window %d: %v", w, err)
 		}
+		if w == tc.churnAt && rep.Path != foces.PathReconciled {
+			t.Fatalf("churn window %d took path %q, want %q", w, rep.Path, foces.PathReconciled)
+		}
 		want = append(want, gobReport(t, rep))
 	}
 
 	// Streaming arm: identical snapshots pushed through the assembler,
 	// verdicts consumed from Serve. Lock-step (one report read per
 	// window) so the churn epoch bump lands between the same windows.
-	sysS := newSystem(t, "fattree4", foces.PairExact)
-	asm := collector.NewWindowAssembler(switches, collector.StreamConfig{WindowBuffer: windows + 2})
+	sysS := tc.build(t)
+	asm := collector.NewWindowAssembler(switches, collector.StreamConfig{WindowBuffer: tc.windows + 2})
 	asm.SetEpoch(sysS.Epoch())
 	reports, err := sysS.Serve(context.Background(), foces.StreamConfig{Windows: asm.Windows()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got [][]byte
-	for w := 0; w < windows; w++ {
-		if w == churnAt {
-			modifyFirstRule(t, sysS)
+	for w := 0; w < tc.windows; w++ {
+		if w == tc.churnAt {
+			tc.churn(t, sysS)
 			asm.SetEpoch(sysS.Epoch())
 		}
 		for _, sw := range switches {
-			if w == silentAt && sw == silent {
+			if w == tc.silentAt && sw == silent {
 				asm.Forget(sw)
 				asm.MarkMissing(sw)
 				continue

@@ -324,10 +324,7 @@ func (s *System) ApplyUpdate(events []RuleChange) (ChurnUpdate, error) {
 				return ChurnUpdate{}, fmt.Errorf("foces: apply update: %w", err)
 			}
 		case controller.RuleModified:
-			if err := tbl.Remove(e.Rule.ID); err != nil {
-				return ChurnUpdate{}, fmt.Errorf("foces: apply update: %w", err)
-			}
-			if err := tbl.Install(e.Rule); err != nil {
+			if err := tbl.Modify(e.Rule); err != nil {
 				return ChurnUpdate{}, fmt.Errorf("foces: apply update: %w", err)
 			}
 		case controller.RuleAdded:

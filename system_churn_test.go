@@ -2,6 +2,7 @@ package foces_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"foces"
@@ -184,5 +185,80 @@ func TestSystemDetectReconciled(t *testing.T) {
 	}
 	if rec.Anomalous {
 		t.Fatalf("reconciled detection flagged a straddling window: %v", rec.Suspects)
+	}
+}
+
+// TestModifyRuleKeepsCounter: an OpenFlow modify rewrites a rule in
+// place, so its packet counter survives. A window whose baseline
+// snapshot predates the modify of a loaded rule therefore straddles the
+// update and is reconciled (the modified row masked) instead of reading
+// the rule's switch as reset and masking all of it.
+func TestModifyRuleKeepsCounter(t *testing.T) {
+	sys := newSystem(t, "fattree4", foces.PairExact)
+	switches := sortedSwitchIDs(sys)
+	rng := rand.New(rand.NewSource(5))
+	tm := foces.UniformTraffic(sys.Topology(), 200)
+	asm := foces.NewWindowAssembler(switches, foces.AssemblerConfig{WindowBuffer: 4})
+	asm.SetEpoch(sys.Epoch())
+	push := func() foces.StreamWindow {
+		t.Helper()
+		if _, err := sys.Network().Run(rng, tm); err != nil {
+			t.Fatal(err)
+		}
+		for _, sw := range switches {
+			tbl, err := sys.Network().Table(sw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := asm.Push(foces.StreamUpdate{Switch: sw, Counters: tbl.Counters()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return <-asm.Windows()
+	}
+	push() // priming window
+
+	// A rule that carried traffic in the priming window.
+	var victim foces.Rule
+	var tbl *foces.FlowTable
+	for _, r := range sys.Controller().Rules() {
+		tb, err := sys.Network().Table(r.Switch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb.Counters()[r.ID] > 0 {
+			victim, tbl = r, tb
+			break
+		}
+	}
+	if tbl == nil {
+		t.Fatal("no loaded rule")
+	}
+	before := tbl.Counters()[victim.ID]
+	if _, err := sys.ModifyRule(victim.ID, victim.Priority+1, victim.Match, victim.Action); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Counters()[victim.ID]; got != before {
+		t.Fatalf("modify restarted rule %d's counter: %d, want %d", victim.ID, got, before)
+	}
+	if r, ok := tbl.Rule(victim.ID); !ok || r.Priority != victim.Priority+1 {
+		t.Fatalf("modify not applied to the table: %+v %v", r, ok)
+	}
+	asm.SetEpoch(sys.Epoch())
+
+	w := push()
+	epoch := w.Epoch
+	for _, from := range w.Straddled {
+		epoch = min(epoch, from)
+	}
+	rep, err := sys.Run(foces.Observation{Counters: w.Deltas, RunOptions: foces.RunOptions{Missing: w.Missing, Epoch: epoch}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Resets) != 0 || rep.Path != foces.PathReconciled {
+		t.Fatalf("straddling window: path %q, resets %v, missing %v; want %q", rep.Path, w.Resets, w.Missing, foces.PathReconciled)
+	}
+	if !slices.Contains(rep.MaskedRows, victim.ID) {
+		t.Fatalf("modified row %d not masked: %v", victim.ID, rep.MaskedRows)
 	}
 }
