@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet vet-metrics build test test-stress test-alloc test-fuzz bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke bench pprof-stream
+.PHONY: ci fmt vet vet-metrics build test test-stress test-alloc test-fuzz bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke bench pprof-stream
 
-ci: fmt vet vet-metrics build test-stress test-alloc test-fuzz bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke
+ci: fmt vet vet-metrics build test-stress test-alloc test-fuzz bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke
 
 fmt:
 	@files="$$(gofmt -l .)"; \
@@ -51,13 +51,16 @@ test-alloc:
 	$(GO) test -timeout 180s -run 'Alloc|WindowRelease|DoubleRelease|FrameRoundTrip' . ./internal/wire/ ./internal/openflow/ ./internal/collector/ ./internal/header/ ./internal/flowtable/ ./internal/fcm/ ./internal/matrix/ ./internal/core/
 
 # Fuzz smoke over the control-channel parser, which decodes every frame
-# out of one reused read buffer: arbitrary bytes through Conn.Read, and
-# decode(append-encode(m)) == m for every payload type. The seed corpus
-# (internal/openflow/testdata/fuzz) also runs as plain tests everywhere
-# else. One -fuzz target per invocation is a go test rule.
+# out of one reused read buffer (arbitrary bytes through Conn.Read, and
+# decode(append-encode(m)) == m for every payload type), and over the
+# sparse factor's rank-one maintenance (Update then Downdate by one row
+# of a random H recovers the factor). The seed corpora also run as
+# plain tests everywhere else. One -fuzz target per invocation is a go
+# test rule.
 test-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzConnRead$$' -fuzztime 5s ./internal/openflow/
 	$(GO) test -run '^$$' -fuzz '^FuzzPayloadRoundTrip$$' -fuzztime 5s ./internal/openflow/
+	$(GO) test -run '^$$' -fuzz '^FuzzUpdateDowndateRoundTrip$$' -fuzztime 5s ./internal/matrix/
 
 # Bench gate for the zero-allocation steady state: the alloc experiment
 # must hold steady-state allocations within the per-window budget and
@@ -94,9 +97,9 @@ bench-cluster:
 	@test -f results/cluster.json || { echo "bench-cluster: results/cluster.json missing"; exit 1; }
 
 # Bench gate for the sparse solver: the sparse experiment must keep the
-# scale arm's peak heap within the memory budget, keep sparse and dense
-# verdicts identical with residual deltas <= 1e-12 on every evaluation
-# topology, and regress neither the sparse prepare (fastest within one
+# scale arm's peak heap within the memory budget, keep the engine's
+# verdicts identical to the oracle's dense normal equations with
+# residual deltas <= 1e-12 on every evaluation topology, and regress neither the sparse prepare (fastest within one
 # second) nor the factor's entry count past 1.25x the archived run
 # (results/sparse.json).
 bench-sparse:
@@ -109,16 +112,6 @@ bench-sparse:
 bench-stream:
 	$(GO) run ./cmd/focesbench -exp stream -check
 	@test -f results/stream.json || { echo "bench-stream: results/stream.json missing"; exit 1; }
-
-# Bench smoke for the kernel layer: run the kernels experiment on a
-# small fabric with -check (fails if the parallel kernels regress past
-# serial x1.25 or any equivalence check trips) and require the
-# kernels.json trajectory to land. Both arms pin the dense backend
-# (SparseNever): the pair-exact Grams it prepares are sparse, and
-# SparseAuto would factor them without the dense kernels it gates.
-bench-kernels:
-	$(GO) run ./cmd/focesbench -exp kernels -topo fattree4 -runs 3 -check
-	@test -f results/kernels.json || { echo "bench-kernels: results/kernels.json missing"; exit 1; }
 
 # Metric-hygiene lint: the telemetry hot path must not format strings
 # (fmt is banned from the package outright), and every metric name

@@ -16,7 +16,6 @@ import (
 	"foces/internal/experiment"
 	"foces/internal/fcm"
 	"foces/internal/header"
-	"foces/internal/matrix"
 	"foces/internal/stats"
 	"foces/internal/telemetry"
 	"foces/internal/topo"
@@ -322,10 +321,9 @@ func BenchmarkDetectSlicedColdVsPreparedParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkDetectPrepareSerialVsParallel measures baseline preparation
-// (full Gram + Cholesky plus all per-slice engines) under the serial
-// reference kernels and the parallel blocked kernels.
-func BenchmarkDetectPrepareSerialVsParallel(b *testing.B) {
+// BenchmarkDetectPrepare measures baseline preparation: the full
+// engine's Gram and factor plus every per-slice engine.
+func BenchmarkDetectPrepare(b *testing.B) {
 	top, err := topo.ByName("fattree8")
 	if err != nil {
 		b.Fatal(err)
@@ -338,26 +336,14 @@ func BenchmarkDetectPrepareSerialVsParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, arm := range []struct {
-		name string
-		opts matrix.KernelOptions
-	}{
-		{"serial", matrix.KernelOptions{Serial: true}},
-		{"parallel", matrix.KernelOptions{}},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			prev := matrix.SetKernelDefaults(arm.opts)
-			defer matrix.SetKernelDefaults(prev)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.NewDetector(env.FCM.H, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := core.NewSlicedDetector(env.Slices, env.FCM.NumRules(), core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewDetector(env.FCM.H, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.NewSlicedDetector(env.Slices, env.FCM.NumRules(), core.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

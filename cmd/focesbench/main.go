@@ -49,13 +49,13 @@ type options struct {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("focesbench", flag.ContinueOnError)
 	opts := options{}
-	fs.StringVar(&opts.exp, "exp", "all", "experiment: all|table1|fig7|fig8|fig9|fig10|fig11|fig12|loc|coverage|overhead|monitor|churn|telemetry|kernels|stream|sparse|cluster|localize|alloc")
+	fs.StringVar(&opts.exp, "exp", "all", "experiment: all|table1|fig7|fig8|fig9|fig10|fig11|fig12|loc|coverage|overhead|monitor|churn|telemetry|stream|sparse|cluster|localize|alloc")
 	fs.IntVar(&opts.runs, "runs", 0, "observations per point (0 = experiment default)")
 	fs.Int64Var(&opts.seed, "seed", 1, "random seed")
 	fs.StringVar(&opts.csvDir, "csv", "", "directory for CSV output (optional)")
 	flowList := fs.String("flows", "", "comma-separated flow counts for fig12")
 	fs.Uint64Var(&opts.volume, "volume", 1000, "packets per flow per interval")
-	fs.StringVar(&opts.topo, "topo", "", "topology override for the kernels/sparse experiments")
+	fs.StringVar(&opts.topo, "topo", "", "topology override for the stream, alloc, sparse and cluster experiments")
 	fs.BoolVar(&opts.check, "check", false, "gated experiments only: exit non-zero on equivalence failure or performance regression")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -88,9 +88,8 @@ func run(args []string, out io.Writer) error {
 		"monitor":   runMonitor,      // extension: debounced-alarm study
 		"churn":     runChurn,        // extension: incremental vs full-rebuild updates
 		"telemetry": runTelemetry,    // hot-path cost of the metrics instrumentation
-		"kernels":   runKernels,      // parallel blocked kernels vs serial reference
 		"stream":    runStreamBench,  // streaming ingestion: latency tail, load
-		"sparse":    runSparse,       // sparse Cholesky vs dense: memory wall, equivalence
+		"sparse":    runSparse,       // sparse Cholesky: memory wall, engine-vs-oracle equivalence
 		"cluster":   runCluster,      // sharded multi-node detection: equivalence, failover, throughput
 		"localize":  runLocalize,     // active-probe localization: culprit hit rate, probe budget
 		"alloc":     runAlloc,        // zero-allocation steady state: allocs/window, GC pause share
@@ -99,7 +98,7 @@ func run(args []string, out io.Writer) error {
 	// define gate criteria honour it. Accepting it elsewhere would let a
 	// CI pipeline "gate" on an experiment that can never fail.
 	if opts.check {
-		gated := []string{"alloc", "cluster", "kernels", "localize", "sparse", "stream"}
+		gated := []string{"alloc", "cluster", "localize", "sparse", "stream"}
 		ok := false
 		for _, g := range gated {
 			if opts.exp == g {
@@ -113,7 +112,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if opts.exp == "all" {
-		for _, name := range []string{"table1", "fig7", "fig8", "fig9", "fig10", "fig12", "loc", "coverage", "overhead", "monitor", "churn", "telemetry", "kernels"} {
+		for _, name := range []string{"table1", "fig7", "fig8", "fig9", "fig10", "fig12", "loc", "coverage", "overhead", "monitor", "churn", "telemetry"} {
 			if err := experiments[name](opts, out); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
@@ -519,65 +518,6 @@ func runTelemetry(opts options, out io.Writer) error {
 	return writeCSV(opts, "telemetry", headers, cells)
 }
 
-// runKernels compares the parallel blocked linear-algebra kernels
-// against the serial reference path: baseline preparation (Gram,
-// Cholesky factor, slice build) under both kernel defaults, both arms
-// pinned to the dense backend so the dense kernels are what runs. The trajectory is
-// always archived as results/kernels.json; with -check the run fails
-// if the parallel kernels regress past serial x1.25 (the slack keeps
-// GOMAXPROCS=1 runs, where both arms do the same work, from flapping)
-// or if any equivalence check fails.
-func runKernels(opts options, out io.Writer) error {
-	cfg := experiment.KernelsConfig{Topology: opts.topo, Seed: opts.seed}
-	if opts.runs > 0 {
-		cfg.Repeats = opts.runs
-	}
-	if len(opts.flows) > 0 {
-		cfg.Flows = opts.flows[0]
-	}
-	res, err := experiment.Kernels(cfg)
-	if err != nil {
-		return err
-	}
-	headers := []string{"arm", "gram_ms", "factor_ms", "slice_build_ms", "total_ms"}
-	row := func(name string, p experiment.KernelsPrepare) []string {
-		return []string{name,
-			fmt.Sprintf("%.3f", p.GramSecs*1000),
-			fmt.Sprintf("%.3f", p.FactorSecs*1000),
-			fmt.Sprintf("%.3f", p.SliceBuildSecs*1000),
-			fmt.Sprintf("%.3f", p.BestTotalSecs*1000),
-		}
-	}
-	cells := [][]string{row("serial", res.Serial), row("parallel", res.Parallel)}
-	fmt.Fprintf(out, "\n== kernels: baseline preparation, %s flows=%d rules=%d slices=%d GOMAXPROCS=%d ==\n",
-		res.Topology, res.Flows, res.Rules, res.Slices, res.GoMaxProcs)
-	fmt.Fprint(out, experiment.FormatTable(headers, cells))
-	fmt.Fprintf(out, "prepare speedup %.2fx; verdicts match: %v\n", res.PrepareSpeedup, res.VerdictsMatch)
-	if err := os.MkdirAll("results", 0o755); err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join("results", "kernels.json"), append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	if err := writeCSV(opts, "kernels", headers, cells); err != nil {
-		return err
-	}
-	if opts.check {
-		if !res.VerdictsMatch {
-			return fmt.Errorf("kernels check: serial and parallel engines disagree on probe verdicts")
-		}
-		if res.Parallel.BestTotalSecs > res.Serial.BestTotalSecs*1.25 {
-			return fmt.Errorf("kernels check: parallel prepare %.3fms exceeds serial %.3fms x1.25",
-				res.Parallel.BestTotalSecs*1000, res.Serial.BestTotalSecs*1000)
-		}
-	}
-	return nil
-}
-
 // runStreamBench exercises the streaming ingestion layer: the
 // ingest-to-verdict latency tail over real traffic windows, and a
 // saturating synthetic load phase through the bounded-queue assembler.
@@ -698,10 +638,10 @@ func runAlloc(opts options, out io.Writer) error {
 }
 
 // runSparse exercises the sparse Cholesky solver: a scale arm on the
-// FatTree(16) service-group H (prepared sparse-only — in dual form, H
-// being wide — with peak heap sampled) and an equivalence arm that
-// prepares every evaluation topology through both paths and compares
-// verdicts and residual norms window by window. The result is always
+// FatTree(16) service-group H (prepared in dual form, H being wide,
+// with peak heap sampled) and an equivalence arm that prepares every
+// evaluation topology and compares the engine's verdicts and residual
+// norms with the oracle's dense normal equations window by window. The result is always
 // archived as results/sparse.json; with -check the run fails unless
 // the sparse peak heap stays within the memory budget, verdicts match
 // with residual deltas <= 1e-12, and neither the sparse prepare
@@ -742,8 +682,8 @@ func runSparse(opts options, out io.Writer) error {
 	fmt.Fprintf(out, "detect: %.2fms/window over %d windows; clean anomalous: %v, tampered anomalous: %v\n",
 		res.SolveNsPerWindow/1e6, res.Windows, res.CleanAnomalous, res.TamperedAnomalous)
 	for _, eq := range res.Equiv {
-		fmt.Fprintf(out, "equivalence %-10s H=%dx%d density %.4f: sparse-backed %v, verdicts match %v, max residual delta %.2e\n",
-			eq.Topology, eq.Rows, eq.Cols, eq.GramDensity, eq.SparseBacked, eq.VerdictsMatch, eq.MaxResidualDelta)
+		fmt.Fprintf(out, "equivalence %-10s H=%dx%d density %.4f: engine vs oracle verdicts match %v, max residual delta %.2e\n",
+			eq.Topology, eq.Rows, eq.Cols, eq.GramDensity, eq.VerdictsMatch, eq.MaxResidualDelta)
 	}
 	if err := os.MkdirAll("results", 0o755); err != nil {
 		return err
@@ -760,7 +700,7 @@ func runSparse(opts options, out io.Writer) error {
 			return fmt.Errorf("sparse check: peak heap %d bytes exceeded the %d-byte budget", res.PeakHeapBytes, res.BudgetBytes)
 		}
 		if !res.VerdictsMatch {
-			return fmt.Errorf("sparse check: sparse and dense verdicts diverged")
+			return fmt.Errorf("sparse check: engine and oracle verdicts diverged")
 		}
 		if res.MaxResidualDelta > 1e-12 {
 			return fmt.Errorf("sparse check: residual delta %.3e exceeds 1e-12", res.MaxResidualDelta)

@@ -82,37 +82,6 @@ func TestRunChurnWritesTrajectory(t *testing.T) {
 	}
 }
 
-func TestRunKernelsWritesTrajectory(t *testing.T) {
-	dir := t.TempDir()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(wd)
-	var out strings.Builder
-	// Best of five per arm: the x1.25 gate compares ~40 ms timings taken
-	// while `go test ./...` runs (and still builds) other packages on the
-	// same cores, and two samples were too few to find a quiet one.
-	if err := run([]string{"-exp", "kernels", "-topo", "fattree4", "-runs", "5", "-check"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "kernels: baseline preparation") || !strings.Contains(out.String(), "prepare speedup") {
-		t.Errorf("missing section:\n%s", out.String())
-	}
-	blob, err := os.ReadFile(filepath.Join(dir, "results", "kernels.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"topology": "fattree4"`, `"serialPrepare"`, `"parallelPrepare"`, `"verdictsMatch": true`} {
-		if !strings.Contains(string(blob), want) {
-			t.Errorf("kernels.json missing %s:\n%s", want, blob)
-		}
-	}
-}
-
 func TestRunAllExperimentsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment smoke is slow")

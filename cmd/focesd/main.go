@@ -29,8 +29,7 @@
 //	       [-consecutive 2] [-skip-verify] [-http 127.0.0.1:8080]
 //	       [-metrics-addr 127.0.0.1:9090] [-save-baseline baseline.json]
 //	       [-interval 0] [-kill-at 0] [-kill-switch -1] [-reset-at 0]
-//	       [-reset-switch -1] [-churn-every 0] [-kernel-workers 0]
-//	       [-kernel-block 0] [-sample] [-localize] [-solver auto]
+//	       [-reset-switch -1] [-churn-every 0] [-sample] [-localize]
 //	       [-role standalone] [-peers host:port,...] [-listen addr]
 package main
 
@@ -91,9 +90,6 @@ func run(args []string, out io.Writer) error {
 	resetSwitch := fs.Int("reset-switch", -1, "switch to reset at -reset-at (-1 = auto-pick)")
 	churnEvery := fs.Int("churn-every", 0, "apply a rule update (remove one rule, add one) every N periods, mid-window (0 = never)")
 	interval := fs.Duration("interval", 0, "sleep between detection periods, like a real collection interval (0 = run flat out)")
-	kernelWorkers := fs.Int("kernel-workers", 0, "worker count for the parallel baseline-preparation kernels (0 = GOMAXPROCS)")
-	kernelBlock := fs.Int("kernel-block", 0, "block size for the blocked Cholesky factorization (0 = built-in default)")
-	solver := fs.String("solver", "auto", "normal-equations backend: auto (density-based), sparse (force sparse Cholesky), dense (force dense)")
 	sample := fs.Bool("sample", false, "enable the adaptive per-switch sampler (back off stable switches, tighten suspects)")
 	localize := fs.Bool("localize", false, "on anomalous windows, run active-probe localization and report the accused rule (/status localization block, foces_probe_* metrics)")
 	role := fs.String("role", "standalone", "process role: standalone (detect in-process), coordinator (shard Algorithm 2 across -peers), detector (serve slice shards on -listen)")
@@ -110,21 +106,6 @@ func run(args []string, out io.Writer) error {
 	if *role == "coordinator" && *peers == "" {
 		return fmt.Errorf("-role coordinator needs -peers")
 	}
-	var sparseMode foces.SparseMode
-	switch *solver {
-	case "auto":
-		sparseMode = foces.SparseAuto
-	case "sparse":
-		sparseMode = foces.SparseAlways
-	case "dense":
-		sparseMode = foces.SparseNever
-	default:
-		return fmt.Errorf("bad -solver %q: want auto, sparse or dense", *solver)
-	}
-	if *kernelWorkers != 0 || *kernelBlock != 0 || sparseMode != foces.SparseAuto {
-		foces.SetKernelDefaults(foces.KernelOptions{Workers: *kernelWorkers, BlockSize: *kernelBlock, Sparse: sparseMode})
-	}
-
 	if *role == "detector" {
 		// A detector node carries no topology or baseline of its own:
 		// everything it detects with arrives over the wire from its

@@ -46,25 +46,6 @@ func TestRunNoAttack(t *testing.T) {
 	}
 }
 
-func TestRunWithKernelFlags(t *testing.T) {
-	defer foces.SetKernelDefaults(foces.SetKernelDefaults(foces.KernelOptions{}))
-	var out strings.Builder
-	err := run([]string{
-		"-topo", "fattree4", "-periods", "2", "-attack-at", "0", "-loss", "0",
-		"-kernel-workers", "2", "-kernel-block", "32",
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := foces.KernelDefaults()
-	if got.Workers != 2 || got.BlockSize != 32 {
-		t.Fatalf("kernel flags not applied: %+v", got)
-	}
-	if strings.Contains(out.String(), "ANOMALY") {
-		t.Errorf("false alarm with tuned kernels:\n%s", out.String())
-	}
-}
-
 func TestRunBadArgs(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-topo", "bogus"}, &out); err == nil {

@@ -57,8 +57,10 @@
 // The flow-counter matrix H only changes when the controller installs
 // rules, so the expensive part of detection — assembling and factoring
 // HᵀH — is done once, not every period. NewSystem prepares the
-// factorizations up front and System.Run reuses them, so a production
-// monitor is simply:
+// factorizations up front and System.Run reuses them. Every Gram (HᵀH,
+// or HHᵀ when H has fewer rules than flows) is factored by one sparse
+// supernodal Cholesky; there is no backend to choose and no kernel
+// state to tune. A production monitor is simply:
 //
 //	sys, _ := foces.NewSystem(top, foces.PairExact) // factors once
 //	for range ticker.C {                            // every period
@@ -95,7 +97,6 @@ import (
 	"foces/internal/fcm"
 	"foces/internal/flowtable"
 	"foces/internal/header"
-	"foces/internal/matrix"
 	"foces/internal/stats"
 	"foces/internal/topo"
 	"foces/internal/verify"
@@ -170,13 +171,6 @@ type (
 	SlicedOutcome = core.SlicedOutcome
 	// Detectability is a Theorem 1/2 detectability verdict.
 	Detectability = core.Detectability
-	// KernelOptions tunes the parallel blocked linear-algebra kernels
-	// (blocked Cholesky, slice-build fan-out) and can force the
-	// sparse-vs-dense solver selection.
-	KernelOptions = matrix.KernelOptions
-	// SparseMode selects the normal-equations backend: automatic
-	// selection from the Gram's density, forced sparse, or forced dense.
-	SparseMode = matrix.SparseMode
 
 	// RuleChange is one controller rule mutation event.
 	RuleChange = controller.RuleChange
@@ -201,16 +195,6 @@ const (
 	RuleRemoved = controller.RuleRemoved
 	// RuleModified is an in-place rewrite (same switch, same ID).
 	RuleModified = controller.RuleModified
-)
-
-// Sparse solver modes for KernelOptions.Sparse.
-const (
-	// SparseAuto picks sparse or dense from the Gram's density alone.
-	SparseAuto = matrix.SparseAuto
-	// SparseAlways forces the sparse Cholesky path.
-	SparseAlways = matrix.SparseAlways
-	// SparseNever forces the dense path.
-	SparseNever = matrix.SparseNever
 )
 
 // Policy modes.
@@ -242,21 +226,6 @@ const (
 // DefaultThreshold is the paper's default anomaly-index threshold
 // T = 4.5 (§IV-A).
 const DefaultThreshold = stats.DefaultThreshold
-
-// SetKernelDefaults installs process-wide defaults for the parallel
-// blocked linear-algebra kernels used during baseline preparation
-// (Gram assembly, Cholesky factorization, slice builds) and returns
-// the previous defaults. The zero KernelOptions selects automatic
-// sizing (GOMAXPROCS workers, the built-in block size); Serial forces
-// the reference single-threaded kernels. Parallel and serial kernels
-// produce bitwise-identical Gram matrices and, for the blocked factor,
-// results equal up to floating-point roundoff with identical
-// positive-definiteness verdicts. Safe for concurrent use; takes
-// effect for engines prepared after the call.
-func SetKernelDefaults(o KernelOptions) KernelOptions { return matrix.SetKernelDefaults(o) }
-
-// KernelDefaults reports the current process-wide kernel defaults.
-func KernelDefaults() KernelOptions { return matrix.KernelDefaults() }
 
 // Topology generators.
 

@@ -74,7 +74,7 @@ func extractRowVec(h *matrix.CSR, i, rid int) RowVec {
 // construction. Errors (including ErrNotPositiveDefinite and
 // ErrSparseUpdateFill) propagate; the caller decides whether they mean
 // "refactor instead" or "resync the replica".
-func applyRowVecs(chol matrix.UpdatableFactor, cols int, removed, added []RowVec) error {
+func applyRowVecs(chol *matrix.SparseCholesky, cols int, removed, added []RowVec) error {
 	row := make([]float64, cols)
 	scatter := func(rv RowVec) {
 		for j := range row {

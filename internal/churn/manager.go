@@ -331,12 +331,12 @@ func (m *Manager) rebuild(u *Update, cols columnChange) error {
 	}
 	// Per-slice engine builds are independent (each reads only the old
 	// generation's meta and clones any factor it repairs), so fan them
-	// across the kernel workers; dispositions and errors are aggregated
+	// across GOMAXPROCS workers; dispositions and errors are aggregated
 	// in slice order afterwards so reporting stays deterministic.
 	dispositions := make([]sliceDisposition, len(rebuilt))
 	changes := make([]*SliceChange, len(rebuilt))
 	buildErrs := make([]error, len(rebuilt))
-	matrix.FanOut(len(rebuilt), matrix.KernelWorkers(), func(k int) {
+	matrix.FanOut(len(rebuilt), func(k int) {
 		i := rebuilt[k]
 		engines[i], dispositions[k], changes[k], buildErrs[k] = m.buildSliceEngine(slices[i], metas[i].colUIDs, m.sliceMeta[slices[i].Switch])
 	})
@@ -441,8 +441,8 @@ func (m *Manager) buildSliceEngine(sl core.Slice, uids []uint64, old *sliceMeta)
 		}
 	}
 	// Refactor path. Reusing the previous engine's prepared state lets a
-	// sparse-backed slice whose Gram pattern is unchanged skip ordering
-	// and symbolic analysis.
+	// slice whose Gram pattern is unchanged skip ordering and symbolic
+	// analysis.
 	var prev *matrix.PreparedLS
 	if old != nil {
 		prev = old.engine.Prepared()
@@ -454,10 +454,9 @@ func (m *Manager) buildSliceEngine(sl core.Slice, uids []uint64, old *sliceMeta)
 	return eng, sliceRefactored, nil, nil
 }
 
-// rankOneRepair advances old's Gram factor (dense or sparse) to the
-// new slice's by downdating removed rows and updating added ones —
-// O(k·n²) dense, O(k·affected-columns) sparse — against the full
-// refactor. Returns a nil engine (caller refactors) when the old
+// rankOneRepair advances old's Gram factor to the new slice's by
+// downdating removed rows and updating added ones — O(k·affected
+// columns) against the full refactor. Returns a nil engine (caller refactors) when the old
 // engine has no usable factor, an update/downdate leaves the Gram
 // insufficiently positive definite, or a sparse update would need fill
 // outside the cached factor pattern. The repair works on a clone, so a
@@ -853,7 +852,7 @@ func (m *Manager) fullLocked() (*core.Detector, error) {
 	}
 	var prev *matrix.PreparedLS
 	if m.full != nil {
-		prev = m.full.Prepared() // reuse a matching sparse symbolic analysis
+		prev = m.full.Prepared() // reuse a matching symbolic analysis
 	}
 	d, err := core.NewDetectorReusing(m.fcmCur.H, m.opts, prev)
 	if err != nil {
@@ -864,11 +863,9 @@ func (m *Manager) fullLocked() (*core.Detector, error) {
 		stats := d.PrepareStats()
 		m.tel.PrepareSeconds.With("gram").Observe(stats.Gram.Seconds())
 		m.tel.PrepareSeconds.With("factor").Observe(stats.Factor.Seconds())
-		if stats.Sparse {
-			m.tel.PrepareSeconds.With("ordering").Observe(stats.Ordering.Seconds())
-			m.tel.PrepareSeconds.With("symbolic").Observe(stats.Symbolic.Seconds())
-			m.tel.PrepareSeconds.With("numeric").Observe(stats.Numeric.Seconds())
-		}
+		m.tel.PrepareSeconds.With("ordering").Observe(stats.Ordering.Seconds())
+		m.tel.PrepareSeconds.With("symbolic").Observe(stats.Symbolic.Seconds())
+		m.tel.PrepareSeconds.With("numeric").Observe(stats.Numeric.Seconds())
 	}
 	if m.det != nil {
 		d.SetTelemetry(m.det, core.EngineFull)

@@ -68,14 +68,14 @@ func NewDetector(h *matrix.CSR, opts Options) (*Detector, error) {
 }
 
 // NewDetectorReusing prepares like NewDetector but hands PrepareLS the
-// previous generation's prepared engine, so a sparse-backed baseline
-// whose Gram pattern is unchanged (value-only churn) skips the
+// previous generation's prepared engine, so a baseline whose Gram
+// pattern is unchanged (value-only churn) skips the
 // fill-reducing ordering and symbolic analysis and reruns only the
 // numeric factorization.
 func NewDetectorReusing(h *matrix.CSR, opts Options, prev *matrix.PreparedLS) (*Detector, error) {
 	d := &Detector{h: h, opts: opts}
 	if h.Rows() > 0 && h.Cols() > 0 {
-		ls, err := matrix.PrepareLSReusing(h, matrix.LeastSquaresOptions{}, matrix.KernelOptions{}, prev)
+		ls, err := matrix.PrepareLSReusing(h, matrix.LeastSquaresOptions{}, prev)
 		if err != nil {
 			return nil, fmt.Errorf("core: prepare detector: %w", err)
 		}
@@ -158,6 +158,31 @@ func (d *Detector) detectAll(y []float64, opts Options, sc *detectScratch) (Resu
 		tResid = time.Now()
 		tel.solve.ObserveDuration(tResid.Sub(t0).Nanoseconds())
 	}
+	res, err := fit(h, y, xHat, opts, sc.med)
+	if err != nil {
+		return Result{}, err
+	}
+	if tel != nil {
+		tel.residual.ObserveDuration(time.Since(tResid).Nanoseconds())
+	}
+	tel.outcome(t0, res)
+	return res, nil
+}
+
+// Fit completes Algorithm 1 from a volume estimate x̂ obtained
+// elsewhere: the fitted counters Ŷ = H·x̂, the error vector
+// Δ = |Y' − Ŷ| and the anomaly index, exactly as a Detector computes
+// them from its own estimate.
+func Fit(h *matrix.CSR, y, xHat []float64, opts Options) (Result, error) {
+	if h.Rows() != len(y) || h.Cols() != len(xHat) {
+		return Result{}, fmt.Errorf("core: H is %dx%d but y has %d entries and x̂ %d", h.Rows(), h.Cols(), len(y), len(xHat))
+	}
+	return fit(h, y, xHat, opts.withDefaults(y), make([]float64, h.Rows()))
+}
+
+// fit is Fit under defaulted options, with med as the median
+// workspace (length Rows).
+func fit(h *matrix.CSR, y, xHat []float64, opts Options, med []float64) (Result, error) {
 	yHat, delta := fitBuffers(h.Rows())
 	if err := h.MulVecInto(yHat, xHat); err != nil {
 		return Result{}, err
@@ -167,13 +192,9 @@ func (d *Detector) detectAll(y []float64, opts Options, sc *detectScratch) (Resu
 	}
 	res := Result{Delta: delta, XHat: xHat, YHat: yHat}
 	res.ErrMax, _ = stats.Max(delta)
-	res.ErrMed = opts.denominatorInto(sc.med, delta)
+	res.ErrMed = opts.denominatorInto(med, delta)
 	res.Index = anomalyIndex(res.ErrMax, res.ErrMed, opts.ZeroTol)
 	res.Anomalous = res.Index > opts.Threshold
-	if tel != nil {
-		tel.residual.ObserveDuration(time.Since(tResid).Nanoseconds())
-	}
-	tel.outcome(t0, res)
 	return res, nil
 }
 
@@ -397,7 +418,7 @@ func (sd *SlicedDetector) startWorkers() {
 }
 
 // NewSlicedDetector prepares one engine per slice, fanning the
-// per-slice factorizations across matrix.KernelWorkers() goroutines
+// per-slice factorizations across GOMAXPROCS goroutines
 // (each slice's PrepareLS is independent; errors are reported for the
 // lowest failing slice regardless of completion order). numRules is the
 // length of the full counter vector (FCM.NumRules()); every slice's
@@ -413,7 +434,7 @@ func NewSlicedDetector(slices []Slice, numRules int, opts Options) (*SlicedDetec
 	}
 	engines := make([]*Detector, len(slices))
 	buildErrs := make([]error, len(slices))
-	matrix.FanOut(len(slices), matrix.KernelWorkers(), func(i int) {
+	matrix.FanOut(len(slices), func(i int) {
 		engines[i], buildErrs[i] = NewDetector(slices[i].H, opts)
 	})
 	for i, err := range buildErrs {

@@ -1,75 +1,127 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"foces/internal/controller"
+	"foces/internal/fcm"
 	"foces/internal/matrix"
+	"foces/internal/topo"
 )
 
-// TestKernelPrepareDeterminism is the tentpole equivalence gate:
-// preparing the baseline with 1 kernel worker and with many must yield
-// byte-identical Detector outcomes, because the Gram is assembled
-// serially and blocked-Cholesky dispatch never consults the worker
-// count.
+// factorBits reads the stored factor values of a prepared engine.
+// PreparedLS keeps its factor unexported and a dual engine hands out no
+// clone of it, so the test reads the values through reflect, which may
+// read unexported fields but never write them.
+func factorBits(p *matrix.PreparedLS) []uint64 {
+	val := reflect.ValueOf(p).Elem().FieldByName("sp").Elem().FieldByName("val")
+	bits := make([]uint64, val.Len())
+	for i := range bits {
+		bits[i] = math.Float64bits(val.Index(i).Float())
+	}
+	return bits
+}
+
+// TestKernelPrepareDeterminism: the factorization is serial and fixed
+// by the Gram's structure, and the only parallelism in preparation is
+// FanOut across independent engines, so preparing the full engine and
+// every slice engine at GOMAXPROCS 1, 2 and 4 must give bitwise the
+// same factor values and the same outcomes. Two systems: FatTree(4)
+// under destination-aggregate rules, whose slices include the four
+// Grams that fill in, and FatTree(8) pair-exact rules for 960 flows,
+// whose slice Grams are diagonal.
 func TestKernelPrepareDeterminism(t *testing.T) {
-	f, clean, attacked := runAttackScenario(t, "fattree4", 3)
-	slices, err := BuildSlices(f)
+	top, err := topo.FatTree(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type pair struct {
-		d  *Detector
-		sd *SlicedDetector
+	ctrl, err := controller.New(top, layout, controller.DestAggregate)
+	if err != nil {
+		t.Fatal(err)
 	}
-	build := func(o matrix.KernelOptions) pair {
-		prev := matrix.SetKernelDefaults(o)
-		defer matrix.SetKernelDefaults(prev)
-		d, err := NewDetector(f.H, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sd, err := NewSlicedDetector(slices, f.NumRules(), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pair{d: d, sd: sd}
+	if err := ctrl.ComputeRules(); err != nil {
+		t.Fatal(err)
 	}
-	serial := build(matrix.KernelOptions{Workers: 1})
-	parallel := build(matrix.KernelOptions{Workers: 8})
-	forced := build(matrix.KernelOptions{Serial: true, BlockSize: 32})
-	_ = forced // exercised below only for verdict agreement
-	for name, y := range map[string][]float64{"clean": clean, "attacked": attacked} {
-		wantFull, err := serial.d.Detect(y)
-		if err != nil {
-			t.Fatal(err)
+	agg, err := fcm.Generate(top, layout, ctrl.Rules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggSlices, err := BuildSlices(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	x := make([]float64, agg.H.Cols())
+	for j := range x {
+		x[j] = float64(500 + rng.Intn(1000))
+	}
+	aggY, err := agg.H.MulVec(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range aggY {
+		aggY[i] *= 1 + 0.01*rng.NormFloat64()
+	}
+	ft8, ft8Slices, ft8Y := ft8Fixture(t)
+
+	for _, sys := range []struct {
+		name   string
+		f      *fcm.FCM
+		slices []Slice
+		y      []float64
+	}{
+		{"fattree4-dest-aggregate", agg, aggSlices, aggY},
+		{"fattree8-pair-exact", ft8, ft8Slices, ft8Y},
+	} {
+		tampered := append([]float64(nil), sys.y...)
+		tampered[len(tampered)/2] *= 0.5
+		type prepared struct {
+			factors [][]uint64
+			full    []Result
+			sliced  []SlicedOutcome
 		}
-		gotFull, err := parallel.d.Detect(y)
-		if err != nil {
-			t.Fatal(err)
+		prepare := func(procs int) prepared {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			d, err := NewDetector(sys.f.H, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sd, err := NewSlicedDetector(sys.slices, sys.f.NumRules(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := prepared{factors: [][]uint64{factorBits(d.Prepared())}}
+			for _, e := range sd.engines {
+				p.factors = append(p.factors, factorBits(e.Prepared()))
+			}
+			for _, y := range [][]float64{sys.y, tampered} {
+				r, err := d.Detect(y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o, err := sd.Detect(y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.full, p.sliced = append(p.full, r), append(p.sliced, o)
+			}
+			return p
 		}
-		if !reflect.DeepEqual(wantFull, gotFull) {
-			t.Fatalf("%s: full outcome differs between 1 and 8 prepare workers", name)
-		}
-		wantSliced, err := serial.sd.Detect(y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSliced, err := parallel.sd.Detect(y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(wantSliced, gotSliced) {
-			t.Fatalf("%s: sliced outcome differs between 1 and 8 prepare workers", name)
-		}
-		// The forced-serial reference kernels may differ in float dust
-		// (unblocked vs blocked factor) but never in verdict.
-		refFull, err := forced.d.Detect(y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if refFull.Anomalous != wantFull.Anomalous {
-			t.Fatalf("%s: serial reference verdict %v vs kernel verdict %v", name, refFull.Anomalous, wantFull.Anomalous)
+		want := prepare(1)
+		for _, procs := range []int{2, 4} {
+			got := prepare(procs)
+			for i := range want.factors {
+				if !reflect.DeepEqual(got.factors[i], want.factors[i]) {
+					t.Fatalf("%s: engine %d factor differs between GOMAXPROCS 1 and %d", sys.name, i, procs)
+				}
+			}
+			if !reflect.DeepEqual(got.full, want.full) || !reflect.DeepEqual(got.sliced, want.sliced) {
+				t.Fatalf("%s: outcomes differ between GOMAXPROCS 1 and %d", sys.name, procs)
+			}
 		}
 	}
 }

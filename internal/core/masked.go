@@ -143,9 +143,9 @@ func (d *Detector) detectMasked(y []float64, masked []int, opts Options, sc *det
 	}
 	var xHat []float64
 	solved := false
-	// CloneFactor works for dense- and sparse-backed engines alike; a
-	// nil clone (degenerate or dual engine) falls through to the
-	// one-shot solve.
+	// A nil clone (degenerate or dual engine) falls through to the
+	// one-shot solve, and so does a downdate that fails its pivot or
+	// would fill outside the factor's pattern.
 	if chol := d.cloneFactorForMask(); chol != nil {
 		row := make([]float64, h.Cols())
 		ok := true
@@ -165,7 +165,7 @@ func (d *Detector) detectMasked(y []float64, masked []int, opts Options, sc *det
 				continue // placeholder / all-zero row: Gram unaffected
 			}
 			if err := chol.Downdate(row); err != nil {
-				if errors.Is(err, matrix.ErrNotPositiveDefinite) {
+				if errors.Is(err, matrix.ErrNotPositiveDefinite) || errors.Is(err, matrix.ErrSparseUpdateFill) {
 					ok = false
 					break
 				}
@@ -227,7 +227,7 @@ func (d *Detector) detectMasked(y []float64, masked []int, opts Options, sc *det
 // cloneFactorForMask returns an independently downdatable copy of the
 // engine's HᵀH factor for the masked path, or nil when the engine has
 // none to downdate (degenerate H, dual engine).
-func (d *Detector) cloneFactorForMask() matrix.UpdatableFactor {
+func (d *Detector) cloneFactorForMask() *matrix.SparseCholesky {
 	if d.ls == nil {
 		return nil
 	}

@@ -133,30 +133,31 @@ func maskedFixture(t *testing.T) (f *fcm.FCM, slices []core.Slice, scenarios []m
 	return f, slices, scenarios, masks
 }
 
-// backendEngines prepares the full and sliced engines on a forced
-// factor backend, bypassing size-based auto-selection.
-func backendEngines(t *testing.T, f *fcm.FCM, slices []core.Slice, mode matrix.SparseMode) (*core.Detector, *core.SlicedDetector) {
+// maskedEngines prepares the full and sliced engines under test.
+func maskedEngines(t *testing.T, f *fcm.FCM, slices []core.Slice) (*core.Detector, *core.SlicedDetector) {
 	t.Helper()
-	prepare := func(h *matrix.CSR) *core.Detector {
-		ls, err := matrix.PrepareLSOpts(h, matrix.LeastSquaresOptions{}, matrix.KernelOptions{Sparse: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ls.SparseBacked() != (mode == matrix.SparseAlways) {
-			t.Fatalf("engine backend: sparse=%v under mode %v", ls.SparseBacked(), mode)
-		}
-		return core.NewDetectorFromPrepared(ls, core.Options{})
-	}
-	engines := make([]*core.Detector, len(slices))
-	for i, sl := range slices {
-		engines[i] = prepare(sl.H)
-	}
-	sliced, err := core.NewSlicedDetectorWithEngines(slices, engines, f.NumRules(), core.Options{})
+	full, err := core.NewDetector(f.H, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prepare(f.H), sliced
+	sliced, err := core.NewSlicedDetector(slices, f.NumRules(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return full, sliced
 }
+
+// coldReferences are the two cold answers every masked engine result
+// is held to, named by the factorization each uses. "sparse" is the
+// oracle's default, core.Detect on the row-selected system: the
+// engines' own sparse Cholesky, but factored from scratch instead of
+// prepared and downdated. "dense" is oracle.DenseDetect: the Gram
+// formed densely and factored by matrix.NewCholesky, sharing no
+// factorization code with the engines.
+var coldReferences = []struct {
+	name  string
+	solve oracle.Solver
+}{{"dense", oracle.DenseDetect}, {"sparse", core.Detect}}
 
 // requireOracleResult: a masked full-engine result is the oracle's —
 // same verdict, index within 1e-9 relative, and a Delta that spans all
@@ -206,10 +207,11 @@ func requireOracleOutcome(t *testing.T, got, want core.SlicedOutcome) {
 }
 
 // TestMaskedDetectionMatchesColdOracle is the one correctness gate of
-// the row-mask path. For every mask × engine × factor backend × window
+// the row-mask path. For every mask × engine × cold reference × window
 // it asks the prepared engines (downdated factors, pooled workers,
 // slice-local masks) and the cold oracle (explicit row selection,
-// factor from scratch) the same question and requires the same verdict,
+// factor from scratch, through either reference factorization) the
+// same question and requires the same verdict,
 // indices within 1e-9 relative, the same slices checked and the same
 // suspects. The rows double as the behaviours the per-path suites used
 // to pin one by one: an empty mask is plain detection; a missing switch
@@ -217,16 +219,13 @@ func requireOracleOutcome(t *testing.T, got, want core.SlicedOutcome) {
 // is skipped and never a suspect; masking everything is an error.
 func TestMaskedDetectionMatchesColdOracle(t *testing.T) {
 	f, slices, scenarios, masks := maskedFixture(t)
-	for _, backend := range []struct {
-		name string
-		mode matrix.SparseMode
-	}{{"dense", matrix.SparseNever}, {"sparse", matrix.SparseAlways}} {
-		full, sliced := backendEngines(t, f, slices, backend.mode)
+	full, sliced := maskedEngines(t, f, slices)
+	for _, ref := range coldReferences {
 		for maskName, masked := range masks {
 			for _, sc := range scenarios {
-				t.Run(maskName+"/full/"+backend.name+"/"+sc.name, func(t *testing.T) {
+				t.Run(maskName+"/full/"+ref.name+"/"+sc.name, func(t *testing.T) {
 					got, err := full.DetectMasked(sc.y, masked, core.Options{})
-					want, kept, wantErr := oracle.Detect(f.H, sc.y, masked, core.Options{})
+					want, kept, wantErr := ref.solve.Detect(f.H, sc.y, masked, core.Options{})
 					if maskName == "all-rows" {
 						if err == nil || wantErr == nil {
 							t.Fatalf("all rows masked must error: engine %v, oracle %v", err, wantErr)
@@ -250,9 +249,9 @@ func TestMaskedDetectionMatchesColdOracle(t *testing.T) {
 						}
 					}
 				})
-				t.Run(maskName+"/sliced/"+backend.name+"/"+sc.name, func(t *testing.T) {
+				t.Run(maskName+"/sliced/"+ref.name+"/"+sc.name, func(t *testing.T) {
 					got, err := sliced.DetectMasked(sc.y, masked, core.Options{})
-					want, wantErr := oracle.DetectSliced(f, slices, sc.y, masked, core.Options{})
+					want, wantErr := ref.solve.DetectSliced(f, slices, sc.y, masked, core.Options{})
 					if maskName == "all-rows" {
 						if err == nil || wantErr == nil {
 							t.Fatalf("all rows masked must error: engine %v, oracle %v", err, wantErr)
@@ -292,7 +291,7 @@ func TestMaskedDetectionMatchesColdOracle(t *testing.T) {
 // them instead of indexing.
 func TestMaskedRejectsOutOfRangeRows(t *testing.T) {
 	f, slices, scenarios, _ := maskedFixture(t)
-	full, sliced := backendEngines(t, f, slices, matrix.SparseNever)
+	full, sliced := maskedEngines(t, f, slices)
 	for _, bad := range [][]int{{-1}, {f.NumRules()}} {
 		if _, err := full.DetectMasked(scenarios[0].y, bad, core.Options{}); err == nil {
 			t.Fatalf("full engine accepted masked row %d", bad[0])
@@ -310,7 +309,8 @@ func TestMaskedRejectsOutOfRangeRows(t *testing.T) {
 // matches. A dual engine has no HᵀH factor to downdate, so every mask
 // takes the cold fallback; the table pins that it still answers as the
 // oracle does with one row, several rows, an all-zero row and all but
-// one row masked, and refuses a mask that hides everything.
+// one row masked, and refuses a mask that hides everything, against
+// both cold references.
 func TestMaskedWideEnginesMatchColdOracle(t *testing.T) {
 	_, f, scenarios, _ := observeWindows(t, "dcell14", controller.DestAggregate)
 	slices, err := core.BuildSlices(f)
@@ -357,35 +357,32 @@ func TestMaskedWideEnginesMatchColdOracle(t *testing.T) {
 		"all-rows":           allButOne(f.NumRules(), -1),
 	}
 
-	for _, backend := range []struct {
-		name string
-		mode matrix.SparseMode
-	}{{"dense", matrix.SparseNever}, {"sparse", matrix.SparseAlways}} {
-		prepare := func(h *matrix.CSR) *core.Detector {
-			ls, err := matrix.PrepareLSOpts(h, matrix.LeastSquaresOptions{}, matrix.KernelOptions{Sparse: backend.mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := ls.Stats(); !st.Dual || st.Sparse != (backend.mode == matrix.SparseAlways) {
-				t.Fatalf("%dx%d engine under %s: stats %+v", h.Rows(), h.Cols(), backend.name, st)
-			}
-			return core.NewDetectorFromPrepared(ls, core.Options{})
-		}
-		full := prepare(wideH)
-		engines := make([]*core.Detector, len(slices))
-		for i, sl := range slices {
-			engines[i] = prepare(sl.H)
-		}
-		sliced, err := core.NewSlicedDetectorWithEngines(slices, engines, f.NumRules(), core.Options{})
+	prepare := func(h *matrix.CSR) *core.Detector {
+		d, err := core.NewDetector(h, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if st := d.PrepareStats(); !st.Dual {
+			t.Fatalf("%dx%d engine: stats %+v", h.Rows(), h.Cols(), st)
+		}
+		return d
+	}
+	full := prepare(wideH)
+	engines := make([]*core.Detector, len(slices))
+	for i, sl := range slices {
+		engines[i] = prepare(sl.H)
+	}
+	sliced, err := core.NewSlicedDetectorWithEngines(slices, engines, f.NumRules(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range coldReferences {
 		for _, sc := range scenarios {
 			yWide := append(append([]float64(nil), sc.y[:monitored]...), 0)
 			for maskName, masked := range fullMasks {
-				t.Run(maskName+"/full/"+backend.name+"/"+sc.name, func(t *testing.T) {
+				t.Run(maskName+"/full/"+ref.name+"/"+sc.name, func(t *testing.T) {
 					got, err := full.DetectMasked(yWide, masked, core.Options{})
-					want, kept, wantErr := oracle.Detect(wideH, yWide, masked, core.Options{})
+					want, kept, wantErr := ref.solve.Detect(wideH, yWide, masked, core.Options{})
 					if maskName == "all-rows" {
 						if err == nil || wantErr == nil {
 							t.Fatalf("all rows masked must error: engine %v, oracle %v", err, wantErr)
@@ -399,9 +396,9 @@ func TestMaskedWideEnginesMatchColdOracle(t *testing.T) {
 				})
 			}
 			for maskName, masked := range slicedMasks {
-				t.Run(maskName+"/sliced/"+backend.name+"/"+sc.name, func(t *testing.T) {
+				t.Run(maskName+"/sliced/"+ref.name+"/"+sc.name, func(t *testing.T) {
 					got, err := sliced.DetectMasked(sc.y, masked, core.Options{})
-					want, wantErr := oracle.DetectSliced(f, slices, sc.y, masked, core.Options{})
+					want, wantErr := ref.solve.DetectSliced(f, slices, sc.y, masked, core.Options{})
 					if maskName == "all-rows" {
 						if err == nil || wantErr == nil {
 							t.Fatalf("all rows masked must error: engine %v, oracle %v", err, wantErr)

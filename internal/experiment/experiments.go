@@ -7,7 +7,7 @@ import (
 
 	"foces/internal/core"
 	"foces/internal/dataplane"
-	"foces/internal/matrix"
+	"foces/internal/oracle"
 	"foces/internal/stats"
 	"foces/internal/topo"
 )
@@ -451,13 +451,10 @@ func Scaling(cfg ScalingConfig) ([]ScalingPoint, error) {
 		}
 		point := ScalingPoint{Flows: env.FCM.NumFlows(), Rules: env.FCM.NumRules()}
 		point.BaselineSecs = medianSeconds(cfg.Repeats, func() error {
-			// Fig. 12's baseline is the paper's dense O(N³) algorithm;
-			// pin the dense path so the figure keeps measuring it now
-			// that PrepareLS would auto-select the sparse solver at
-			// these sizes (see the sparse experiment for that story).
-			prev := matrix.SetKernelDefaults(matrix.KernelOptions{Sparse: matrix.SparseNever})
-			defer matrix.SetKernelDefaults(prev)
-			_, err := core.Detect(env.FCM.H, y, core.Options{})
+			// Fig. 12's baseline is the paper's algorithm as written:
+			// HᵀH formed densely and factored in O(N³) by the oracle,
+			// not the prepared engines' sparse factor.
+			_, err := oracle.DenseDetect(env.FCM.H, y, core.Options{})
 			return err
 		})
 		point.SlicedSecs = medianSeconds(cfg.Repeats, func() error {

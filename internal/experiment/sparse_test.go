@@ -22,15 +22,15 @@ func TestGroupTrafficHShape(t *testing.T) {
 	// Every column must carry at least the ingress rule and one path
 	// switch, and the matrix must be full column rank (sparse prepare
 	// without ridge must succeed on exact integer data).
-	if _, err := matrix.PrepareLSOpts(h, matrix.LeastSquaresOptions{}, matrix.KernelOptions{Sparse: matrix.SparseAlways}); err != nil {
+	if _, err := matrix.PrepareLS(h, matrix.LeastSquaresOptions{}); err != nil {
 		t.Fatalf("sparse prepare: %v", err)
 	}
 }
 
 // TestSparseExperimentSmall runs both arms at toy scale: the scale arm
 // on fattree4 (dense Gram far below any real budget — only the
-// verdict sanity and stage plumbing are checked) and the equivalence
-// arm on one topology.
+// verdict sanity and stage plumbing are checked) and the
+// engine-vs-oracle equivalence arm on one topology.
 func TestSparseExperimentSmall(t *testing.T) {
 	res, err := Sparse(SparseConfig{
 		Topology:        "fattree4",
@@ -61,11 +61,8 @@ func TestSparseExperimentSmall(t *testing.T) {
 		t.Fatalf("equiv rows = %d", len(res.Equiv))
 	}
 	eq := res.Equiv[0]
-	if !eq.SparseBacked {
-		t.Error("forced-sparse arm not sparse-backed (or dense arm sparse-backed)")
-	}
 	if !eq.VerdictsMatch || !res.VerdictsMatch {
-		t.Error("sparse and dense verdicts diverged")
+		t.Error("engine and oracle verdicts diverged")
 	}
 	if eq.MaxResidualDelta > 1e-12 {
 		t.Errorf("residual delta %g exceeds 1e-12", eq.MaxResidualDelta)

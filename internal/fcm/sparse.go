@@ -93,14 +93,14 @@ func TraceSource(t *topo.Topology, layout *header.Layout, tables map[topo.Switch
 }
 
 // TraceSources is TraceSource for each of hosts. The walks share
-// nothing but the read-only tables, so they fan out across the kernel
+// nothing but the read-only tables, so they fan out across GOMAXPROCS
 // workers; traces come back in the order of hosts, and a caller merging
 // them in that order gets the classes — and FCM columns — of a
 // one-by-one pass.
 func TraceSources(t *topo.Topology, layout *header.Layout, tables map[topo.SwitchID]*flowtable.Table, hosts []*topo.Host) ([]*SourceTrace, error) {
 	traces := make([]*SourceTrace, len(hosts))
 	errs := make([]error, len(hosts))
-	matrix.FanOut(len(hosts), matrix.KernelWorkers(), func(i int) {
+	matrix.FanOut(len(hosts), func(i int) {
 		traces[i], errs[i] = TraceSource(t, layout, tables, hosts[i])
 	})
 	for _, err := range errs {

@@ -9,178 +9,20 @@ import (
 	"time"
 )
 
-// The width gate PrepareLS chose its backend by before the choice moved
-// to the structure of the Gram: SparseAuto considered the sparse factor
-// only from referenceSparseMinCols columns up, and then only at a Gram
-// density at or below referenceSparseDensity. The two constants are the
-// removed KernelOptions fields' defaults; referenceResolveSparse is the
-// removed resolveSparse with those fields gone, so a forced mode still
-// resolves as it did.
-const (
-	referenceSparseDensity = 0.125
-	referenceSparseMinCols = 512
-)
-
-func referenceResolveSparse(o KernelOptions) (mode SparseMode, minCols int, density float64) {
-	d := KernelDefaults()
-	mode = o.Sparse
-	if mode == SparseAuto {
-		mode = d.Sparse
-	}
-	return mode, referenceSparseMinCols, referenceSparseDensity
-}
-
-// widthGatedPrepareLS and widthGatedPrepareDense are prepareLS and its
-// dense backend as they stood with the width gate: below 512 factored
-// columns the Gram was assembled dense and factored dense, whatever its
-// structure. Only the names changed, and the dense Gram comes from the
-// gramSerial reference, which the deleted parallel Gram kernel matched
-// bit for bit. They are the reference the structure-chosen dispatch
-// must agree with.
-func widthGatedPrepareLS(h *CSR, opts LeastSquaresOptions, ko KernelOptions, prevSym *SparseSymbolic) (*PreparedLS, error) {
-	// a is the matrix whose Gram aᵀa gets factored: h itself, or hᵀ when
-	// h is wide and the small side is HHᵀ.
-	a := h
-	var tGram time.Duration
-	if h.Rows() < h.Cols() {
-		t0 := time.Now()
-		a = h.transpose()
-		tGram = time.Since(t0)
-	}
-	mode, minCols, density := referenceResolveSparse(ko)
-	n := a.Cols()
-	var p *PreparedLS
-	var err error
-	if mode == SparseNever || (mode == SparseAuto && n < minCols) {
-		p, err = widthGatedPrepareDense(h, a, opts, ko, nil, tGram)
-	} else {
-		t0 := time.Now()
-		g := a.SymGram()
-		tGram += time.Since(t0)
-		if mode != SparseAlways && g.Density() > density {
-			// Too dense for the sparse factor to pay off: scatter the
-			// already assembled Gram (entry-for-entry equal to the serial
-			// dense assembly) and run the dense path.
-			p, err = widthGatedPrepareDense(h, a, opts, ko, g, tGram)
-		} else {
-			p, err = prepareSparse(h, a, opts, ko, g, tGram, prevSym)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	p.h = h
-	p.stats.Dual, p.stats.Dim = a != h, n
-	return p, nil
-}
-
-func widthGatedPrepareDense(h, a *CSR, opts LeastSquaresOptions, ko KernelOptions, g *SymSparse, tGram time.Duration) (*PreparedLS, error) {
-	var gram *Dense
-	t0 := time.Now()
-	if g != nil {
-		gram = g.ToDense()
-	} else {
-		gram = a.gramSerial()
-	}
-	tGram += time.Since(t0)
-	t1 := time.Now()
-	if dual := a != h; !dual {
-		chol, err := NewCholeskyOpts(gram, ko)
-		if err == nil {
-			return &PreparedLS{chol: chol, stats: PrepareStats{Gram: tGram, Factor: time.Since(t1)}}, nil
-		}
-		if !errors.Is(err, ErrNotPositiveDefinite) {
-			return nil, err
-		}
-	}
-	trace := 0.0
-	for i := 0; i < gram.Rows(); i++ {
-		trace += gram.At(i, i)
-	}
-	ridge := ridgeFor(opts, trace, h.Cols())
-	for i := 0; i < gram.Rows(); i++ {
-		gram.Add(i, i, ridge)
-	}
-	chol, err := NewCholeskyOpts(gram, ko)
-	if err != nil {
-		return nil, fmt.Errorf("matrix: ridge-regularized normal equations: %w", err)
-	}
-	return &PreparedLS{chol: chol, ridge: ridge, stats: PrepareStats{Gram: tGram, Factor: time.Since(t1)}}, nil
-}
-
-// WidthGatedPrepareLS exposes the width-gated reference to the external
-// test package, which drives it and PrepareLS through core's engines.
-var WidthGatedPrepareLS = func(h *CSR) (*PreparedLS, error) {
-	return widthGatedPrepareLS(h, LeastSquaresOptions{}, KernelOptions{}, nil)
-}
-
-// referencePrepareLS, referencePrepareDense and referencePrepareSparse
-// are prepareLS and its two backends as they stood before wide systems
+// referencePrepareLS is prepareLS as it stood before wide systems
 // learned to factor HHᵀ+εI: always the primal Gram HᵀH, a plain
 // factorization first, the ridge retry when it fails. Only the names
-// changed. They are the reference the dual engine must agree with.
-func referencePrepareLS(h *CSR, opts LeastSquaresOptions, ko KernelOptions, prevSym *SparseSymbolic) (*PreparedLS, error) {
-	mode, minCols, density := referenceResolveSparse(ko)
-	n := h.Cols()
-	if mode == SparseNever || (mode == SparseAuto && n < minCols) {
-		return referencePrepareDense(h, opts, ko, nil, 0)
-	}
+// changed. It is the reference the dual engine must agree with.
+func referencePrepareLS(h *CSR, opts LeastSquaresOptions, prevSym *SparseSymbolic) (*PreparedLS, error) {
 	t0 := time.Now()
 	g := h.SymGram()
-	tGram := time.Since(t0)
-	if mode != SparseAlways && g.Density() > density {
-		// Too dense for the sparse factor to pay off: scatter the already
-		// assembled Gram (entry-for-entry equal to the serial dense
-		// assembly) and run the dense path.
-		return referencePrepareDense(h, opts, ko, g, tGram)
-	}
-	return referencePrepareSparse(h, opts, ko, g, tGram, prevSym)
+	return referencePrepareSparse(h, opts, g, time.Since(t0), prevSym)
 }
 
-// referencePrepareDense is the dense backend: Gram (reusing a sparse assembly
-// when one was already built for the density probe), blocked Cholesky,
-// ridge retry.
-func referencePrepareDense(h *CSR, opts LeastSquaresOptions, ko KernelOptions, g *SymSparse, tGram time.Duration) (*PreparedLS, error) {
-	var gram *Dense
-	if g != nil {
-		t0 := time.Now()
-		gram = g.ToDense()
-		tGram += time.Since(t0)
-	} else {
-		t0 := time.Now()
-		gram = h.gramSerial()
-		tGram = time.Since(t0)
-	}
-	t1 := time.Now()
-	chol, err := NewCholeskyOpts(gram, ko)
-	if err == nil {
-		return &PreparedLS{h: h, chol: chol, stats: PrepareStats{Gram: tGram, Factor: time.Since(t1)}}, nil
-	}
-	if !errors.Is(err, ErrNotPositiveDefinite) {
-		return nil, err
-	}
-	ridge := opts.Ridge
-	if ridge == 0 {
-		trace := 0.0
-		for i := 0; i < gram.Rows(); i++ {
-			trace += gram.At(i, i)
-		}
-		ridge = 1e-9 * (trace/float64(gram.Rows()) + 1)
-	}
-	for i := 0; i < gram.Rows(); i++ {
-		gram.Add(i, i, ridge)
-	}
-	chol, err = NewCholeskyOpts(gram, ko)
-	if err != nil {
-		return nil, fmt.Errorf("matrix: ridge-regularized normal equations: %w", err)
-	}
-	return &PreparedLS{h: h, chol: chol, ridge: ridge, stats: PrepareStats{Gram: tGram, Factor: time.Since(t1)}}, nil
-}
-
-// referencePrepareSparse is the sparse backend: AMD ordering + symbolic analysis
-// (reused from prevSym when its Gram pattern matches), supernodal
-// numeric factorization, ridge retry on the same analysis.
-func referencePrepareSparse(h *CSR, opts LeastSquaresOptions, ko KernelOptions, g *SymSparse, tGram time.Duration, prevSym *SparseSymbolic) (*PreparedLS, error) {
+// referencePrepareSparse is its factorization: AMD ordering + symbolic
+// analysis (reused from prevSym when its Gram pattern matches),
+// supernodal numeric factorization, ridge retry on the same analysis.
+func referencePrepareSparse(h *CSR, opts LeastSquaresOptions, g *SymSparse, tGram time.Duration, prevSym *SparseSymbolic) (*PreparedLS, error) {
 	var tOrd, tSym time.Duration
 	sym := prevSym
 	if sym == nil || !sym.Matches(g) {
@@ -192,7 +34,7 @@ func referencePrepareSparse(h *CSR, opts LeastSquaresOptions, ko KernelOptions, 
 		tSym = time.Since(t1)
 	}
 	t2 := time.Now()
-	sp, err := newSparseCholeskyWith(g, sym, ko)
+	sp, err := newSparseCholeskyWith(g, sym)
 	ridge := 0.0
 	if err != nil {
 		if !errors.Is(err, ErrNotPositiveDefinite) {
@@ -205,7 +47,7 @@ func referencePrepareSparse(h *CSR, opts LeastSquaresOptions, ko KernelOptions, 
 		// The pattern always stores diagonal slots, so the ridge retry
 		// reuses the same symbolic analysis.
 		g.AddRidge(ridge)
-		sp, err = newSparseCholeskyWith(g, sym, ko)
+		sp, err = newSparseCholeskyWith(g, sym)
 		if err != nil {
 			return nil, fmt.Errorf("matrix: ridge-regularized normal equations: %w", err)
 		}
@@ -217,7 +59,6 @@ func referencePrepareSparse(h *CSR, opts LeastSquaresOptions, ko KernelOptions, 
 		Ordering:  tOrd,
 		Symbolic:  tSym,
 		Numeric:   tNum,
-		Sparse:    true,
 		GramNNZ:   g.NNZLower(),
 		FactorNNZ: sp.FactorNNZ(),
 	}}, nil
@@ -225,8 +66,8 @@ func referencePrepareSparse(h *CSR, opts LeastSquaresOptions, ko KernelOptions, 
 
 // ReferencePrepareLS exposes the primal-only reference to the external
 // test package, which drives both engines through core.Detector.
-var ReferencePrepareLS = func(h *CSR, opts LeastSquaresOptions, ko KernelOptions) (*PreparedLS, error) {
-	return referencePrepareLS(h, opts, ko, nil)
+var ReferencePrepareLS = func(h *CSR, opts LeastSquaresOptions) (*PreparedLS, error) {
+	return referencePrepareLS(h, opts, nil)
 }
 
 // WideCase is one wide H of the dual-vs-reference property tests.
@@ -295,15 +136,6 @@ func csrOf(t *testing.T, a [][]float64) *CSR {
 	return h
 }
 
-// WideBackends names the two factorization backends, forced.
-var WideBackends = []struct {
-	Name string
-	KO   KernelOptions
-}{
-	{"dense", KernelOptions{Sparse: SparseNever}},
-	{"sparse", KernelOptions{Sparse: SparseAlways}},
-}
-
 // WideWindows returns three observation vectors for h: a consistent
 // one (y = Hx), the same with one counter halved, and the same with 1%
 // multiplicative noise on every counter.
@@ -335,8 +167,8 @@ func maxAbs(v []float64) float64 {
 }
 
 // TestDualEngineMatchesPrimalReference: on every wide H the dual engine
-// computes the estimator the primal reference computes, on both
-// backends, with the default and an explicit ridge. The tolerances are
+// computes the estimator the primal reference computes, with the
+// default and an explicit ridge. The tolerances are
 // what a ~1e-9 ridge leaves of float64:
 //
 //   - x̂ to 1e-4 relative: both engines resolve null-space components
@@ -355,55 +187,53 @@ func TestDualEngineMatchesPrimalReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	compared, slipped := 0, 0
 	for _, c := range WideCases(t, rng) {
-		for _, be := range WideBackends {
-			for _, opts := range []LeastSquaresOptions{{}, {Ridge: 1e-6}} {
-				if opts.Ridge != 0 && c.H.Rows() > 60 {
-					continue // how ε is chosen does not depend on size; the primal reference's cost does
-				}
-				name := fmt.Sprintf("%s/%s/ridge=%g", c.Name, be.Name, opts.Ridge)
-				ref, err := referencePrepareLS(c.H, opts, be.KO, nil)
+		for _, opts := range []LeastSquaresOptions{{}, {Ridge: 1e-6}} {
+			if opts.Ridge != 0 && c.H.Rows() > 60 {
+				continue // how ε is chosen does not depend on size; the primal reference's cost does
+			}
+			name := fmt.Sprintf("%s/ridge=%g", c.Name, opts.Ridge)
+			ref, err := referencePrepareLS(c.H, opts, nil)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", name, err)
+			}
+			dual, err := PrepareLS(c.H, opts)
+			if err != nil {
+				t.Fatalf("%s: dual: %v", name, err)
+			}
+			st := dual.Stats()
+			if !st.Dual || st.Dim != c.H.Rows() {
+				t.Fatalf("%s: stats %+v on a %dx%d system", name, st, c.H.Rows(), c.H.Cols())
+			}
+			if dual.CloneFactor() != nil {
+				t.Fatalf("%s: a dual engine handed out its HHᵀ factor", name)
+			}
+			if opts.Ridge != 0 && dual.Ridge() != opts.Ridge {
+				t.Fatalf("%s: ridge %g", name, dual.Ridge())
+			}
+			if ref.Ridge() == 0 {
+				slipped++
+				continue
+			}
+			compared++
+			if dual.Ridge() != ref.Ridge() {
+				t.Fatalf("%s: ridge %g, reference %g", name, dual.Ridge(), ref.Ridge())
+			}
+			for w, y := range WideWindows(t, rng, c.H) {
+				want, err := ref.Solve(y)
 				if err != nil {
-					t.Fatalf("%s: reference: %v", name, err)
+					t.Fatal(err)
 				}
-				dual, err := PrepareLSOpts(c.H, opts, be.KO)
+				got, err := dual.Solve(y)
 				if err != nil {
-					t.Fatalf("%s: dual: %v", name, err)
+					t.Fatal(err)
 				}
-				st := dual.Stats()
-				if !st.Dual || st.Dim != c.H.Rows() || st.Sparse != (be.KO.Sparse == SparseAlways) {
-					t.Fatalf("%s: stats %+v on a %dx%d system", name, st, c.H.Rows(), c.H.Cols())
+				yWant, _ := c.H.MulVec(want)
+				yGot, _ := c.H.MulVec(got)
+				if d, lim := maxAbsDiff(yGot, yWant), 1e-9*math.Max(1, maxAbs(y))+1e-5*maxAbsDiff(yWant, y); d > lim {
+					t.Fatalf("%s window %d: ŷ differs by %g (limit %g)", name, w, d, lim)
 				}
-				if dual.CloneFactor() != nil || dual.Factor() != nil {
-					t.Fatalf("%s: a dual engine handed out its HHᵀ factor", name)
-				}
-				if opts.Ridge != 0 && dual.Ridge() != opts.Ridge {
-					t.Fatalf("%s: ridge %g", name, dual.Ridge())
-				}
-				if ref.Ridge() == 0 {
-					slipped++
-					continue
-				}
-				compared++
-				if dual.Ridge() != ref.Ridge() {
-					t.Fatalf("%s: ridge %g, reference %g", name, dual.Ridge(), ref.Ridge())
-				}
-				for w, y := range WideWindows(t, rng, c.H) {
-					want, err := ref.Solve(y)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := dual.Solve(y)
-					if err != nil {
-						t.Fatal(err)
-					}
-					yWant, _ := c.H.MulVec(want)
-					yGot, _ := c.H.MulVec(got)
-					if d, lim := maxAbsDiff(yGot, yWant), 1e-9*math.Max(1, maxAbs(y))+1e-5*maxAbsDiff(yWant, y); d > lim {
-						t.Fatalf("%s window %d: ŷ differs by %g (limit %g)", name, w, d, lim)
-					}
-					if d, lim := maxAbsDiff(got, want), 1e-4*math.Max(1, maxAbs(want)); d > lim {
-						t.Fatalf("%s window %d: x̂ differs by %g (limit %g)", name, w, d, lim)
-					}
+				if d, lim := maxAbsDiff(got, want), 1e-4*math.Max(1, maxAbs(want)); d > lim {
+					t.Fatalf("%s window %d: x̂ differs by %g (limit %g)", name, w, d, lim)
 				}
 			}
 		}
@@ -424,14 +254,13 @@ func maxAbsDiff(a, b []float64) float64 {
 // analysis — and a primal engine's analysis is never mistaken for one.
 func TestPrepareReusesDualSymbolic(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	ko := KernelOptions{Sparse: SparseAlways}
 	cases := WideCases(t, rng)
 	h := cases[len(cases)-1].H
-	first, err := PrepareLSOpts(h, LeastSquaresOptions{}, ko)
+	first, err := PrepareLS(h, LeastSquaresOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := PrepareLSReusing(h, LeastSquaresOptions{}, ko, first)
+	again, err := PrepareLSReusing(h, LeastSquaresOptions{}, first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +270,7 @@ func TestPrepareReusesDualSymbolic(t *testing.T) {
 	if st := again.Stats(); st.Ordering != 0 || st.Symbolic != 0 || !st.Dual {
 		t.Fatalf("reused prepare reports %+v", st)
 	}
-	tall, err := PrepareLSOpts(h.transpose(), LeastSquaresOptions{}, ko)
+	tall, err := PrepareLS(h.transpose(), LeastSquaresOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +280,7 @@ func TestPrepareReusesDualSymbolic(t *testing.T) {
 	y := WideWindows(t, rng, h)[2]
 	want, _ := first.Solve(y)
 	for _, prev := range []*PreparedLS{again, tall} {
-		p, err := PrepareLSReusing(h, LeastSquaresOptions{}, ko, prev)
+		p, err := PrepareLSReusing(h, LeastSquaresOptions{}, prev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,34 +314,32 @@ func TestPrimalEngineBitwiseUnchanged(t *testing.T) {
 			}
 			h = csrOf(t, rd)
 		}
-		for _, be := range WideBackends {
-			ref, err := referencePrepareLS(h, LeastSquaresOptions{}, be.KO, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := PrepareLSOpts(h, LeastSquaresOptions{}, be.KO)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := p.Stats(); st.Dual || st.Dim != cols {
-				t.Fatalf("%dx%d/%s: stats %+v", rows, cols, be.Name, st)
-			}
-			if p.CloneFactor() == nil {
-				t.Fatalf("%dx%d/%s: a primal engine refused CloneFactor", rows, cols, be.Name)
-			}
-			if p.Ridge() != ref.Ridge() {
-				t.Fatalf("%dx%d/%s: ridge %g, reference %g", rows, cols, be.Name, p.Ridge(), ref.Ridge())
-			}
-			if p.Ridge() != 0 {
-				ridged++
-			}
-			for _, y := range WideWindows(t, rng, h) {
-				want, _ := ref.Solve(y)
-				got, _ := p.Solve(y)
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%dx%d/%s: x̂[%d] = %v, reference %v", rows, cols, be.Name, i, got[i], want[i])
-					}
+		ref, err := referencePrepareLS(h, LeastSquaresOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := PrepareLS(h, LeastSquaresOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := p.Stats(); st.Dual || st.Dim != cols {
+			t.Fatalf("%dx%d: stats %+v", rows, cols, st)
+		}
+		if p.CloneFactor() == nil {
+			t.Fatalf("%dx%d: a primal engine refused CloneFactor", rows, cols)
+		}
+		if p.Ridge() != ref.Ridge() {
+			t.Fatalf("%dx%d: ridge %g, reference %g", rows, cols, p.Ridge(), ref.Ridge())
+		}
+		if p.Ridge() != 0 {
+			ridged++
+		}
+		for _, y := range WideWindows(t, rng, h) {
+			want, _ := ref.Solve(y)
+			got, _ := p.Solve(y)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%dx%d: x̂[%d] = %v, reference %v", rows, cols, i, got[i], want[i])
 				}
 			}
 		}

@@ -105,9 +105,8 @@ func TestPreparedLSRidgeFallback(t *testing.T) {
 }
 
 // TestPreparedLSSolveIntoAllocationFree: SolveInto works entirely inside
-// the caller's buffers, on primal and dual engines of both backends —
-// the dual form carves z and its triangular-solve scratch out of them
-// too.
+// the caller's buffers, on primal and dual engines — the dual form
+// carves z and its triangular-solve scratch out of them too.
 func TestPreparedLSSolveIntoAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, h := range []*CSR{fcmShapedCSR(t, rng, 40, 12), fcmShapedCSR(t, rng, 12, 40)} {
@@ -115,25 +114,22 @@ func TestPreparedLSSolveIntoAllocationFree(t *testing.T) {
 		for i := range y {
 			y[i] = rng.Float64() * 1000
 		}
-		for _, mode := range []SparseMode{SparseNever, SparseAlways} {
-			p, err := PrepareLSOpts(h, LeastSquaresOptions{}, KernelOptions{Sparse: mode})
-			if err != nil {
+		p, err := PrepareLS(h, LeastSquaresOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := p.Stats(); st.Dual != (h.Rows() < h.Cols()) {
+			t.Fatalf("%dx%d: stats %+v", h.Rows(), h.Cols(), st)
+		}
+		dst := make([]float64, p.Cols())
+		ws := make([]float64, p.Cols())
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := p.SolveInto(dst, y, ws); err != nil {
 				t.Fatal(err)
 			}
-			st := p.Stats()
-			if st.Dual != (h.Rows() < h.Cols()) || st.Sparse != (mode == SparseAlways) {
-				t.Fatalf("%dx%d under mode %v: stats %+v", h.Rows(), h.Cols(), mode, st)
-			}
-			dst := make([]float64, p.Cols())
-			ws := make([]float64, p.Cols())
-			allocs := testing.AllocsPerRun(50, func() {
-				if err := p.SolveInto(dst, y, ws); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("%dx%d sparse=%v: SolveInto allocates %v times per run, want 0", h.Rows(), h.Cols(), st.Sparse, allocs)
-			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%dx%d: SolveInto allocates %v times per run, want 0", h.Rows(), h.Cols(), allocs)
 		}
 	}
 }
@@ -169,7 +165,7 @@ func TestPreparedLSValidation(t *testing.T) {
 	if err := wide.SolveInto(make([]float64, 4), make([]float64, 4), make([]float64, 10)); err == nil {
 		t.Fatal("short dual dst must error")
 	}
-	if _, err := NewPreparedLSFromUpdatable(wide.H(), wide.chol, wide.Ridge()); err == nil {
+	if _, err := NewPreparedLSFromUpdatable(wide.H(), wide.sp, wide.Ridge()); err == nil {
 		t.Fatal("a dual engine's HHᵀ factor was wrapped as a factor of HᵀH")
 	}
 }

@@ -19,36 +19,30 @@ var ErrNotPositiveDefinite = errors.New("matrix: not positive definite")
 // instead of solving against the half-rotated triangle.
 var ErrFactorPoisoned = errors.New("matrix: factor poisoned by failed rank-one maintenance")
 
-// Cholesky holds the lower-triangular factor L of an SPD matrix
+// Cholesky holds the lower-triangular factor L of a dense SPD matrix
 // A = LLᵀ, plus Lᵀ so that both substitution passes stream contiguous
-// rows of a row-major Dense instead of striding down a column.
+// rows of a row-major Dense instead of striding down a column. It is
+// the dense reference factorization: PrepareLS factors every Gram with
+// SparseCholesky, and this serial sweep is what tests and the oracle
+// check that factor against.
 type Cholesky struct {
 	n  int
 	l  *Dense
 	lt *Dense
-	// poisoned marks a factor left inconsistent by a failed rank-one
-	// Update/Downdate; the zero value (valid) keeps plain
-	// &Cholesky{n, l, lt} construction correct.
-	poisoned bool
 }
 
-// NewCholesky factors the symmetric positive-definite matrix a.
-// Matrices of at least twice the kernel block size take the blocked
-// right-looking path (see kernels.go); dispatch depends only on the
-// matrix size and block size — never on worker count — so the factor is
-// reproducible across machines and GOMAXPROCS settings.
+// NewCholesky factors the symmetric positive-definite matrix a with the
+// serial column sweep. A pivot that is not positive (or NaN) fails with
+// ErrNotPositiveDefinite naming its column.
 func NewCholesky(a *Dense) (*Cholesky, error) {
-	return NewCholeskyOpts(a, KernelOptions{})
-}
-
-// newCholeskyUnblocked is the serial reference column sweep.
-func newCholeskyUnblocked(a *Dense) (*Cholesky, error) {
+	if a.Rows() != a.Cols() {
+		return nil, fmt.Errorf("matrix: cholesky needs square matrix, got %dx%d", a.Rows(), a.Cols())
+	}
 	n := a.Rows()
 	l := NewDense(n, n)
 	for j := 0; j < n; j++ {
-		var diag float64
 		ljRow := l.Row(j)
-		diag = a.At(j, j)
+		diag := a.At(j, j)
 		for k := 0; k < j; k++ {
 			diag -= ljRow[k] * ljRow[k]
 		}
@@ -72,10 +66,6 @@ func newCholeskyUnblocked(a *Dense) (*Cholesky, error) {
 // N reports the factored dimension.
 func (c *Cholesky) N() int { return c.n }
 
-// Valid reports whether the factor is usable: false once a failed
-// Update/Downdate has poisoned it.
-func (c *Cholesky) Valid() bool { return !c.poisoned }
-
 // Solve solves A x = b given the factorization.
 func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 	x := make([]float64, c.n)
@@ -94,9 +84,6 @@ func (c *Cholesky) SolveInto(dst, b, scratch []float64) error {
 	}
 	if len(dst) != c.n || len(scratch) != c.n {
 		return fmt.Errorf("matrix: cholesky solve buffers %d/%d vs %d", len(dst), len(scratch), c.n)
-	}
-	if c.poisoned {
-		return ErrFactorPoisoned
 	}
 	// Forward substitution: L y = b, streaming rows of L.
 	y := scratch

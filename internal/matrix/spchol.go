@@ -7,18 +7,18 @@ import (
 	"slices"
 )
 
-// Sparse direct Cholesky. The factor of P·G·Pᵀ = L·Lᵀ is stored in the
-// pattern computed by the symbolic analysis (lower CSC, diagonal
-// first), and the numeric phase is left-looking supernodal: each
-// supernode gathers its columns into a dense panel, applies the
-// contributions of descendant supernodes as dense outer products over
-// contiguous CSC column suffixes, factors the dense diagonal block with
-// the PR-5 blocked kernel (unblocked in place for narrow supernodes,
-// exactly mirroring the dense dispatch rule), and solves the
-// sub-diagonal panel rows against the block's triangle. Everything is
+// Sparse direct Cholesky, the one factorization PrepareLS uses. The
+// factor of P·G·Pᵀ = L·Lᵀ is stored in the pattern computed by the
+// symbolic analysis (lower CSC, diagonal first), and the numeric phase
+// is left-looking supernodal: each supernode gathers its columns into a
+// dense panel, applies the contributions of descendant supernodes as
+// dense outer products over contiguous CSC column suffixes, factors the
+// dense diagonal block in place with the serial sweep, and solves the
+// sub-diagonal panel rows against the block's triangle. A Gram that
+// fills in is just a wider supernode. Everything is serial and
 // deterministic: supernodes are processed in ascending order and each
 // descendant list is maintained by the same push discipline on every
-// run.
+// run, so the factor is bitwise the same at any GOMAXPROCS.
 
 // ErrSparseUpdateFill is returned by SparseCholesky.Update/Downdate
 // when the rank-one vector would create fill outside the factor's
@@ -72,20 +72,19 @@ func (c *SparseCholesky) rankOneScratch() *rankOneScratch {
 // NewSparseCholesky analyzes and factors the sparse symmetric
 // positive-definite matrix g. Use newSparseCholeskyWith to reuse a
 // cached analysis.
-func NewSparseCholesky(g *SymSparse, o KernelOptions) (*SparseCholesky, error) {
-	return newSparseCholeskyWith(g, analyzeSparse(g), o)
+func NewSparseCholesky(g *SymSparse) (*SparseCholesky, error) {
+	return newSparseCholeskyWith(g, analyzeSparse(g))
 }
 
 // newSparseCholeskyWith numerically factors g under a previously
 // computed symbolic analysis (which must have been computed for exactly
 // g's pattern).
-func newSparseCholeskyWith(g *SymSparse, sym *SparseSymbolic, o KernelOptions) (*SparseCholesky, error) {
+func newSparseCholeskyWith(g *SymSparse, sym *SparseSymbolic) (*SparseCholesky, error) {
 	n := sym.n
 	c := &SparseCholesky{sym: sym, val: make([]float64, sym.colPtr[n])}
 	if n == 0 {
 		return c, nil
 	}
-	workers, blockSize, serial := resolveKernel(o)
 	// Permute G's lower triangle into permuted-lower CSC lists (rows
 	// within a column unsorted — the panel scatter does not care).
 	aPtr := make([]int, n+1)
@@ -200,25 +199,8 @@ func newSparseCholeskyWith(g *SymSparse, sym *SparseSymbolic, o KernelOptions) (
 				head[ns] = d
 			}
 		}
-		// Factor the w×w diagonal block, dispatching exactly like the
-		// dense kernel: unblocked in place below 2×blockSize, PR-5 blocked
-		// kernel above.
-		if serial || w < 2*blockSize {
-			if err := cholUnblockedStride(pn, w, c0); err != nil {
-				return nil, err
-			}
-		} else {
-			dblk := NewDense(w, w)
-			for r := 0; r < w; r++ {
-				copy(dblk.Row(r)[:r+1], pn[r*w:r*w+r+1])
-			}
-			dch, err := newCholeskyBlocked(dblk, blockSize, workers)
-			if err != nil {
-				return nil, fmt.Errorf("matrix: sparse factor supernode at column %d: %w", c0, err)
-			}
-			for r := 0; r < w; r++ {
-				copy(pn[r*w:r*w+r+1], dch.l.Row(r)[:r+1])
-			}
+		if err := cholUnblockedStride(pn, w, c0); err != nil {
+			return nil, err
 		}
 		// Triangular panel solve for the sub-diagonal rows.
 		for r := w; r < nr; r++ {
@@ -287,9 +269,6 @@ func (c *SparseCholesky) Valid() bool { return !c.poisoned }
 // FactorNNZ reports the stored entry count of the factor.
 func (c *SparseCholesky) FactorNNZ() int { return len(c.val) }
 
-// Symbolic returns the cached pattern analysis (shared, immutable).
-func (c *SparseCholesky) Symbolic() *SparseSymbolic { return c.sym }
-
 // Clone returns an independent copy of the numeric factor sharing the
 // immutable symbolic analysis, so callers can derive an updated factor
 // while the original keeps serving solves. A poisoned factor clones
@@ -348,8 +327,12 @@ func (c *SparseCholesky) SolveInto(dst, b, scratch []float64) error {
 // non-zero pattern — O(size of the affected columns) instead of O(n²).
 // A structural precheck runs first: if the rotation would create fill
 // outside the symbolic pattern, ErrSparseUpdateFill is returned with
-// the factor untouched. A numeric failure mid-pass (non-positive pivot)
-// poisons the factor like the dense path. x is not modified.
+// the factor untouched. A numeric failure mid-pass (a zero, negative or
+// NaN pivot) poisons the factor: columns are rotated in ascending
+// order, so a bad pivot at column k leaves the earlier ones already
+// rewritten, and rather than roll back, every later SolveInto, Update
+// and Downdate returns ErrFactorPoisoned. Callers clone before updating
+// and throw the clone away on failure. x is not modified.
 func (c *SparseCholesky) Update(x []float64) error { return c.rankOne(x, false) }
 
 // Downdate rewrites the factor of G into the factor of G − xxᵀ with
@@ -425,8 +408,8 @@ func (c *SparseCholesky) rankOne(x []float64, down bool) error {
 			}
 		}
 	}
-	// Numeric pass: identical arithmetic to the dense Update/Downdate on
-	// the affected columns (columns with a zero working value are exact
+	// Numeric pass: identical arithmetic to the textbook dense rank-one
+	// sweep on the affected columns (columns with a zero working value are exact
 	// rotation no-ops and are skipped).
 	for _, k := range closure {
 		wk := work[k]

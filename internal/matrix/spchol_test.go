@@ -40,7 +40,7 @@ func TestSymGramMatchesDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := h.gramSerial()
-		got := g.ToDense()
+		got := g.toDense()
 		if !got.EqualApprox(want, 0) {
 			t.Fatalf("trial %d: sparse Gram != dense Gram", trial)
 		}
@@ -110,7 +110,7 @@ func TestSparseCholeskySolveMatchesDense(t *testing.T) {
 		cols := 5 + rng.Intn(50)
 		h := randomSparseH(rng, rows, cols, 0.02+0.25*rng.Float64())
 		g := h.SymGram()
-		sp, err := NewSparseCholesky(g, KernelOptions{})
+		sp, err := NewSparseCholesky(g)
 		if err != nil {
 			t.Fatalf("trial %d: sparse factor: %v", trial, err)
 		}
@@ -137,8 +137,10 @@ func TestSparseCholeskySolveMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSparseCholeskyWideSupernodes drives the blocked dense-panel path
-// by building an H whose Gram holds a clique wider than 2×BlockSize.
+// TestSparseCholeskyWideSupernodes drives a wide dense panel through
+// the supernodal factor — a Gram holding a 150-column clique, which
+// factors as one wide supernode — and checks it against the dense
+// reference.
 func TestSparseCholeskyWideSupernodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cols := 220
@@ -163,30 +165,35 @@ func TestSparseCholeskyWideSupernodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ko := range []KernelOptions{{}, {BlockSize: 32}, {Serial: true}} {
-		sp, err := NewSparseCholesky(h.SymGram(), ko)
-		if err != nil {
-			t.Fatalf("opts %+v: %v", ko, err)
-		}
-		dch, err := NewCholesky(h.gramSerial())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := make([]float64, cols)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		xs, xd := make([]float64, cols), make([]float64, cols)
-		scratch := make([]float64, cols)
-		if err := sp.SolveInto(xs, b, scratch); err != nil {
-			t.Fatal(err)
-		}
-		if err := dch.SolveInto(xd, b, scratch); err != nil {
-			t.Fatal(err)
-		}
-		if !VecEqualApprox(xs, xd, 1e-8) {
-			t.Fatalf("opts %+v: sparse vs dense solve diverge", ko)
-		}
+	sp, err := NewSparseCholesky(h.SymGram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	widest := 0
+	for s := 0; s+1 < len(sp.sym.snode); s++ {
+		widest = max(widest, int(sp.sym.snode[s+1]-sp.sym.snode[s]))
+	}
+	if widest < 150 {
+		t.Fatalf("widest supernode has %d columns, want the whole clique", widest)
+	}
+	dch, err := NewCholesky(h.gramSerial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, cols)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	xs, xd := make([]float64, cols), make([]float64, cols)
+	scratch := make([]float64, cols)
+	if err := sp.SolveInto(xs, b, scratch); err != nil {
+		t.Fatal(err)
+	}
+	if err := dch.SolveInto(xd, b, scratch); err != nil {
+		t.Fatal(err)
+	}
+	if !VecEqualApprox(xs, xd, 1e-8) {
+		t.Fatal("sparse vs dense solve diverge")
 	}
 }
 
@@ -204,72 +211,76 @@ func TestSparseSymbolicReuseAcrossRidge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := PrepareLSOpts(h, LeastSquaresOptions{}, KernelOptions{Sparse: SparseAlways})
+	p, err := PrepareLS(h, LeastSquaresOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.SparseBacked() || p.Ridge() == 0 {
-		t.Fatalf("want sparse-backed ridge engine, got sparse=%v ridge=%g", p.SparseBacked(), p.Ridge())
+	if p.Ridge() == 0 {
+		t.Fatal("want a ridge-regularized engine")
 	}
 }
 
+// TestSparseUpdateDowndateMatchesDense: updating the factor of G by a
+// row x of H solves like a cold factorization of G + xxᵀ — the dense
+// reference sweep and the sparse factor alike — and downdating the
+// same row solves like the cold factor of G again.
 func TestSparseUpdateDowndateMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		cols := 10 + rng.Intn(40)
 		h := randomSparseH(rng, 3*cols, cols, 0.1)
-		g := h.SymGram()
-		sp, err := NewSparseCholesky(g, KernelOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dch, err := NewCholesky(h.gramSerial())
+		sp, err := NewSparseCholesky(h.SymGram())
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Update with a row drawn from H itself: its pattern is a subset
-		// of an existing Gram clique, so no fill is needed.
+		// of an existing Gram clique, so no fill is needed. H with that
+		// row appended has the Gram G + xxᵀ.
 		ri := rng.Intn(h.Rows())
 		x := make([]float64, cols)
-		h.RowEntries(ri, func(c int, v float64) { x[c] = v })
+		var trips []Triplet
+		for i := 0; i < h.Rows(); i++ {
+			h.RowEntries(i, func(c int, v float64) { trips = append(trips, Triplet{Row: i, Col: c, Val: v}) })
+		}
+		h.RowEntries(ri, func(c int, v float64) {
+			x[c] = v
+			trips = append(trips, Triplet{Row: h.Rows(), Col: c, Val: v})
+		})
+		hx, err := NewCSR(h.Rows()+1, cols, trips)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := sp.Update(x); err != nil {
 			t.Fatalf("trial %d: sparse update: %v", trial, err)
-		}
-		if err := dch.Update(x); err != nil {
-			t.Fatal(err)
 		}
 		b := make([]float64, cols)
 		for i := range b {
 			b[i] = rng.NormFloat64() * 10
 		}
-		xs, xd := make([]float64, cols), make([]float64, cols)
-		scratch := make([]float64, cols)
-		if err := sp.SolveInto(xs, b, scratch); err != nil {
-			t.Fatal(err)
+		solvesLike := func(what string, g *SymSparse) {
+			t.Helper()
+			cold, err := NewSparseCholesky(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dense, err := NewCholesky(g.toDense())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, xs, xd := make([]float64, cols), make([]float64, cols), make([]float64, cols)
+			scratch := make([]float64, cols)
+			if err := errors.Join(sp.SolveInto(got, b, scratch), cold.SolveInto(xs, b, scratch), dense.SolveInto(xd, b, scratch)); err != nil {
+				t.Fatal(err)
+			}
+			if !VecEqualApprox(got, xs, 1e-8) || !VecEqualApprox(got, xd, 1e-8) {
+				t.Fatalf("trial %d: %s solves unlike the cold factors", trial, what)
+			}
 		}
-		if err := dch.SolveInto(xd, b, scratch); err != nil {
-			t.Fatal(err)
-		}
-		if !VecEqualApprox(xs, xd, 1e-8) {
-			t.Fatalf("trial %d: post-update solves diverge", trial)
-		}
-		// Downdating the same row must return to the original factor.
+		solvesLike("update", hx.SymGram())
 		if err := sp.Downdate(x); err != nil {
 			t.Fatalf("trial %d: sparse downdate: %v", trial, err)
 		}
-		fresh, err := NewSparseCholesky(h.SymGram(), KernelOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.SolveInto(xd, b, scratch); err != nil {
-			t.Fatal(err)
-		}
-		if err := sp.SolveInto(xs, b, scratch); err != nil {
-			t.Fatal(err)
-		}
-		if !VecEqualApprox(xs, xd, 1e-8) {
-			t.Fatalf("trial %d: update+downdate did not round-trip", trial)
-		}
+		solvesLike("update+downdate", h.SymGram())
 	}
 }
 
@@ -285,7 +296,7 @@ func TestSparseRankOneScratchReuse(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		cols := 10 + rng.Intn(40)
 		h := randomSparseH(rng, 3*cols, cols, 0.1)
-		sp, err := NewSparseCholesky(h.SymGram(), KernelOptions{})
+		sp, err := NewSparseCholesky(h.SymGram())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +367,7 @@ func TestSparseUpdateFillRejectedWithoutMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewSparseCholesky(h.SymGram(), KernelOptions{})
+	sp, err := NewSparseCholesky(h.SymGram())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +405,7 @@ func TestSparseDowndatePoisonOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewSparseCholesky(h.SymGram(), KernelOptions{})
+	sp, err := NewSparseCholesky(h.SymGram())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,27 +427,32 @@ func TestSparseDowndatePoisonOnFailure(t *testing.T) {
 	}
 }
 
+// TestPreparedLSSparseVsDenseAcrossDensities: across Gram densities
+// from 2% to 50%, the prepared engine's residual norm matches the one
+// the dense reference factorization of HᵀH leaves, to 1e-12 of ‖y‖ —
+// the equivalence gate the sparse experiment enforces.
 func TestPreparedLSSparseVsDenseAcrossDensities(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, p := range []float64{0.02, 0.05, 0.1, 0.2, 0.35, 0.5} {
 		cols := 80 + rng.Intn(60)
 		h := randomSparseH(rng, 2*cols, cols, p)
-		dense, err := PrepareLSOpts(h, LeastSquaresOptions{}, KernelOptions{Sparse: SparseNever})
+		dense, err := NewCholesky(h.gramSerial())
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := PrepareLSOpts(h, LeastSquaresOptions{}, KernelOptions{Sparse: SparseAlways})
+		sparse, err := PrepareLS(h, LeastSquaresOptions{})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !sparse.SparseBacked() || dense.SparseBacked() {
-			t.Fatalf("density %g: backend selection wrong", p)
 		}
 		y := make([]float64, h.Rows())
 		for i := range y {
 			y[i] = math.Abs(rng.NormFloat64()) * 1000
 		}
-		xd, err := dense.Solve(y)
+		hty, err := h.TMulVec(y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xd, err := dense.Solve(hty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,8 +460,6 @@ func TestPreparedLSSparseVsDenseAcrossDensities(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Compare residual norms relative to ‖y‖ — the equivalence gate
-		// the experiment enforces at 1e-12.
 		rd := residualNorm(t, h, xd, y)
 		rs := residualNorm(t, h, xs, y)
 		yn := Norm2(y)
@@ -466,43 +480,4 @@ func residualNorm(t *testing.T, h *CSR, x, y []float64) float64 {
 		t.Fatal(err)
 	}
 	return Norm2(d)
-}
-
-// TestPreparedLSAutoSelection: SparseAuto reads the structure of the
-// Gram, not its width — a narrow diagonal Gram (a pair-exact slice,
-// one flow per rule) is factored sparsely, and a Gram that fills in is
-// factored dense at any width.
-func TestPreparedLSAutoSelection(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	// diagonalH gives every row one entry and every column at least one:
-	// HᵀH is diagonal and positive definite.
-	diagonalH := func(rows, cols int) *CSR {
-		var trips []Triplet
-		for i := 0; i < rows; i++ {
-			trips = append(trips, Triplet{Row: i, Col: i % cols, Val: 1})
-		}
-		h, err := NewCSR(rows, cols, trips)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	for _, c := range []struct {
-		name   string
-		h      *CSR
-		sparse bool
-	}{
-		{"narrow diagonal goes sparse", diagonalH(100, 50), true},
-		{"narrow dense stays dense", randomSparseH(rng, 100, 50, 0.5), false},
-		{"wide sparse", randomSparseH(rng, 1200, 600, 0.004), true},
-		{"wide dense", randomSparseH(rng, 1200, 600, 0.5), false},
-	} {
-		p, err := PrepareLSOpts(c.h, LeastSquaresOptions{}, KernelOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if p.SparseBacked() != c.sparse || p.Stats().Sparse != c.sparse {
-			t.Errorf("%s: %dx%d with Gram density %.3g prepared sparse=%v", c.name, c.h.Rows(), c.h.Cols(), c.h.SymGram().Density(), p.SparseBacked())
-		}
-	}
 }

@@ -144,47 +144,6 @@ func (g *SymSparse) AddRidge(r float64) {
 	}
 }
 
-// ToDense scatters the symmetric matrix to dense form. PrepareLS's
-// dense backend takes its Gram this way, so the Gram is assembled once
-// whichever backend factors it; the result equals the dense reference
-// Gram exactly because each entry was accumulated in the same ascending
-// input-row order.
-func (g *SymSparse) ToDense() *Dense {
-	d := NewDense(g.n, g.n)
-	for j := 0; j < g.n; j++ {
-		for p := g.colPtr[j]; p < g.colPtr[j+1]; p++ {
-			i := int(g.rowIdx[p])
-			v := g.val[p]
-			d.Set(i, j, v)
-			if i != j {
-				d.Set(j, i, v)
-			}
-		}
-	}
-	return d
-}
-
-// PatternEqual reports whether two symmetric matrices share the exact
-// same stored lower-triangle pattern. The churn manager uses it to
-// decide whether a cached symbolic analysis can be reused across a
-// refactorization.
-func (g *SymSparse) PatternEqual(o *SymSparse) bool {
-	if g.n != o.n || len(g.rowIdx) != len(o.rowIdx) {
-		return false
-	}
-	for j := 0; j <= g.n; j++ {
-		if g.colPtr[j] != o.colPtr[j] {
-			return false
-		}
-	}
-	for p, r := range g.rowIdx {
-		if o.rowIdx[p] != r {
-			return false
-		}
-	}
-	return true
-}
-
 // symCheck validates structural invariants (diag-first ascending
 // columns); used by tests.
 func (g *SymSparse) symCheck() error {

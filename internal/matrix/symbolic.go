@@ -1,6 +1,6 @@
 package matrix
 
-// Symbolic factorization for the sparse Cholesky path. Given the Gram
+// Symbolic factorization for the sparse Cholesky. Given the Gram
 // pattern and a fill-reducing permutation, this computes — once — the
 // elimination tree, the exact non-zero pattern of the factor L of
 // P·G·Pᵀ, and a fundamental-supernode partition. The analysis depends
@@ -155,14 +155,6 @@ func symbolicFromPerm(g *SymSparse, perm []int32) *SparseSymbolic {
 
 // FactorNNZ reports the stored entry count of the factor pattern.
 func (s *SparseSymbolic) FactorNNZ() int { return len(s.rowIdx) }
-
-// NumSupernodes reports the supernode count.
-func (s *SparseSymbolic) NumSupernodes() int {
-	if len(s.snode) == 0 {
-		return 0
-	}
-	return len(s.snode) - 1
-}
 
 // Matches reports whether this analysis was computed for exactly the
 // Gram pattern of g, making it reusable for a numeric refactorization.

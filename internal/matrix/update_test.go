@@ -8,7 +8,8 @@ import (
 )
 
 // randomSPD builds A = BᵀB + I for a random B, guaranteeing a
-// well-conditioned SPD matrix.
+// well-conditioned SPD matrix with a full pattern, so a rank-one
+// update by any vector needs no fill.
 func randomSPD(rng *rand.Rand, n int) *Dense {
 	b := NewDense(n, n)
 	for i := 0; i < n; i++ {
@@ -23,16 +24,43 @@ func randomSPD(rng *rand.Rand, n int) *Dense {
 	return a
 }
 
-func factorEqualApprox(t *testing.T, got, want *Cholesky, tol float64) {
+// plusOuter returns a + s·xxᵀ.
+func plusOuter(a *Dense, x []float64, s float64) *Dense {
+	out := a.Clone()
+	for i := range x {
+		for j := range x {
+			out.Add(i, j, s*x[i]*x[j])
+		}
+	}
+	return out
+}
+
+// sparseFactor factors the dense SPD matrix a with the sparse Cholesky.
+func sparseFactor(t *testing.T, a *Dense) *SparseCholesky {
 	t.Helper()
-	if got.n != want.n {
-		t.Fatalf("factor dims %d vs %d", got.n, want.n)
+	c, err := NewSparseCholesky(symFromDense(a))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !got.l.EqualApprox(want.l, tol) {
-		t.Fatalf("L mismatch:\ngot\n%v\nwant\n%v", got.l, want.l)
+	return c
+}
+
+// factorEqualApprox requires two sparse factors over the same symbolic
+// pattern to agree entry by entry within tol.
+func factorEqualApprox(t *testing.T, got, want *SparseCholesky, tol float64) {
+	t.Helper()
+	if got.N() != want.N() || len(got.val) != len(want.val) {
+		t.Fatalf("factor shapes %d/%d vs %d/%d", got.N(), len(got.val), want.N(), len(want.val))
 	}
-	if !got.lt.EqualApprox(want.lt, tol) {
-		t.Fatalf("Lᵀ mismatch (stale transpose?):\ngot\n%v\nwant\n%v", got.lt, want.lt)
+	for i, p := range got.sym.perm {
+		if want.sym.perm[i] != p {
+			t.Fatalf("factors use different orderings")
+		}
+	}
+	for i, v := range got.val {
+		if math.Abs(v-want.val[i]) > tol {
+			t.Fatalf("factor entry %d: %v vs %v (tol %g)", i, v, want.val[i], tol)
+		}
 	}
 }
 
@@ -40,10 +68,7 @@ func TestCholeskyUpdateMatchesRefactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 5, 12, 30} {
 		a := randomSPD(rng, n)
-		chol, err := NewCholesky(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
+		chol := sparseFactor(t, a)
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = rng.NormFloat64()
@@ -53,20 +78,9 @@ func TestCholeskyUpdateMatchesRefactor(t *testing.T) {
 			t.Fatalf("n=%d update: %v", n, err)
 		}
 		// Reference: factor A + xxᵀ from scratch.
-		ref := a.Clone()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				ref.Add(i, j, x[i]*x[j])
-			}
-		}
-		want, err := NewCholesky(ref)
-		if err != nil {
-			t.Fatalf("n=%d refactor: %v", n, err)
-		}
-		factorEqualApprox(t, up, want, 1e-9)
+		factorEqualApprox(t, up, sparseFactor(t, plusOuter(a, x, 1)), 1e-9)
 		// The original factor must be untouched by Clone+Update.
-		orig, _ := NewCholesky(a)
-		factorEqualApprox(t, chol, orig, 0)
+		factorEqualApprox(t, chol, sparseFactor(t, a), 0)
 	}
 }
 
@@ -80,25 +94,11 @@ func TestCholeskyDowndateMatchesRefactor(t *testing.T) {
 		}
 		// Downdate is only defined when A − xxᵀ stays PD; build A as
 		// base + xxᵀ so removal is exact.
-		upd := a.Clone()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				upd.Add(i, j, x[i]*x[j])
-			}
-		}
-		chol, err := NewCholesky(upd)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		down := chol.Clone()
+		down := sparseFactor(t, plusOuter(a, x, 1))
 		if err := down.Downdate(x); err != nil {
 			t.Fatalf("n=%d downdate: %v", n, err)
 		}
-		want, err := NewCholesky(a)
-		if err != nil {
-			t.Fatalf("n=%d refactor: %v", n, err)
-		}
-		factorEqualApprox(t, down, want, 1e-8)
+		factorEqualApprox(t, down, sparseFactor(t, a), 1e-8)
 	}
 }
 
@@ -106,11 +106,8 @@ func TestCholeskyDowndateNotPD(t *testing.T) {
 	a := NewDense(2, 2)
 	a.Set(0, 0, 1)
 	a.Set(1, 1, 1)
-	chol, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = chol.Downdate([]float64{2, 0}) // I − xxᵀ has a −3 eigenvalue
+	chol := sparseFactor(t, a)
+	err := chol.Downdate([]float64{2, 0}) // I − xxᵀ has a −3 eigenvalue
 	if !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("want ErrNotPositiveDefinite, got %v", err)
 	}
@@ -118,35 +115,25 @@ func TestCholeskyDowndateNotPD(t *testing.T) {
 
 func TestCholeskyUpdateSolveAgrees(t *testing.T) {
 	// End-to-end: solve (A + xxᵀ) z = b via the updated factor and
-	// compare against a fresh factorization's solution.
+	// compare against the dense reference factorization's solution.
 	rng := rand.New(rand.NewSource(3))
 	n := 20
 	a := randomSPD(rng, n)
-	chol, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	up := sparseFactor(t, a)
 	x := make([]float64, n)
 	b := make([]float64, n)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64()
 	}
-	up := chol.Clone()
 	if err := up.Update(x); err != nil {
 		t.Fatal(err)
 	}
-	got, err := up.Solve(b)
-	if err != nil {
+	got := make([]float64, n)
+	if err := up.SolveInto(got, b, make([]float64, n)); err != nil {
 		t.Fatal(err)
 	}
-	ref := a.Clone()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			ref.Add(i, j, x[i]*x[j])
-		}
-	}
-	want, err := NewCholesky(ref)
+	want, err := NewCholesky(plusOuter(a, x, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +147,7 @@ func TestCholeskyUpdateSolveAgrees(t *testing.T) {
 }
 
 func TestCholeskyUpdateDimMismatch(t *testing.T) {
-	a := randomSPD(rand.New(rand.NewSource(1)), 3)
-	chol, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chol := sparseFactor(t, randomSPD(rand.New(rand.NewSource(1)), 3))
 	if err := chol.Update([]float64{1, 2}); err == nil {
 		t.Fatal("update accepted wrong-length vector")
 	}
@@ -175,11 +158,7 @@ func TestCholeskyUpdateDimMismatch(t *testing.T) {
 
 func TestCholeskyUpdateDoesNotMutateInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	a := randomSPD(rng, 6)
-	chol, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chol := sparseFactor(t, randomSPD(rng, 6))
 	x := []float64{1, -2, 3, 0.5, -0.25, 4}
 	saved := append([]float64(nil), x...)
 	if err := chol.Update(x); err != nil {
@@ -215,7 +194,7 @@ func TestNewPreparedLSFromFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := NewPreparedLSFromFactor(csr, p.Factor().Clone(), p.Ridge())
+	q, err := NewPreparedLSFromUpdatable(csr, p.CloneFactor(), p.Ridge())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +216,7 @@ func TestNewPreparedLSFromFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPreparedLSFromFactor(bad, p.Factor(), 0); err == nil {
+	if _, err := NewPreparedLSFromUpdatable(bad, p.CloneFactor(), 0); err == nil {
 		t.Fatal("accepted mismatched factor dimension")
 	}
 }

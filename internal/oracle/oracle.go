@@ -4,7 +4,10 @@
 // question (AI = Err_max/Err_med over the least-squares residual of
 // HX = Y') of that sub-system. Nothing here is prepared, pooled,
 // downdated or shared with the engines under test beyond core.Detect
-// itself. Tests are its only callers.
+// itself — and DenseDetect does not share even that: it forms the
+// Gram densely and factors it with matrix.NewCholesky, the paper's
+// algorithm as written. Tests are the oracle's callers, plus Fig. 12,
+// which times DenseDetect as the paper's baseline.
 package oracle
 
 import (
@@ -52,9 +55,13 @@ func keptRows(candidates, masked []int) []int {
 	return kept
 }
 
-// detectRows runs cold Algorithm 1 on h restricted to the given rows
-// (global IDs into y) and columns.
-func detectRows(h *matrix.CSR, rows, cols []int, y []float64, opts core.Options) (core.Result, error) {
+// Solver answers Algorithm 1 on one system from cold: core.Detect (a
+// throwaway prepared engine) or DenseDetect.
+type Solver func(h *matrix.CSR, y []float64, opts core.Options) (core.Result, error)
+
+// detectRows runs cold Algorithm 1 through s on h restricted to the
+// given rows (global IDs into y) and columns.
+func (s Solver) detectRows(h *matrix.CSR, rows, cols []int, y []float64, opts core.Options) (core.Result, error) {
 	sub, err := h.SubMatrix(rows, cols)
 	if err != nil {
 		return core.Result{}, err
@@ -63,7 +70,7 @@ func detectRows(h *matrix.CSR, rows, cols []int, y []float64, opts core.Options)
 	for i, r := range rows {
 		ySub[i] = y[r]
 	}
-	return core.Detect(sub, ySub, opts)
+	return s(sub, ySub, opts)
 }
 
 // Detect runs cold Algorithm 1 on h with the masked rows removed. It
@@ -71,6 +78,12 @@ func detectRows(h *matrix.CSR, rows, cols []int, y []float64, opts core.Options)
 // is positional over them. Masking every row is an error: a blind
 // window has no verdict.
 func Detect(h *matrix.CSR, y []float64, masked []int, opts core.Options) (core.Result, []int, error) {
+	return Solver(core.Detect).Detect(h, y, masked, opts)
+}
+
+// Detect is the package-level Detect with s solving the row-selected
+// system.
+func (s Solver) Detect(h *matrix.CSR, y []float64, masked []int, opts core.Options) (core.Result, []int, error) {
 	all := make([]int, h.Rows())
 	for i := range all {
 		all[i] = i
@@ -83,7 +96,7 @@ func Detect(h *matrix.CSR, y []float64, masked []int, opts core.Options) (core.R
 	for j := range cols {
 		cols[j] = j
 	}
-	res, err := detectRows(h, kept, cols, y, opts)
+	res, err := s.detectRows(h, kept, cols, y, opts)
 	return res, kept, err
 }
 
@@ -93,12 +106,18 @@ func Detect(h *matrix.CSR, y []float64, masked []int, opts core.Options) (core.R
 // own rules masked is skipped — its V_out is unobservable, so there is
 // nothing of that switch's to check. Skipping every slice is an error.
 func DetectSliced(f *fcm.FCM, slices []core.Slice, y []float64, masked []int, opts core.Options) (core.SlicedOutcome, error) {
+	return Solver(core.Detect).DetectSliced(f, slices, y, masked, opts)
+}
+
+// DetectSliced is the package-level DetectSliced with s solving every
+// row-selected slice.
+func (s Solver) DetectSliced(f *fcm.FCM, slices []core.Slice, y []float64, masked []int, opts core.Options) (core.SlicedOutcome, error) {
 	var out core.SlicedOutcome
 	for _, sl := range slices {
 		if len(keptRows(f.RulesAt(sl.Switch), masked)) == 0 {
 			continue
 		}
-		res, err := detectRows(f.H, keptRows(sl.RuleRows, masked), sl.FlowCols, y, opts)
+		res, err := s.detectRows(f.H, keptRows(sl.RuleRows, masked), sl.FlowCols, y, opts)
 		if err != nil {
 			return core.SlicedOutcome{}, fmt.Errorf("oracle: slice switch %d: %w", sl.Switch, err)
 		}

@@ -106,7 +106,7 @@ func NewChurnMetrics(r *Registry) *ChurnMetrics {
 		Events:             r.NewCounter("foces_churn_events_total", "Individual rule add/remove/modify events applied."),
 		Slices:             r.NewCounterVec("foces_churn_slices_total", "Per-switch slice engines by rebuild disposition.", "disposition"),
 		Epoch:              r.NewGauge("foces_churn_epoch", "Current baseline epoch."),
-		PrepareSeconds:     r.NewHistogramVec("foces_prepare_stage_seconds", "Baseline preparation wall time by stage: per applied update trace, assemble, slice_build; per lazy full-engine rebuild gram, factor (sparse-backed factors also report ordering, symbolic, numeric) of whichever Gram was factored: HᵀH, or HHᵀ for a wide H.", SecondsBuckets, "stage"),
+		PrepareSeconds:     r.NewHistogramVec("foces_prepare_stage_seconds", "Baseline preparation wall time by stage: per applied update trace, assemble, slice_build; per lazy full-engine rebuild gram, factor, ordering, symbolic, numeric of whichever Gram was factored: HᵀH, or HHᵀ for a wide H.", SecondsBuckets, "stage"),
 	}
 }
 
