@@ -49,13 +49,13 @@ type options struct {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("focesbench", flag.ContinueOnError)
 	opts := options{}
-	fs.StringVar(&opts.exp, "exp", "all", "experiment: all|table1|fig7|fig8|fig9|fig10|fig11|fig12|loc|coverage|overhead|monitor|churn|telemetry|stream|sparse|cluster|localize|alloc")
+	fs.StringVar(&opts.exp, "exp", "all", "experiment: all|table1|fig7|fig8|fig9|fig10|fig11|fig12|loc|coverage|overhead|monitor|churn|telemetry|stream|sparse|cluster|localize")
 	fs.IntVar(&opts.runs, "runs", 0, "observations per point (0 = experiment default)")
 	fs.Int64Var(&opts.seed, "seed", 1, "random seed")
 	fs.StringVar(&opts.csvDir, "csv", "", "directory for CSV output (optional)")
 	flowList := fs.String("flows", "", "comma-separated flow counts for fig12")
 	fs.Uint64Var(&opts.volume, "volume", 1000, "packets per flow per interval")
-	fs.StringVar(&opts.topo, "topo", "", "topology override for the stream, alloc, sparse and cluster experiments")
+	fs.StringVar(&opts.topo, "topo", "", "topology override for the stream, sparse and cluster experiments")
 	fs.BoolVar(&opts.check, "check", false, "gated experiments only: exit non-zero on equivalence failure or performance regression")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -92,13 +92,12 @@ func run(args []string, out io.Writer) error {
 		"sparse":    runSparse,       // sparse Cholesky: memory wall, engine-vs-oracle equivalence
 		"cluster":   runCluster,      // sharded multi-node detection: equivalence, failover, throughput
 		"localize":  runLocalize,     // active-probe localization: culprit hit rate, probe budget
-		"alloc":     runAlloc,        // zero-allocation steady state: allocs/window, GC pause share
 	}
 	// -check is a pass/fail regression gate; only the experiments that
 	// define gate criteria honour it. Accepting it elsewhere would let a
 	// CI pipeline "gate" on an experiment that can never fail.
 	if opts.check {
-		gated := []string{"alloc", "cluster", "localize", "sparse", "stream"}
+		gated := []string{"cluster", "localize", "sparse", "stream"}
 		ok := false
 		for _, g := range gated {
 			if opts.exp == g {
@@ -573,65 +572,6 @@ func runStreamBench(opts options, out io.Writer) error {
 		if havePrev && res.P99LatencyMs > prev.P99LatencyMs*3 {
 			return fmt.Errorf("stream check: p99 ingest-to-verdict latency %.3fms regressed past previous %.3fms x3",
 				res.P99LatencyMs, prev.P99LatencyMs)
-		}
-	}
-	return nil
-}
-
-// runAlloc exercises the zero-allocation steady state of the pooled
-// streaming pipeline: allocations per window, GC pause share and the
-// ingest-to-verdict latency tail over a warm replayed stream load. The
-// result is always archived as results/alloc.json; with -check the run
-// fails on allocs/window above the budget, or on a p99 latency
-// regression past 3x the archived stream experiment's baseline
-// (results/stream.json).
-func runAlloc(opts options, out io.Writer) error {
-	cfg := experiment.AllocBenchConfig{Topology: opts.topo, Seed: opts.seed}
-	if opts.runs > 0 {
-		cfg.MeasureWindows = opts.runs
-	}
-	if len(opts.flows) > 0 {
-		cfg.Flows = opts.flows[0]
-	}
-	// The archived stream experiment is the latency baseline: the pooled
-	// pipeline must not trade allocations for tail latency.
-	var baseline experiment.StreamBenchResult
-	haveBaseline := false
-	if blob, err := os.ReadFile(filepath.Join("results", "stream.json")); err == nil {
-		if json.Unmarshal(blob, &baseline) == nil && baseline.P99LatencyMs > 0 {
-			haveBaseline = true
-		}
-	}
-	res, err := experiment.AllocBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\n== alloc: pooled steady state, %s switches=%d flows=%d rules=%d GOMAXPROCS=%d ==\n",
-		res.Topology, res.Switches, res.Flows, res.Rules, res.GoMaxProcs)
-	fmt.Fprintf(out, "steady state: %.0f allocs/window, %.0f B/window over %d windows after %d warmup (budget %.0f, within: %v)\n",
-		res.AllocsPerWindow, res.BytesPerWindow, res.MeasuredWindows, res.WarmupWindows, res.AllocBudget, res.WithinBudget)
-	fmt.Fprintf(out, "gc: %d cycles, %.3fms pause over %.3fs (%.3f%% of wall time)\n",
-		res.GCCycles, res.GCPauseMs, res.ElapsedSecs, res.GCPauseShare*100)
-	fmt.Fprintf(out, "latency: ingest-to-verdict p50 %.3fms p99 %.3fms max %.3fms\n",
-		res.P50LatencyMs, res.P99LatencyMs, res.MaxLatencyMs)
-	if err := os.MkdirAll("results", 0o755); err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join("results", "alloc.json"), append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	if opts.check {
-		if !res.WithinBudget {
-			return fmt.Errorf("alloc check: %.0f allocs/window exceeds the %.0f budget",
-				res.AllocsPerWindow, res.AllocBudget)
-		}
-		if haveBaseline && res.P99LatencyMs > baseline.P99LatencyMs*3 {
-			return fmt.Errorf("alloc check: p99 ingest-to-verdict latency %.3fms regressed past the archived stream baseline %.3fms x3",
-				res.P99LatencyMs, baseline.P99LatencyMs)
 		}
 	}
 	return nil

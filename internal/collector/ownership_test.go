@@ -1,18 +1,22 @@
 package collector
 
 // Who owns which buffer along the collection plane, and for how long:
-// snapshot maps are the collector's and valid until its next round;
-// Push copies, so the pusher keeps its map; queues hand their storage
-// back instead of pinning it.
+// flow-stats replies go back to their client once a round has copied
+// them; snapshot maps are the collector's and valid until its next
+// round; Push copies, so the pusher keeps its map; queues hand their
+// storage back instead of pinning it.
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"foces/internal/controller"
+	"foces/internal/dataplane"
 	"foces/internal/openflow"
 	"foces/internal/topo"
 )
@@ -207,5 +211,70 @@ func TestPollSnapshotsConcurrentCallsSerialised(t *testing.T) {
 	}
 	if m := rc.Metrics(); m.Periods != callers*roundsEach || m.Requests != callers*roundsEach*switches {
 		t.Fatalf("metrics = %+v", m)
+	}
+}
+
+// recordingClient is a real control client that remembers the last
+// reply it handed the collector.
+type recordingClient struct {
+	*openflow.Client
+	last *openflow.FlowStatsReply
+}
+
+func (c *recordingClient) FlowStatsContext(ctx context.Context) (*openflow.FlowStatsReply, error) {
+	r, err := c.Client.FlowStatsContext(ctx)
+	c.last = r
+	return r, err
+}
+
+// TestPollSnapshotsReleasesReplies: the collector hands each switch's
+// flow-stats reply back to its client once the round has copied it, so
+// the next round's reply is decoded into the same storage, and the
+// snapshots still read the switches' live counters.
+func TestPollSnapshotsReleasesReplies(t *testing.T) {
+	top, err := topo.Linear(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, network, err := controller.Bootstrap(top, layout, controller.PairExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHarness(network)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	recorders := make(map[topo.SwitchID]*recordingClient, len(h.Clients))
+	clients := make(map[topo.SwitchID]StatsClient, len(h.Clients))
+	for sw, c := range h.Clients {
+		recorders[sw] = &recordingClient{Client: c}
+		clients[sw] = recorders[sw]
+	}
+	rc := NewRobustFromStats(clients, RobustConfig{})
+	rng := rand.New(rand.NewSource(3))
+	prev := make(map[topo.SwitchID]*openflow.FlowStatsReply)
+	for round := 0; round < 3; round++ {
+		if _, err := network.Run(rng, dataplane.UniformTraffic(top, 50)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := rc.PollSnapshots(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct := network.CollectCounters()
+		for sw, counters := range res.Snapshots {
+			for rid, v := range counters {
+				if direct[rid] != v {
+					t.Fatalf("round %d switch %d rule %d: snapshot %d, switch %d", round, sw, rid, v, direct[rid])
+				}
+			}
+		}
+		for sw, r := range recorders {
+			if round > 0 && r.last != prev[sw] {
+				t.Errorf("round %d switch %d: reply decoded into fresh storage; the last one was not released", round, sw)
+			}
+			prev[sw] = r.last
+		}
 	}
 }

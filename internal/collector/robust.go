@@ -455,9 +455,12 @@ func (rc *RobustCollector) absorbLocked() {
 			continue
 		}
 		s.disp, s.reinstated = rc.absorbSlotLocked(s)
-		// The reply has been copied out (or there is none); do not keep
-		// it alive until the next round.
-		s.out.reply = nil
+		// The reply has been copied into the snapshot (or there is
+		// none): its storage goes back to the client for the next round.
+		if r := s.out.reply; r != nil {
+			r.Release()
+			s.out.reply = nil
+		}
 	}
 }
 

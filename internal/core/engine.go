@@ -51,12 +51,21 @@ func (d *Detector) initPool() {
 	}
 }
 
-// fitBuffers returns zeroed YHat and Delta vectors carved from one
-// allocation. Both are capacity-limited to their own half, so appending
-// to either reallocates instead of growing into its neighbour.
-func fitBuffers(rows int) (yHat, delta []float64) {
-	buf := make([]float64, 2*rows)
-	return buf[:rows:rows], buf[rows:]
+// outcomeLen is the length of the block one run of the engine carves
+// its outcome from: XHat, YHat and Delta.
+func (d *Detector) outcomeLen() int { return d.h.Cols() + 2*d.h.Rows() }
+
+// carveOutcome splits blk — a zeroed block of cols+2·rows entries, or
+// nil to allocate one — into the XHat, YHat and Delta vectors of one
+// outcome over an H of rows × cols. Each is capped at its own length,
+// so appending to one reallocates instead of growing into its
+// neighbour.
+func carveOutcome(blk []float64, rows, cols int) (xHat, yHat, delta []float64) {
+	if blk == nil {
+		blk = make([]float64, cols+2*rows)
+	}
+	y, e := cols+rows, cols+2*rows
+	return blk[:cols:cols], blk[cols:y:y], blk[y:e:e]
 }
 
 // NewDetector prepares a detection engine for h. opts fixes the
@@ -110,12 +119,13 @@ func (d *Detector) Detect(y []float64) (Result, error) {
 func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) {
 	sc := d.pool.Get().(*detectScratch)
 	defer d.pool.Put(sc)
-	return d.detectMasked(y, nil, opts, sc)
+	return d.detectMasked(y, nil, opts, sc, nil)
 }
 
 // detectAll is Algorithm 1 over every row of H, with sc as the solve
-// and median workspace.
-func (d *Detector) detectAll(y []float64, opts Options, sc *detectScratch) (Result, error) {
+// and median workspace and the outcome carved from blk (see
+// carveOutcome).
+func (d *Detector) detectAll(y []float64, opts Options, sc *detectScratch, blk []float64) (Result, error) {
 	h := d.h
 	if h.Rows() != len(y) {
 		return Result{}, fmt.Errorf("core: H is %dx%d but y has %d entries", h.Rows(), h.Cols(), len(y))
@@ -138,7 +148,7 @@ func (d *Detector) detectAll(y []float64, opts Options, sc *detectScratch) (Resu
 		// inconsistency no flow-volume estimate can explain (this keeps
 		// Theorem 3 intact for slices of rules outside all flow paths,
 		// like rule r4 in the paper's Fig. 2).
-		yHat, delta := fitBuffers(len(y))
+		_, yHat, delta := carveOutcome(blk, len(y), 0)
 		for i, v := range y {
 			delta[i] = math.Abs(v)
 		}
@@ -149,7 +159,7 @@ func (d *Detector) detectAll(y []float64, opts Options, sc *detectScratch) (Resu
 		tel.outcome(t0, res)
 		return res, nil
 	}
-	xHat := make([]float64, h.Cols())
+	xHat, yHat, delta := carveOutcome(blk, h.Rows(), h.Cols())
 	if err := d.ls.SolveInto(xHat, y, sc.ws); err != nil {
 		return Result{}, fmt.Errorf("core: volume estimate: %w", err)
 	}
@@ -158,7 +168,7 @@ func (d *Detector) detectAll(y []float64, opts Options, sc *detectScratch) (Resu
 		tResid = time.Now()
 		tel.solve.ObserveDuration(tResid.Sub(t0).Nanoseconds())
 	}
-	res, err := fit(h, y, xHat, opts, sc.med)
+	res, err := fit(h, y, xHat, yHat, delta, opts, sc.med)
 	if err != nil {
 		return Result{}, err
 	}
@@ -177,13 +187,13 @@ func Fit(h *matrix.CSR, y, xHat []float64, opts Options) (Result, error) {
 	if h.Rows() != len(y) || h.Cols() != len(xHat) {
 		return Result{}, fmt.Errorf("core: H is %dx%d but y has %d entries and x̂ %d", h.Rows(), h.Cols(), len(y), len(xHat))
 	}
-	return fit(h, y, xHat, opts.withDefaults(y), make([]float64, h.Rows()))
+	_, yHat, delta := carveOutcome(nil, h.Rows(), 0)
+	return fit(h, y, xHat, yHat, delta, opts.withDefaults(y), make([]float64, h.Rows()))
 }
 
-// fit is Fit under defaulted options, with med as the median
-// workspace (length Rows).
-func fit(h *matrix.CSR, y, xHat []float64, opts Options, med []float64) (Result, error) {
-	yHat, delta := fitBuffers(h.Rows())
+// fit is Fit under defaulted options, writing into the zeroed yHat and
+// delta, with med as the median workspace (all of length Rows).
+func fit(h *matrix.CSR, y, xHat, yHat, delta []float64, opts Options, med []float64) (Result, error) {
 	if err := h.MulVecInto(yHat, xHat); err != nil {
 		return Result{}, err
 	}
@@ -253,7 +263,10 @@ type slicedScratch struct {
 	results []Result
 	errs    []error
 	skipped []bool
-	job     slicedJob
+	// outAt[i]:outAt[i+1] is slice i's share of a run's outcome block;
+	// outAt[n] is the block's length.
+	outAt []int
+	job   slicedJob
 }
 
 // newScratch builds one run's scratch in a fixed number of allocations
@@ -281,10 +294,12 @@ func (sd *SlicedDetector) newScratch() *slicedScratch {
 		results: make([]Result, n),
 		errs:    make([]error, n),
 		skipped: make([]bool, n),
+		outAt:   make([]int, n+1),
 	}
 	for i, sl := range sd.slices {
 		sc.subs[i] = carve(len(sl.RuleRows))
 		sc.engine[i] = detectScratch{med: carve(sd.engines[i].h.Rows()), ws: carve(sd.engines[i].h.Cols())}
+		sc.outAt[i+1] = sc.outAt[i] + sd.engines[i].outcomeLen()
 	}
 	sc.job.sd = sd
 	return sc
@@ -327,7 +342,8 @@ func (sd *SlicedDetector) putScratch(sc *slicedScratch) {
 type slicedJob struct {
 	sd       *SlicedDetector
 	y        []float64
-	mask     []bool // over the full rule space; nil when nothing is masked
+	mask     []bool    // over the full rule space; nil when nothing is masked
+	out      []float64 // the run's outcome block, carved per slice by sc.outAt
 	opts     Options
 	sc       *slicedScratch
 	chunk    int
@@ -383,7 +399,8 @@ func (j *slicedJob) runChunk(lo, hi int) {
 			sc.results[i], sc.errs[i] = Result{}, nil
 			continue
 		}
-		sc.results[i], sc.errs[i] = sd.engines[i].detectMasked(sc.subs[i], local, j.opts, &sc.engine[i])
+		blk := j.out[sc.outAt[i]:sc.outAt[i+1]]
+		sc.results[i], sc.errs[i] = sd.engines[i].detectMasked(sc.subs[i], local, j.opts, &sc.engine[i], blk)
 	}
 }
 
@@ -517,7 +534,9 @@ func (sd *SlicedDetector) detect(y []float64, masked []int, opts Options, worker
 	results := sc.results
 	errs := sc.errs
 	j := &sc.job
-	j.y, j.mask, j.opts, j.sc = y, mask, opts, sc
+	// Every slice's outcome is carved from one block per run. It is the
+	// run's, not the scratch's: the returned outcome keeps it.
+	j.y, j.mask, j.out, j.opts, j.sc = y, mask, make([]float64, sc.outAt[len(sd.slices)]), opts, sc
 	j.timed = tel != nil
 	j.gatherNS.Store(0)
 	j.next.Store(0)
@@ -543,7 +562,7 @@ func (sd *SlicedDetector) detect(y []float64, masked []int, opts Options, worker
 	}
 	j.work()
 	j.wg.Wait()
-	j.y, j.mask = nil, nil
+	j.y, j.mask, j.out = nil, nil, nil
 	// Aggregate in slice order so parallel and sequential runs produce
 	// identical outcomes, including Suspects order under index ties.
 	checked := 0

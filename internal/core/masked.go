@@ -89,16 +89,18 @@ func RowMask(n int, masked []int) ([]bool, error) {
 func (d *Detector) DetectMasked(y []float64, masked []int, opts Options) (Result, error) {
 	sc := d.pool.Get().(*detectScratch)
 	defer d.pool.Put(sc)
-	return d.detectMasked(y, masked, opts, sc)
+	return d.detectMasked(y, masked, opts, sc, nil)
 }
 
 // detectMasked is the one detection body every caller reaches —
 // DetectWithOptions and DetectMasked with the engine's pooled scratch,
-// a SlicedDetector run with the slice's share of its run scratch. sc
-// is the solve and median workspace, sized for this engine's H.
-func (d *Detector) detectMasked(y []float64, masked []int, opts Options, sc *detectScratch) (Result, error) {
+// a SlicedDetector run with the slice's share of its run scratch and of
+// its outcome block. sc is the solve and median workspace, sized for
+// this engine's H; blk is the zeroed block the outcome is carved from
+// (outcomeLen entries), or nil to allocate it.
+func (d *Detector) detectMasked(y []float64, masked []int, opts Options, sc *detectScratch, blk []float64) (Result, error) {
 	if len(masked) == 0 {
-		return d.detectAll(y, opts, sc)
+		return d.detectAll(y, opts, sc, blk)
 	}
 	h := d.h
 	if h.Rows() != len(y) {
@@ -128,7 +130,7 @@ func (d *Detector) detectMasked(y []float64, masked []int, opts Options, sc *det
 	}
 	opts = opts.withDefaults(yKept)
 	if h.Cols() == 0 {
-		yHat, delta := fitBuffers(len(y))
+		_, yHat, delta := carveOutcome(blk, len(y), 0)
 		compact := make([]float64, 0, len(kept))
 		for _, i := range kept {
 			delta[i] = math.Abs(y[i])
@@ -141,7 +143,7 @@ func (d *Detector) detectMasked(y []float64, masked []int, opts Options, sc *det
 		tel.outcome(t0, res)
 		return res, nil
 	}
-	var xHat []float64
+	xHat, yHat, delta := carveOutcome(blk, h.Rows(), h.Cols())
 	solved := false
 	// A nil clone (degenerate or dual engine) falls through to the
 	// one-shot solve, and so does a downdate that fails its pivot or
@@ -182,7 +184,6 @@ func (d *Detector) detectMasked(y []float64, masked []int, opts Options, sc *det
 					ym[i] = 0
 				}
 			}
-			xHat = make([]float64, h.Cols())
 			if err := h.TMulVecInto(xHat, ym); err != nil {
 				return Result{}, err
 			}
@@ -201,12 +202,13 @@ func (d *Detector) detectMasked(y []float64, masked []int, opts Options, sc *det
 		if err != nil {
 			return Result{}, err
 		}
+		// The one-shot solver returns an x̂ of its own; the carved one
+		// goes unused.
 		xHat, err = matrix.SolveNormalEquations(sub, yKept, matrix.LeastSquaresOptions{})
 		if err != nil {
 			return Result{}, fmt.Errorf("core: masked volume estimate: %w", err)
 		}
 	}
-	yHat, delta := fitBuffers(h.Rows())
 	if err := h.MulVecInto(yHat, xHat); err != nil {
 		return Result{}, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -144,26 +145,38 @@ type SlicedOutcome struct {
 // assembly all funnel through it, so a distributed run reproduces a
 // local run's outcome (including Suspects order under index ties,
 // which the stable sort preserves in slice order) exactly.
-func MergeSliceResults(slices []Slice, results []Result, skipped []bool) SlicedOutcome {
-	var out SlicedOutcome
-	type suspect struct {
-		sw    topo.SwitchID
-		index float64
-	}
-	var suspects []suspect
-	for i, sl := range slices {
+func MergeSliceResults(set []Slice, results []Result, skipped []bool) SlicedOutcome {
+	out := SlicedOutcome{PerSwitch: make([]SliceResult, 0, len(set))}
+	anomalous := 0
+	for i, sl := range set {
 		if skipped != nil && skipped[i] {
 			continue
 		}
 		out.PerSwitch = append(out.PerSwitch, SliceResult{Switch: sl.Switch, Result: results[i]})
 		if results[i].Anomalous {
-			out.Anomalous = true
-			suspects = append(suspects, suspect{sw: sl.Switch, index: results[i].Index})
+			anomalous++
 		}
 	}
-	sort.SliceStable(suspects, func(i, j int) bool { return suspects[i].index > suspects[j].index })
-	for _, s := range suspects {
-		out.Suspects = append(out.Suspects, s.sw)
+	if anomalous == 0 {
+		return out
+	}
+	out.Anomalous = true
+	type suspect struct {
+		sw    topo.SwitchID
+		index float64
+	}
+	suspects := make([]suspect, 0, anomalous)
+	for _, r := range out.PerSwitch {
+		if r.Result.Anomalous {
+			suspects = append(suspects, suspect{sw: r.Switch, index: r.Result.Index})
+		}
+	}
+	// An anomalous index exceeds the threshold, so it is never NaN.
+	slices.SortStableFunc(suspects, func(a, b suspect) int { return cmp.Compare(b.index, a.index) })
+	// Suspects is its own small array: the recent-run ring keeps it.
+	out.Suspects = make([]topo.SwitchID, len(suspects))
+	for i, s := range suspects {
+		out.Suspects[i] = s.sw
 	}
 	return out
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"foces/internal/controller"
@@ -201,6 +203,73 @@ func TestSliceSubFCMSmallerThanFull(t *testing.T) {
 		}
 		if s.H.Cols() > f.H.Cols() {
 			t.Fatalf("slice has more columns than full FCM")
+		}
+	}
+}
+
+// TestMergeSliceResultsTiesKeepSliceOrder: suspects rank by descending
+// index, equal indices (+Inf included) in slice order, and skipped or
+// clean slices are left out of the ranking; PerSwitch keeps every
+// slice that ran, in slice order.
+func TestMergeSliceResultsTiesKeepSliceOrder(t *testing.T) {
+	inf := math.Inf(1)
+	set := make([]Slice, 7)
+	for i := range set {
+		set[i].Switch = topo.SwitchID(10 + i)
+	}
+	results := []Result{
+		{Anomalous: true, Index: 6},
+		{Anomalous: true, Index: inf},
+		{Index: 2},
+		{Anomalous: true, Index: 6},
+		{Anomalous: true, Index: inf},
+		{Anomalous: true, Index: 9}, // skipped
+		{Anomalous: true, Index: 6},
+	}
+	skipped := make([]bool, len(set))
+	skipped[5] = true
+	out := MergeSliceResults(set, results, skipped)
+	want := []topo.SwitchID{11, 14, 10, 13, 16}
+	if !out.Anomalous || !reflect.DeepEqual(out.Suspects, want) {
+		t.Fatalf("suspects %v (anomalous %v), want %v", out.Suspects, out.Anomalous, want)
+	}
+	if len(out.PerSwitch) != 6 || out.PerSwitch[5].Switch != 16 {
+		t.Fatalf("PerSwitch = %+v", out.PerSwitch)
+	}
+	if clean := MergeSliceResults(set[2:3], results[2:3], nil); clean.Anomalous || clean.Suspects != nil {
+		t.Fatalf("clean merge = %+v", clean)
+	}
+}
+
+// TestSlicedOutcomeVectorsIndependent: a sliced run carves every
+// slice's XHat, YHat and Delta from one block, and masked runs carve
+// theirs from it too; appending to any of them must reallocate, never
+// write into the vector carved after it.
+func TestSlicedOutcomeVectorsIndependent(t *testing.T) {
+	slices, numRules, clean, _ := engineFixture(t)
+	sd, err := NewSlicedDetector(slices, numRules, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := sd.Detect(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masked, err := sd.DetectMasked(clean, slices[0].OwnRows[:1], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, out := range map[string]SlicedOutcome{"plain": plain, "masked": masked} {
+		var vecs [][]float64
+		for _, ps := range out.PerSwitch {
+			vecs = append(vecs, ps.Result.XHat, ps.Result.YHat, ps.Result.Delta)
+		}
+		for i := 0; i+1 < len(vecs); i++ {
+			next := append([]float64(nil), vecs[i+1]...)
+			_ = append(vecs[i], -7)
+			if !reflect.DeepEqual(vecs[i+1], next) {
+				t.Fatalf("%s run: appending to vector %d wrote into vector %d", name, i, i+1)
+			}
 		}
 	}
 }

@@ -12,11 +12,11 @@ import (
 
 // TestFlowStatsRoundTripAllocs pins what one flow-stats round trip
 // costs client and agent together over a loopback TCP connection (as
-// the benchmark dials one; net.Pipe allocates inside SetDeadline): the
-// reply and its Stats, which the caller is handed and keeps, and one
-// spare. No goroutine, channel or closure per request, no frame body on
-// the read side, and on the agent no counter map, []FlowStat or encode
-// buffer.
+// the benchmark dials one; net.Pipe allocates inside SetDeadline) when
+// the caller releases the reply: nothing. The released reply's storage
+// is the next reply's, and there is no goroutine, channel or closure
+// per request, no frame body on the read side, and on the agent no
+// counter map, []FlowStat or encode buffer.
 func TestFlowStatsRoundTripAllocs(t *testing.T) {
 	const rules = 56
 	network := newNet(t)
@@ -30,9 +30,10 @@ func TestFlowStatsRoundTripAllocs(t *testing.T) {
 		if err != nil || len(reply.Stats) != rules {
 			t.Fatalf("flow stats: %v, err %v", reply, err)
 		}
+		reply.Release()
 	}
-	roundTrip() // grow the frame buffers, warm the reply-slot free list
-	if allocs := testing.AllocsPerRun(200, roundTrip); allocs > 3 {
-		t.Errorf("flow-stats round trip allocated %.1f times; want <= 3", allocs)
+	roundTrip() // grow the frame buffers, warm the reply and slot free lists
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs > 0 {
+		t.Errorf("released flow-stats round trip allocated %.1f times; want 0", allocs)
 	}
 }

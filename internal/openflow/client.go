@@ -158,6 +158,10 @@ func (c *Client) readLoop() {
 		}
 		if slot := c.claim(msg.XID); slot != nil {
 			slot <- result{msg: msg}
+		} else if fr, ok := msg.Payload.(*FlowStatsReply); ok {
+			// Nobody waits for this XID any more: its storage goes
+			// straight back for the next reply.
+			fr.Release()
 		}
 		// Other unsolicited messages are dropped.
 	}
@@ -310,7 +314,9 @@ func (c *Client) FlowStats() (*FlowStatsReply, error) {
 
 // FlowStatsContext fetches the switch's rule counters under a
 // caller-supplied deadline, so a slow or dead switch costs the
-// collector exactly its per-request budget and nothing more.
+// collector exactly its per-request budget and nothing more. The reply
+// is on loan: Release it once read, and the next reply reuses its
+// storage.
 func (c *Client) FlowStatsContext(ctx context.Context) (*FlowStatsReply, error) {
 	reply, err := c.roundTripCtx(ctx, TypeFlowStatsRequest, nil)
 	if err != nil {

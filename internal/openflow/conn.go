@@ -20,6 +20,9 @@ type Conn struct {
 	// (single reader). Nothing Read returns aliases it: see
 	// decodePayload.
 	rbuf []byte
+	// replies lends flow-stats replies their storage; see
+	// FlowStatsReply.Release.
+	replies replyFree
 }
 
 // NewConn wraps a transport connection.
@@ -41,7 +44,9 @@ func (c *Conn) Write(m Message) error {
 }
 
 // Read receives the next message, blocking until one arrives or the
-// transport fails. The returned message owns all of its memory.
+// transport fails. The returned message owns all of its memory, apart
+// from a flow-stats reply, whose storage is on loan until it is
+// released (FlowStatsReply.Release).
 func (c *Conn) Read() (Message, error) {
 	t, xid, body, err := c.w.ReadFrameInto(c.rbuf)
 	if err != nil {
@@ -49,7 +54,7 @@ func (c *Conn) Read() (Message, error) {
 	}
 	c.rbuf = body[:cap(body)]
 	m := Message{Type: MsgType(t), XID: xid}
-	payload, err := decodePayload(m.Type, body)
+	payload, err := decodePayload(m.Type, body, &c.replies)
 	if err != nil {
 		return Message{}, err
 	}

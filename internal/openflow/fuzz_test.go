@@ -89,7 +89,9 @@ func encoded(tb testing.TB, p Payload) []byte {
 // buffer may not outgrow what the input backs with bytes, whatever its
 // length prefixes claim; and no decoded message may alias the buffer:
 // each must still encode to the same bytes after later frames have
-// overwritten it and the test has scribbled over what is left.
+// overwritten it and the test has scribbled over what is left. Every
+// other flow-stats reply is released, so the next one is decoded into
+// its storage: each must re-encode to exactly its own frame's body.
 func FuzzConnRead(f *testing.F) {
 	// testdata/fuzz/FuzzConnRead holds one frame per MsgType, each also
 	// truncated by a byte and over-long by one; added here are what a
@@ -102,6 +104,12 @@ func FuzzConnRead(f *testing.F) {
 	lying := frameOf(f, Message{Type: TypeFlowStatsReply, XID: 1, Payload: &FlowStatsReply{}})
 	binary.BigEndian.PutUint32(lying[2:], maxMessageSize) // claims 16 MiB, sends 8 bytes
 	f.Add(lying)
+	// A released three-entry reply, then a one-entry reply recycled from
+	// its storage: no stale tail may show.
+	f.Add(append(frameOf(f, Message{Type: TypeFlowStatsReply, XID: 1, Payload: &FlowStatsReply{Switch: 2,
+		Stats: []FlowStat{{RuleID: 1, Packets: 10}, {RuleID: 2, Packets: 20}, {RuleID: 3, Packets: 30}}}}),
+		frameOf(f, Message{Type: TypeFlowStatsReply, XID: 2, Payload: &FlowStatsReply{Switch: 2,
+			Stats: []FlowStat{{RuleID: 9, Packets: 90}}}})...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		conn := NewConn(streamConn{bytes.NewReader(data)})
@@ -110,12 +118,25 @@ func FuzzConnRead(f *testing.F) {
 			body []byte
 		}
 		var msgs []kept
+		flowStats := 0
 		for {
 			msg, err := conn.Read()
 			if err != nil {
 				break
 			}
-			msgs = append(msgs, kept{msg, encoded(t, msg.Payload)})
+			body := encoded(t, msg.Payload)
+			if fr, ok := msg.Payload.(*FlowStatsReply); ok {
+				// The frame's body still heads the read buffer.
+				if !bytes.HasPrefix(conn.rbuf, body) {
+					t.Fatalf("flow-stats reply %d re-encodes to %x, not its frame's body", flowStats, body)
+				}
+				flowStats++
+				if flowStats%2 == 1 {
+					fr.Release()
+					continue
+				}
+			}
+			msgs = append(msgs, kept{msg, body})
 		}
 		if limit := max(2*len(data), 4096); cap(conn.rbuf) > limit {
 			t.Fatalf("%d input bytes grew the read buffer to %d", len(data), cap(conn.rbuf))
@@ -146,7 +167,7 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 		f.Add(uint8(m.Type), append(bytes.Clone(body), 0xEE))
 	}
 	f.Fuzz(func(t *testing.T, typ uint8, body []byte) {
-		m, err := decodePayload(MsgType(typ), body)
+		m, err := decodePayload(MsgType(typ), body, nil)
 		if err != nil || m == nil {
 			return
 		}
@@ -159,7 +180,7 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 		if !bytes.HasPrefix(framed, prefix) || !bytes.Equal(framed[len(prefix):], wire) {
 			t.Fatalf("%T: appending to a frame gave %x, encoding alone %x", m, framed, wire)
 		}
-		back, err := decodePayload(MsgType(typ), wire)
+		back, err := decodePayload(MsgType(typ), wire, nil)
 		if err != nil {
 			t.Fatalf("%T: decode(encode(m)): %v", m, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 
 	"foces/internal/flowtable"
 	"foces/internal/header"
@@ -173,9 +174,77 @@ type FlowStat struct {
 }
 
 // FlowStatsReply carries all rule counters of a switch.
+//
+// A reply a Client hands back is decoded into storage on loan from the
+// client's connection. Release returns that storage for a later reply
+// to reuse; a caller that never releases keeps the reply for good, and
+// the connection allocates anew.
 type FlowStatsReply struct {
 	Switch topo.SwitchID
 	Stats  []FlowStat
+
+	// free is the list the storage was lent from; nil on a hand-built
+	// reply. released is guarded by free.mu.
+	free     *replyFree
+	released bool
+}
+
+// Release hands a received reply's storage back to the connection that
+// decoded it. After Release the reply and its Stats are dead: the next
+// flow-stats reply on that connection may overwrite them. Releasing
+// twice panics; a release after the storage has been lent out again
+// cannot be told apart from the new holder's, so it is the caller's to
+// avoid. On a hand-built reply Release is a no-op, so generic consumer
+// code can release unconditionally.
+func (p *FlowStatsReply) Release() {
+	f := p.free
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if p.released {
+		panic("openflow: FlowStatsReply released twice")
+	}
+	p.released = true
+	if len(f.replies) < maxFreeReplies {
+		f.replies = append(f.replies, p)
+	}
+}
+
+// maxFreeReplies caps a connection's list of released replies. The
+// collector polls each switch once per round and releases the reply
+// before the next, so one is in use at a time; the rest of the room
+// absorbs concurrent requests. Replies released beyond it fall through
+// to the garbage collector.
+const maxFreeReplies = 4
+
+// replyFree is a connection's list of released flow-stats replies.
+// Unlike a sync.Pool it is not emptied by garbage collection, so a
+// steady poll loop decodes every reply into the same storage however
+// often the collector runs.
+type replyFree struct {
+	mu      sync.Mutex
+	replies []*FlowStatsReply
+}
+
+// get pops a released reply, or builds one lent from f. A nil f lends
+// nothing: the reply is the caller's for good.
+func (f *replyFree) get() *FlowStatsReply {
+	if f == nil {
+		return new(FlowStatsReply)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	k := len(f.replies)
+	if k == 0 {
+		return &FlowStatsReply{free: f}
+	}
+	p := f.replies[k-1]
+	f.replies[k-1] = nil
+	f.replies = f.replies[:k-1]
+	p.released = false
+	return p
 }
 
 func (p *FlowStatsReply) appendTo(dst []byte) ([]byte, error) {
@@ -212,16 +281,24 @@ func appendTableFlowStats(dst []byte, sw topo.SwitchID, tbl *flowtable.Table) []
 	return dst
 }
 
-func decodeFlowStatsReply(b []byte) (*FlowStatsReply, error) {
+// decodeFlowStatsReply decodes a flow-stats-reply body into storage
+// taken from free, or into fresh storage when free is nil. A recycled
+// reply's Stats are resliced to exactly the body's count, so nothing of
+// a longer predecessor shows.
+func decodeFlowStatsReply(b []byte, free *replyFree) (*FlowStatsReply, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("openflow: flow-stats-reply body %d bytes", len(b))
 	}
-	p := &FlowStatsReply{Switch: topo.SwitchID(int32(binary.BigEndian.Uint32(b)))}
 	n := int(binary.BigEndian.Uint32(b[4:]))
 	if len(b) != 8+12*n {
 		return nil, fmt.Errorf("openflow: flow-stats-reply body %d bytes for %d stats", len(b), n)
 	}
-	p.Stats = make([]FlowStat, n)
+	p := free.get()
+	p.Switch = topo.SwitchID(int32(binary.BigEndian.Uint32(b)))
+	if cap(p.Stats) < n {
+		p.Stats = make([]FlowStat, n)
+	}
+	p.Stats = p.Stats[:n]
 	for i := 0; i < n; i++ {
 		off := 8 + 12*i
 		p.Stats[i].RuleID = int(int32(binary.BigEndian.Uint32(b[off:])))
@@ -341,8 +418,9 @@ func (p *ErrorMsg) Error() string {
 // nil. b is the connection's reused read buffer: every decoder copies
 // what it keeps (integers by value, ErrorMsg.Text through string(),
 // matches and packets through header.Unmarshal*), so no payload may
-// alias b past this call.
-func decodePayload(t MsgType, b []byte) (Payload, error) {
+// alias b past this call. A flow-stats reply is decoded into storage
+// from replies (nil: fresh storage).
+func decodePayload(t MsgType, b []byte, replies *replyFree) (Payload, error) {
 	switch t {
 	case TypeHello, TypeEchoRequest, TypeEchoReply, TypeFeaturesRequest,
 		TypeFlowStatsRequest, TypePortStatsRequest, TypePacketOut:
@@ -355,7 +433,7 @@ func decodePayload(t MsgType, b []byte) (Payload, error) {
 	case TypeFlowMod:
 		return decodeFlowMod(b)
 	case TypeFlowStatsReply:
-		return decodeFlowStatsReply(b)
+		return decodeFlowStatsReply(b, replies)
 	case TypePortStatsReply:
 		return decodePortStatsReply(b)
 	case TypeError:

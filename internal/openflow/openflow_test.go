@@ -272,19 +272,19 @@ func TestAgentOverTCP(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := decodePayload(TypeFeaturesReply, []byte{1, 2}); err == nil {
+	if _, err := decodePayload(TypeFeaturesReply, []byte{1, 2}, nil); err == nil {
 		t.Fatal("short features must error")
 	}
-	if _, err := decodePayload(TypeHello, []byte{1}); err == nil {
+	if _, err := decodePayload(TypeHello, []byte{1}, nil); err == nil {
 		t.Fatal("hello with body must error")
 	}
-	if _, err := decodePayload(MsgType(200), nil); err == nil {
+	if _, err := decodePayload(MsgType(200), nil, nil); err == nil {
 		t.Fatal("unknown type must error")
 	}
-	if _, err := decodePayload(TypeFlowMod, []byte{9, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0}); err == nil {
+	if _, err := decodePayload(TypeFlowMod, []byte{9, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0}, nil); err == nil {
 		t.Fatal("bad flow-mod command must error")
 	}
-	if _, err := decodePayload(TypeFlowStatsReply, []byte{0, 0, 0, 1, 0, 0, 0, 9}); err == nil {
+	if _, err := decodePayload(TypeFlowStatsReply, []byte{0, 0, 0, 1, 0, 0, 0, 9}, nil); err == nil {
 		t.Fatal("inconsistent stats count must error")
 	}
 }

@@ -88,7 +88,7 @@ func startTCPPair(t *testing.T, network *dataplane.Network, sw topo.SwitchID) (*
 // its entries sorted by rule, so bodies can be compared up to order.
 func sortedStatsBody(t *testing.T, body []byte) []byte {
 	t.Helper()
-	reply, err := decodeFlowStatsReply(body)
+	reply, err := decodeFlowStatsReply(body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
